@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Segment, Vec2, orient
+from .geometry import TWO_PI, Segment, Vec2, orient
 from .outcomes import Stuck, TrialOutcome, TrialStatus
 from .routing import MessageState, RoutingParams, inertia_ideal, next_hop
 from .worldgen import COMM_RADIUS, World
-
-TWO_PI = 2.0 * math.pi
 
 # Backtrack allowance for the limited-backtrack router. Small on purpose:
 # a handful of pops rescues the occasional routing hole, while a large

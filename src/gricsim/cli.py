@@ -22,7 +22,7 @@ from .harness import (
     Algorithm,
     ExperimentConfig,
     build_trial_world,
-    run_sweep,
+    run_sweeps,
     run_trial,
     source_node,
 )
@@ -229,8 +229,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     stream, owned = _open_out(out_path)
     try:
         print(CSV_HEADER, file=stream)
-        for config in configs:
-            report = run_sweep(config, workers=workers)
+        for report in run_sweeps(configs, workers=workers):
             for row in report.rows:
                 print(csv_line(row), file=stream)
     finally:
@@ -324,7 +323,8 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    outcome = run_trial(config, density, 0)
+    world = build_trial_world(seed, density, 0, obstacle)
+    outcome = run_trial(config, density, 0, world=world)
     label = (
         f"{algo.value} on {obstacle}, density {density:g}, seed {seed}: "
         f"{outcome.status.value}, {outcome.hops} hops, "
@@ -337,7 +337,6 @@ def cmd_trace(ns: argparse.Namespace) -> int:
             for i, p in enumerate(outcome.path or []):
                 print(f"{i},{p.x:.4f},{p.y:.4f}", file=stream)
         else:
-            world = build_trial_world(seed, density, 0, obstacle)
             stream.write(render_trace_svg(world, outcome, label))
     finally:
         if owned:

@@ -1,7 +1,7 @@
 """Monte-Carlo experiment machinery.
 
-One trial = one fresh random world + one message routed under one
-algorithm, with shared success and failure rules:
+One trial = one seeded world + one message routed under one algorithm,
+with shared success and failure rules:
 
 * success   -- the message occupies a node at distance < 1 from the
                destination point
@@ -9,14 +9,19 @@ algorithm, with shared success and failure rules:
                border (inclusive), checked at the source and after
                every hop
 * fail_ttl  -- the hop counter exceeds n, the world's node count
-* fail_stuck -- the algorithm signals it has no move left
+* fail_stuck -- the algorithm has no move left: it signals Stuck, or
+               its geometry degenerates (two nodes at one position
+               leave no travel direction, a ZeroVector)
 * fail_no_nodes -- the world came up empty
 
 Reproducibility contract: every trial derives its randomness from
 (master_seed, density, trial_index, stream), with separate streams for
-world generation and routing decisions. Nothing depends on execution
-order, so sweeps can fan out to worker processes and still produce
-byte-identical reports.
+world generation and routing decisions. A world depends on
+(master_seed, density, trial_index) alone, so a sweep builds each world
+once and runs every requested router on it; no router changes the world
+it runs on (the lazily built Gabriel subgraph is a cache). Nothing
+depends on execution order, so sweeps can fan out to worker processes
+and still produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .baselines import (
     ltp_init,
     ltp_step,
 )
-from .geometry import Vec2
+from .geometry import Vec2, ZeroVector
 from .outcomes import Stuck, TrialOutcome, TrialStatus
 from .routing import MessageState, RoutingParams, gric_step
 from .worldgen import COMM_RADIUS, Region, World, deploy, make_obstacle
@@ -144,11 +149,23 @@ def source_node(world: World, point: Vec2 = SOURCE_POINT) -> int:
     return int(np.argmin(np.einsum("ij,ij->i", d, d)))
 
 
-def run_trial(config: ExperimentConfig, density: float, trial_index: int) -> TrialOutcome:
-    """One seeded world, one message, one verdict."""
-    world = build_trial_world(
-        config.master_seed, density, trial_index, config.obstacle
-    )
+def run_trial(
+    config: ExperimentConfig,
+    density: float,
+    trial_index: int,
+    *,
+    world: World | None = None,
+) -> TrialOutcome:
+    """One seeded world, one message, one verdict.
+
+    world, when given, must be this trial's world as build_trial_world
+    makes it; it is read, never changed, so callers can share it across
+    routers.
+    """
+    if world is None:
+        world = build_trial_world(
+            config.master_seed, density, trial_index, config.obstacle
+        )
     if world.n == 0:
         return TrialOutcome(TrialStatus.FAIL_NO_NODES, 0, 0.0)
     source = source_node(world)
@@ -195,7 +212,7 @@ def run_trial(config: ExperimentConfig, density: float, trial_index: int) -> Tri
                 nxt, mstate = gric_step(world, cur, mstate, params, rng)
             else:
                 raise ValueError(f"unhandled algorithm {config.algorithm}")
-        except Stuck:
+        except (Stuck, ZeroVector):
             return TrialOutcome(TrialStatus.FAIL_STUCK, hops, dist, path)
         dist += (world.pos(nxt) - p).norm()
         hops += 1
@@ -204,53 +221,97 @@ def run_trial(config: ExperimentConfig, density: float, trial_index: int) -> Tri
             path.append(world.pos(nxt))
 
 
-def _trial_task(args: tuple) -> tuple[int, int, str, int, float]:
-    config, di, density, trial_index = args
-    out = run_trial(config, density, trial_index)
-    return di, trial_index, out.status.value, out.hops, out.distance
+def _world_key(config: ExperimentConfig) -> tuple:
+    return (
+        config.obstacle,
+        config.densities,
+        config.trials_per_point,
+        config.master_seed,
+    )
 
 
-def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepReport:
-    """All densities, trials_per_point trials each, aggregated per density.
+def _world_task(args: tuple) -> list[tuple[int, int, int, str, int, float]]:
+    """Every config's trial on one (density, trial) world, built once."""
+    configs, di, density, trial_index = args
+    first = configs[0]
+    world = build_trial_world(first.master_seed, density, trial_index, first.obstacle)
+    results = []
+    for ci, config in enumerate(configs):
+        out = run_trial(config, density, trial_index, world=world)
+        results.append((ci, di, trial_index, out.status.value, out.hops, out.distance))
+    return results
 
-    workers > 1 fans the trials out to a process pool; the report is
-    byte-identical regardless, because every trial is self-seeded and
-    results are folded in (density, trial_index) order.
+
+def _sweep_row(config: ExperimentConfig, density: float, raw: list[tuple]) -> SweepRow:
+    """Aggregate one density's (status, hops, distance) trial results."""
+    statuses = [r[0] for r in raw]
+    succ = [r for r in raw if r[0] == TrialStatus.SUCCESS.value]
+    n_trials = len(raw)
+    return SweepRow(
+        algorithm=config.algorithm.value,
+        obstacle=config.obstacle,
+        density=density,
+        trials=n_trials,
+        success_rate=len(succ) / n_trials,
+        median_hops=median(r[1] for r in succ) if succ else float("nan"),
+        median_distance=median(r[2] for r in succ) if succ else float("nan"),
+        fail_ttl=statuses.count(TrialStatus.FAIL_TTL.value),
+        fail_oob=statuses.count(TrialStatus.FAIL_OOB.value),
+        fail_stuck=statuses.count(TrialStatus.FAIL_STUCK.value),
+        fail_no_nodes=statuses.count(TrialStatus.FAIL_NO_NODES.value),
+    )
+
+
+def run_sweeps(
+    configs: list[ExperimentConfig], workers: int = 1
+) -> list[SweepReport]:
+    """One report per config, every config's trials run on shared worlds.
+
+    The configs must agree on obstacle, densities, trials_per_point and
+    master_seed, which fix the worlds; they may differ in algorithm,
+    params, disable_out_of_bounds and record_path. One task is one
+    (density, trial) world, built once for all configs. workers > 1 fans
+    the tasks out to one process pool; the reports are byte-identical
+    regardless, because every trial is self-seeded and results are
+    folded in (config, density, trial_index) order.
     """
+    configs = list(configs)
+    if not configs:
+        return []
+    first = configs[0]
+    for config in configs[1:]:
+        if _world_key(config) != _world_key(first):
+            raise ValueError(
+                "run_sweeps configs must share obstacle, densities, "
+                "trials_per_point and master_seed"
+            )
     tasks = [
-        (config, di, d, t)
-        for di, d in enumerate(config.densities)
-        for t in range(config.trials_per_point)
+        (configs, di, d, t)
+        for di, d in enumerate(first.densities)
+        for t in range(first.trials_per_point)
     ]
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 8))
         with multiprocessing.Pool(processes=workers) as pool:
-            raw = pool.map(_trial_task, tasks, chunksize=chunk)
+            per_world = pool.map(_world_task, tasks, chunksize=chunk)
     else:
-        raw = [_trial_task(t) for t in tasks]
-    raw.sort(key=lambda r: (r[0], r[1]))
-
-    report = SweepReport()
-    for di, d in enumerate(config.densities):
-        chunk_rows = [r for r in raw if r[0] == di]
-        statuses = [r[2] for r in chunk_rows]
-        succ_hops = [r[3] for r in chunk_rows if r[2] == TrialStatus.SUCCESS.value]
-        succ_dist = [r[4] for r in chunk_rows if r[2] == TrialStatus.SUCCESS.value]
-        n_trials = len(chunk_rows)
-        n_succ = len(succ_hops)
-        report.rows.append(
-            SweepRow(
-                algorithm=config.algorithm.value,
-                obstacle=config.obstacle,
-                density=d,
-                trials=n_trials,
-                success_rate=n_succ / n_trials,
-                median_hops=median(succ_hops) if n_succ else float("nan"),
-                median_distance=median(succ_dist) if n_succ else float("nan"),
-                fail_ttl=statuses.count(TrialStatus.FAIL_TTL.value),
-                fail_oob=statuses.count(TrialStatus.FAIL_OOB.value),
-                fail_stuck=statuses.count(TrialStatus.FAIL_STUCK.value),
-                fail_no_nodes=statuses.count(TrialStatus.FAIL_NO_NODES.value),
-            )
+        per_world = [_world_task(t) for t in tasks]
+    # Tasks, and so results, come in (density, trial) order.
+    by_point: dict[tuple[int, int], list[tuple]] = {}
+    for results in per_world:
+        for ci, di, _, status, hops, dist in results:
+            by_point.setdefault((ci, di), []).append((status, hops, dist))
+    return [
+        SweepReport(
+            rows=[
+                _sweep_row(config, d, by_point[(ci, di)])
+                for di, d in enumerate(config.densities)
+            ]
         )
-    return report
+        for ci, config in enumerate(configs)
+    ]
+
+
+def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepReport:
+    """All densities, trials_per_point trials each, aggregated per density."""
+    return run_sweeps([config], workers)[0]

@@ -25,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import (
+    TWO_PI,
     Angle,
     CompassValue,
     Vec2,
@@ -35,8 +36,6 @@ from .geometry import (
 )
 from .outcomes import Stuck
 from .worldgen import World
-
-TWO_PI = 2.0 * math.pi
 
 
 class PreconditionViolated(RuntimeError):
@@ -182,12 +181,6 @@ def inertia_ideal(v_prev: Vec2, v_dest: Vec2, beta: float) -> Vec2:
     """Ideal forwarding direction in inertia mode."""
     alpha = angle_from_to(v_prev, v_dest)
     return rotate(v_prev, clamp_turn(alpha.radians, beta))
-
-
-def contour_ideal(v_prev: Vec2, v_dest: Vec2, beta: float) -> Vec2:
-    """Ideal forwarding direction in contour mode."""
-    alpha = angle_from_to(v_prev, v_dest)
-    return rotate(v_prev, contour_turn(alpha.radians, beta))
 
 
 def next_hop(

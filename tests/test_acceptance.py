@@ -2,8 +2,9 @@
 
 Each criterion is one test that prints a single PASS/FAIL line with the
 measured numbers and then asserts. Sweep results are cached module-wide
-so criteria sharing a configuration pay for it once. The collected lines
-are also written to acceptance_report.txt in the pytest session's
+so criteria sharing a configuration pay for it once, and routers asked
+for together at one point share one build of each world. The collected
+lines are also written to acceptance_report.txt in the pytest session's
 temporary directory, whose path is printed at the end of the run, so
 running a single criterion leaves the source tree untouched.
 
@@ -26,6 +27,7 @@ from gricsim.harness import (
     ExperimentConfig,
     build_trial_world,
     run_sweep,
+    run_sweeps,
     run_trial,
 )
 from gricsim.outcomes import TrialStatus
@@ -54,10 +56,18 @@ _cache: dict = {}
 _report: list[str] = []
 
 
-def sweep_row(algorithm, obstacle, density, **kw):
-    key = (algorithm, obstacle, float(density), tuple(sorted(kw.items())))
-    if key not in _cache:
-        cfg = ExperimentConfig(
+def sweep_rows(algorithms, obstacle, density, **kw):
+    """Rows of several routers at one point, keyed by router.
+
+    Routers not yet cached run together in one run_sweeps call, so each
+    of the point's worlds is built once for all of them.
+    """
+    def key(algorithm):
+        return (algorithm, obstacle, float(density), tuple(sorted(kw.items())))
+
+    missing = [a for a in algorithms if key(a) not in _cache]
+    configs = [
+        ExperimentConfig(
             algorithm=algorithm,
             obstacle=obstacle,
             densities=(float(density),),
@@ -65,8 +75,15 @@ def sweep_row(algorithm, obstacle, density, **kw):
             master_seed=ACCEPTANCE_SEED,
             **kw,
         )
-        _cache[key] = run_sweep(cfg).rows[0]
-    return _cache[key]
+        for algorithm in missing
+    ]
+    for algorithm, report in zip(missing, run_sweeps(configs)):
+        _cache[key(algorithm)] = report.rows[0]
+    return {a: _cache[key(a)] for a in algorithms}
+
+
+def sweep_row(algorithm, obstacle, density, **kw):
+    return sweep_rows((algorithm,), obstacle, density, **kw)[algorithm]
 
 
 def verdict(number, ok, detail):
@@ -135,16 +152,17 @@ def test_criterion_01_open_field_baselines():
     border; it must stay below the 0.95 line the others clear, and every
     message it loses must be stuck at a brute-force-verified local
     minimum."""
-    rows = {
-        a: sweep_row(a, "none", 5.0)
-        for a in (
+    rows = sweep_rows(
+        (
             Algorithm.GREEDY,
             Algorithm.INERTIA,
             Algorithm.GRIC_MINUS,
             Algorithm.GRIC_PLUS,
             Algorithm.LTP,
-        )
-    }
+        ),
+        "none",
+        5.0,
+    )
     rates = {a.value: r.success_rate for a, r in rows.items()}
     ok_high = all(
         rates[name] >= 0.95 for name in ("inertia", "gric-", "gric+", "ltp")
@@ -173,16 +191,15 @@ def test_criterion_02_degradation_order():
     contact. The verdict lists every density whose gap exceeds 0.05 with
     the fail_oob and fail_ttl counts of gric+ and face there."""
     grid = (2.0, 2.5, 3.0, 3.5, 5.0)
-    rows = {
-        a: {d: sweep_row(a, "none", d) for d in grid}
-        for a in (
-            Algorithm.LTP,
-            Algorithm.INERTIA,
-            Algorithm.GRIC_MINUS,
-            Algorithm.GRIC_PLUS,
-            Algorithm.FACE,
-        )
-    }
+    routers = (
+        Algorithm.LTP,
+        Algorithm.INERTIA,
+        Algorithm.GRIC_MINUS,
+        Algorithm.GRIC_PLUS,
+        Algorithm.FACE,
+    )
+    by_density = {d: sweep_rows(routers, "none", d) for d in grid}
+    rows = {a: {d: by_density[d][a] for d in grid} for a in routers}
     s = {
         a: {d: r.success_rate for d, r in by_d.items()}
         for a, by_d in rows.items()
@@ -233,18 +250,28 @@ def test_criterion_03_stripe_wall():
 
     GRIC+ thresholds carry a 0.07 absolute tolerance; greedy and LTP are
     sampled at {3, 4, 5, 6, 8}."""
-    gp3 = sweep_row(Algorithm.GRIC_PLUS, "stripe", 3.0).success_rate
-    gp4 = sweep_row(Algorithm.GRIC_PLUS, "stripe", 4.0).success_rate
+    extra = {
+        3.0: (Algorithm.GRIC_PLUS,),
+        4.0: (Algorithm.GRIC_PLUS, Algorithm.INERTIA),
+        5.0: (),
+        6.0: (Algorithm.INERTIA,),
+        8.0: (Algorithm.INERTIA,),
+    }
+    rows = {
+        d: sweep_rows((Algorithm.GREEDY, Algorithm.LTP, *more), "stripe", d)
+        for d, more in extra.items()
+    }
+    gp3 = rows[3.0][Algorithm.GRIC_PLUS].success_rate
+    gp4 = rows[4.0][Algorithm.GRIC_PLUS].success_rate
     ok_gric = gp3 >= 0.90 - 0.07 and gp4 >= 0.97 - 0.07
     inertia = {
-        d: sweep_row(Algorithm.INERTIA, "stripe", d).success_rate
-        for d in (4.0, 6.0, 8.0)
+        d: rows[d][Algorithm.INERTIA].success_rate for d in (4.0, 6.0, 8.0)
     }
     ok_inertia = all(v >= 0.85 for v in inertia.values())
     low = {}
     for a in (Algorithm.GREEDY, Algorithm.LTP):
         for d in (3.0, 4.0, 5.0, 6.0, 8.0):
-            low[(a.value, d)] = sweep_row(a, "stripe", d).success_rate
+            low[(a.value, d)] = rows[d][a].success_rate
     ok_low = all(v <= 0.2 for v in low.values())
     worst_low = max(low.values())
     detail = (
@@ -263,8 +290,11 @@ def test_criterion_04_boxes_with_open_mouths():
     parts = []
     for obstacle in ("ushape", "concave1"):
         for d in (6.0, 8.0):
-            plus = sweep_row(Algorithm.GRIC_PLUS, obstacle, d)
-            minus = sweep_row(Algorithm.GRIC_MINUS, obstacle, d)
+            point = sweep_rows(
+                (Algorithm.GRIC_PLUS, Algorithm.GRIC_MINUS), obstacle, d
+            )
+            plus = point[Algorithm.GRIC_PLUS]
+            minus = point[Algorithm.GRIC_MINUS]
             ok = ok and plus.success_rate >= 0.90
             if not math.isnan(minus.median_hops):
                 ratio = plus.median_hops / minus.median_hops

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import make_world
 
 from gricsim.harness import (
     DEST_POINT,
@@ -14,16 +15,19 @@ from gricsim.harness import (
     Algorithm,
     EmptyInput,
     ExperimentConfig,
+    SweepReport,
+    SweepRow,
     build_trial_world,
     median,
     run_sweep,
+    run_sweeps,
     run_trial,
     source_node,
     trial_rng,
 )
 from gricsim.outcomes import TrialStatus
 from gricsim.routing import RoutingParams
-from gricsim.worldgen import COMM_RADIUS, make_obstacle
+from gricsim.worldgen import COMM_RADIUS, OBSTACLE_NAMES, make_obstacle
 
 
 class TestMedian:
@@ -184,6 +188,45 @@ class TestRunTrial:
                 assert out.hops == w.n + 1
                 break
 
+    def test_coincident_nodes_give_a_defined_status(self):
+        # Node 1 sits on the source node, so a router that hops there has
+        # no travel direction left (a ZeroVector): that is fail_stuck,
+        # never an exception that would end the whole sweep.
+        world = make_world(
+            [[0.0, 10.0], [0.0, 10.0], [-0.5, 10.0]],
+            [(0, 1), (0, 2), (1, 2)],
+            region=STANDARD_REGION,
+        )
+        for algo in Algorithm:
+            out = run_trial(self.config(algo), 2.0, 0, world=world)
+            assert out.status is TrialStatus.FAIL_STUCK, algo
+        for algo in (Algorithm.INERTIA, Algorithm.GRIC_MINUS, Algorithm.GRIC_PLUS):
+            assert run_trial(self.config(algo), 2.0, 0, world=world).hops == 1
+
+    def test_shared_world_gives_fresh_world_outcomes(self):
+        # Routers run one after another on one world must each see what
+        # they would see on a freshly built world, in either order, and
+        # leave the world as they found it.
+        for trial, order in enumerate((list(Algorithm), list(reversed(Algorithm)))):
+            world = build_trial_world(0, 4.0, trial, "concave1")
+            before = self.world_bytes(world)
+            for algo in order:
+                cfg = self.config(
+                    algo, obstacle="concave1", densities=(4.0,), record_path=True
+                )
+                shared = run_trial(cfg, 4.0, trial, world=world)
+                assert shared == run_trial(cfg, 4.0, trial), (algo, trial)
+            assert self.world_bytes(world) == before
+            assert world._gabriel_edges is not None  # the one cache write
+
+    @staticmethod
+    def world_bytes(world):
+        return (
+            world.positions.tobytes(),
+            world.edges.tobytes(),
+            [links.tobytes() for links in world.out_links],
+        )
+
     def test_epsilon_zero_collapses_randomized_variant(self):
         params = RoutingParams(epsilon=0.0)
         for trial in range(15):
@@ -276,3 +319,91 @@ class TestRunSweep:
         )
         row = run_sweep(cfg).rows[0]
         assert row.fail_oob == 0
+
+
+def rows_text(reports):
+    """Every row of every report; repr keeps NaN medians comparable."""
+    return [[repr(row) for row in rep.rows] for rep in reports]
+
+
+def sweep_from_trials(config):
+    """Reference report aggregated from run_trial alone, which builds
+    each trial's world afresh."""
+    rows = []
+    for d in config.densities:
+        outs = [run_trial(config, d, t) for t in range(config.trials_per_point)]
+        wins = [o for o in outs if o.succeeded]
+        statuses = [o.status for o in outs]
+        rows.append(
+            SweepRow(
+                algorithm=config.algorithm.value,
+                obstacle=config.obstacle,
+                density=d,
+                trials=len(outs),
+                success_rate=len(wins) / len(outs),
+                median_hops=median([o.hops for o in wins]) if wins else math.nan,
+                median_distance=(
+                    median([o.distance for o in wins]) if wins else math.nan
+                ),
+                fail_ttl=statuses.count(TrialStatus.FAIL_TTL),
+                fail_oob=statuses.count(TrialStatus.FAIL_OOB),
+                fail_stuck=statuses.count(TrialStatus.FAIL_STUCK),
+                fail_no_nodes=statuses.count(TrialStatus.FAIL_NO_NODES),
+            )
+        )
+    return SweepReport(rows=rows)
+
+
+class TestRunSweeps:
+    def configs(self, obstacle="none", **kw):
+        kw.setdefault("densities", (2.0, 3.0))
+        kw.setdefault("trials_per_point", 2)
+        kw.setdefault("master_seed", 5)
+        return [
+            ExperimentConfig(algorithm=algo, obstacle=obstacle, **kw)
+            for algo in Algorithm
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_matches_separate_sweeps(self, obstacle, workers):
+        configs = self.configs(obstacle)
+        shared = run_sweeps(configs, workers=workers)
+        separate = [run_sweep(cfg, workers=workers) for cfg in configs]
+        assert rows_text(shared) == rows_text(separate)
+        assert rows_text(shared) == rows_text(map(sweep_from_trials, configs))
+
+    def test_per_config_options_may_differ(self):
+        configs = [
+            ExperimentConfig(algorithm=Algorithm.GREEDY, densities=(2.0,),
+                             trials_per_point=20),
+            ExperimentConfig(algorithm=Algorithm.GREEDY, densities=(2.0,),
+                             trials_per_point=20, disable_out_of_bounds=True,
+                             record_path=True),
+            ExperimentConfig(algorithm=Algorithm.GRIC_PLUS, densities=(2.0,),
+                             trials_per_point=20,
+                             params=RoutingParams(epsilon=0.0)),
+        ]
+        shared = run_sweeps(configs)
+        assert rows_text(shared) == rows_text(run_sweep(cfg) for cfg in configs)
+
+    def test_empty_config_list(self):
+        assert run_sweeps([]) == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"obstacle": "stripe"},
+            {"densities": (2.0, 3.5)},
+            {"trials_per_point": 3},
+            {"master_seed": 6},
+        ],
+    )
+    def test_rejects_mismatched_world_keys(self, change):
+        base = dict(densities=(2.0, 3.0), trials_per_point=2, master_seed=5)
+        configs = [
+            ExperimentConfig(algorithm=Algorithm.GREEDY, **base),
+            ExperimentConfig(algorithm=Algorithm.FACE, **{**base, **change}),
+        ]
+        with pytest.raises(ValueError):
+            run_sweeps(configs)
