@@ -1,5 +1,6 @@
 """Experiment harness: seeding discipline, trial rules, aggregation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -407,3 +408,47 @@ class TestRunSweeps:
         ]
         with pytest.raises(ValueError):
             run_sweeps(configs)
+
+
+def outcome_digest(outcomes):
+    """sha256 over (status, hops, distance bits, path bits) of each trial."""
+    h = hashlib.sha256()
+    for out in outcomes:
+        path = ";".join(f"{p.x.hex()},{p.y.hex()}" for p in out.path or ())
+        h.update(f"{out.status.value} {out.hops} {out.distance.hex()} {path}\n".encode())
+    return h.hexdigest()
+
+
+# Digests of every router's trials 0-2 at densities 2 and 4 on each
+# obstacle (master seed 11, paths recorded), in OBSTACLE_NAMES, density,
+# trial order. Recorded from the per-router trial loops the single
+# harness.walk loop replaced; a change here means some trial's status,
+# hop count, distance or path moved.
+PINNED_DIGESTS = {
+    "face": "c06e4af6b1e5d56bb4200bca5b495465f385384496de529e2529b662759b3c7c",
+    "greedy": "1c5be996378a12ce071b936a7f6fa2395d15961a1e34a42ceedc87e01fca20bb",
+    "gric+": "e1544f2431faee2d0fdc8c2bcd311a227a3d25ce204f2e6ed6e6e97939aaf99f",
+    "gric-": "e59afc5b52cae1ed36a2cc851a40b1551044e2633d7b938ed7fccf02c3c62a40",
+    "inertia": "1c6073d5241acbd55541013bb1682d2d325ce6c223c95266a7053be4b2b566c9",
+    "ltp": "521e161d39668f4eef1be41fed72fd6e80333c4a27701db880171a94a0cadbe9",
+}
+
+
+class TestPinnedOutcomes:
+    def test_every_router_matches_its_recorded_trials(self):
+        outcomes = {algo: [] for algo in Algorithm}
+        for obstacle in OBSTACLE_NAMES:
+            for density in (2.0, 4.0):
+                for trial in range(3):
+                    world = build_trial_world(11, density, trial, obstacle)
+                    for algo in Algorithm:
+                        cfg = ExperimentConfig(
+                            algorithm=algo, obstacle=obstacle,
+                            densities=(density,), master_seed=11,
+                            record_path=True,
+                        )
+                        outcomes[algo].append(
+                            run_trial(cfg, density, trial, world=world)
+                        )
+        got = {algo.value: outcome_digest(outs) for algo, outs in outcomes.items()}
+        assert got == PINNED_DIGESTS
