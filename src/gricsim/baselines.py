@@ -2,32 +2,31 @@
 randomized greedy, and face traversal on the Gabriel subgraph.
 
 These exist to be raced against the compass/flag router under identical
-worlds and identical success/failure rules. Greedy and inertia-only are
-stateless apart from the previous position; the backtracking router
-carries a visited stack; face routing carries a whole traversal state and
-runs its trial loop itself because its bookkeeping (anchor, face switch,
-loop detection) does not fit the one-step-per-call mold.
+worlds and identical success/failure rules: every router here is a step
+function, and outcomes.walk alone decides delivery, border contact and
+the hop budget. Greedy and inertia-only are stateless apart from the
+previous position; the backtracking router carries a visited stack; face
+routing's step keeps its anchor distance, current edge and face start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, Segment, Vec2, orient
-from .outcomes import Stuck, TrialOutcome, TrialStatus
-from .routing import MessageState, RoutingParams, inertia_ideal, next_hop
-from .worldgen import COMM_RADIUS, World
+from .geometry import TWO_PI, Vec2, orient
+from .outcomes import Stuck, TrialOutcome, walk
+from .routing import MessageState, effective_prev_direction, inertia_ideal, next_hop
+from .worldgen import World
 
 # Backtrack allowance for the limited-backtrack router. Small on purpose:
 # a handful of pops rescues the occasional routing hole, while a large
 # allowance would turn the router into exhaustive search and mask the
 # local-minimum pathology it is meant to exhibit.
 DEFAULT_LTP_BUDGET = 5
-
-_DETERMINISTIC = RoutingParams(randomized=False)
 
 
 def greedy_step(world: World, current: int, dest_pos: Vec2) -> int:
@@ -61,12 +60,9 @@ def inertia_only_step(
     scalar product with it wins. The caller advances state.prev_pos.
     """
     p = world.pos(current)
-    if state.prev_pos is None:
-        v_prev = state.dest_pos - p
-    else:
-        v_prev = p - state.prev_pos
+    v_prev = effective_prev_direction(state, p)
     v_ideal = inertia_ideal(v_prev, state.dest_pos - p, beta)
-    return next_hop(world, current, v_ideal, _DETERMINISTIC)
+    return next_hop(world, current, v_ideal)
 
 
 @dataclass
@@ -139,25 +135,6 @@ def ltp_step(
     return state.stack[-1]
 
 
-@dataclass
-class FaceState:
-    """Bookkeeping of one face-routing trial.
-
-    sd_line joins the source node position to the destination point.
-    anchor is the point on sd_line where the current face traversal
-    started (the source position, then each switching crossing).
-    current_edge is the directed Gabriel edge about to be traversed.
-    """
-
-    sd_line: Segment
-    anchor: Vec2
-    current_edge: tuple[int, int]
-    face_start: tuple[int, int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.face_start = self.current_edge
-
-
 def _first_edge_cw(
     positions: np.ndarray,
     links: list[np.ndarray],
@@ -186,16 +163,13 @@ def _first_edge_cw(
     return best
 
 
-def _proper_crossing(
-    a: Vec2, b: Vec2, line: Segment
-) -> Vec2 | None:
-    """Intersection point of segment a-b with line's segment, interiors only.
+def _proper_crossing(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> Vec2 | None:
+    """Intersection point of segments a-b and c-d, interiors only.
 
     Returns None unless the two segments cross at a single interior
     point. Touching endpoints or collinear overlap do not count; faces
     are switched only on unambiguous crossings.
     """
-    c, d = line.a, line.b
     o1 = orient(a, b, c)
     o2 = orient(a, b, d)
     o3 = orient(c, d, a)
@@ -209,6 +183,70 @@ def _proper_crossing(
     return Vec2(a.x + t * ab.x, a.y + t * ab.y)
 
 
+def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]:
+    """Face traversal over the Gabriel subgraph, as a step function.
+
+    Walks the boundary of the face pierced by the source-destination
+    line, keeping the face on the left of each directed edge. Whenever
+    the edge about to be traversed properly crosses that line strictly
+    closer to the destination than the current anchor, the walk switches
+    to the adjacent face at the crossing without spending a hop.
+    Completing a face loop with no crossing improvement means the
+    destination is unreachable, and the step raises Stuck.
+    """
+    positions = world.positions
+    links = world.gabriel_links
+    s_pos = world.pos(source)
+    anchor_d = (s_pos - dest_pos).norm()
+    edge = face_start = None
+
+    def step(current: int) -> int:
+        nonlocal anchor_d, edge, face_start
+        if edge is None:
+            if len(links[source]) == 0:
+                raise Stuck(f"node {source} has no Gabriel links")
+            first = _first_edge_cw(
+                positions, links, source, (dest_pos - s_pos).heading(), None
+            )
+            edge = face_start = (source, first)
+        else:
+            # The message just traversed edge u -> v and sits on v.
+            u, v = edge
+            ref = math.atan2(
+                positions[u, 1] - positions[v, 1], positions[u, 0] - positions[v, 0]
+            )
+            edge = (v, _first_edge_cw(positions, links, v, ref, u))
+            if edge == face_start:
+                raise Stuck("completed a face without a closer way out")
+        while True:
+            u, v = edge
+            x = _proper_crossing(world.pos(u), world.pos(v), s_pos, dest_pos)
+            if x is None or (x - dest_pos).norm() >= anchor_d:
+                return v
+            # Strict improvement: continue in the face holding the rest of
+            # the line, which is the side of edge (u, v) the destination
+            # is on. The crossing predicate guarantees the destination is
+            # strictly off the edge's line, so the sign is decisive. Each
+            # switch strictly shrinks anchor_d, so this cannot recur
+            # forever even in degenerate layouts.
+            anchor_d = (x - dest_pos).norm()
+            if orient(world.pos(u), world.pos(v), dest_pos) > 0:
+                # The line presses on through the face already being
+                # walked (it dipped into the adjacent face and came back):
+                # restart this face's walk at the crossing edge.
+                face_start = edge
+                return v
+            # The line leaves through the edge: enter the adjacent face.
+            # The message stays on u; the next boundary edge is the
+            # clockwise successor of the virtual arrival from v.
+            ref = math.atan2(
+                positions[v, 1] - positions[u, 1], positions[v, 0] - positions[u, 0]
+            )
+            edge = face_start = (u, _first_edge_cw(positions, links, u, ref, v))
+
+    return step
+
+
 def face_route(
     world: World,
     source: int,
@@ -218,93 +256,18 @@ def face_route(
     enforce_oob: bool = True,
     record_path: bool = False,
 ) -> TrialOutcome:
-    """Route by face traversal over the Gabriel subgraph.
+    """Route by face traversal (face_step) through the trial loop.
 
-    Walks the boundary of the face pierced by the source-destination
-    line, keeping the face on the left of each directed edge. Whenever
-    the edge about to be traversed properly crosses that line strictly
-    closer to the destination than the current anchor, the walk switches
-    to the adjacent face at the crossing without spending a hop.
-    Completing a face loop with no crossing improvement means the
-    destination is unreachable. Delivery, border, and hop-budget rules
-    match the step-loop harness; the hop budget is the lesser of ttl and
-    three times the Gabriel edge count.
+    The hop budget is the lesser of ttl and three times the Gabriel
+    edge count.
     """
-    positions = world.positions
-    links = world.gabriel_links
-    s_pos = world.pos(source)
-    path = [s_pos] if record_path else None
-
-    def outcome(status: TrialStatus, hops: int, dist: float) -> TrialOutcome:
-        return TrialOutcome(status=status, hops=hops, distance=dist, path=path)
-
-    if (s_pos - dest_pos).norm() < COMM_RADIUS:
-        return outcome(TrialStatus.SUCCESS, 0, 0.0)
-    if enforce_oob and world.region.border_distance(s_pos) <= COMM_RADIUS:
-        return outcome(TrialStatus.FAIL_OOB, 0, 0.0)
-    if len(links[source]) == 0:
-        return outcome(TrialStatus.FAIL_STUCK, 0, 0.0)
-
-    cap = min(ttl, 3 * max(1, len(world.gabriel_edges())))
-    sd = Segment(s_pos, dest_pos)
-    first = _first_edge_cw(
-        positions, links, source, (dest_pos - s_pos).heading(), None
+    budget = min(ttl, 3 * max(1, len(world.gabriel_edges())))
+    return walk(
+        world,
+        source,
+        dest_pos,
+        face_step(world, source, dest_pos),
+        budget,
+        enforce_oob=enforce_oob,
+        record_path=record_path,
     )
-    state = FaceState(sd_line=sd, anchor=s_pos, current_edge=(source, first))
-    anchor_d = (state.anchor - dest_pos).norm()
-    moved_in_face = False
-    hops = 0
-    dist = 0.0
-
-    while True:
-        u, v = state.current_edge
-        x = _proper_crossing(world.pos(u), world.pos(v), sd)
-        if x is not None and (x - dest_pos).norm() < anchor_d:
-            # Strict improvement: continue in the face holding the rest of
-            # the line, which is the side of edge (u, v) the destination
-            # is on. The crossing predicate guarantees the destination is
-            # strictly off the edge's line, so the sign is decisive. Each
-            # switch strictly shrinks anchor_d, so this cannot recur
-            # forever even in degenerate layouts.
-            state.anchor = x
-            anchor_d = (x - dest_pos).norm()
-            moved_in_face = False
-            if orient(world.pos(u), world.pos(v), dest_pos) > 0:
-                # The line presses on through the face already being
-                # walked (it dipped into the adjacent face and came back):
-                # restart this face's walk at the crossing edge.
-                state.face_start = (u, v)
-            else:
-                # The line leaves through the edge: enter the adjacent
-                # face. The message stays on u; the next boundary edge is
-                # the clockwise successor of the virtual arrival from v.
-                ref = math.atan2(
-                    positions[v, 1] - positions[u, 1],
-                    positions[v, 0] - positions[u, 0],
-                )
-                nxt = _first_edge_cw(positions, links, u, ref, v)
-                state.current_edge = (u, nxt)
-                state.face_start = state.current_edge
-                continue
-        # Traverse u -> v.
-        hop_vec = world.pos(v) - world.pos(u)
-        dist += hop_vec.norm()
-        hops += 1
-        moved_in_face = True
-        if path is not None:
-            path.append(world.pos(v))
-        v_pos = world.pos(v)
-        if (v_pos - dest_pos).norm() < COMM_RADIUS:
-            return outcome(TrialStatus.SUCCESS, hops, dist)
-        if enforce_oob and world.region.border_distance(v_pos) <= COMM_RADIUS:
-            return outcome(TrialStatus.FAIL_OOB, hops, dist)
-        if hops > cap:
-            return outcome(TrialStatus.FAIL_TTL, hops, dist)
-        ref = math.atan2(
-            positions[u, 1] - positions[v, 1], positions[u, 0] - positions[v, 0]
-        )
-        nxt = _first_edge_cw(positions, links, v, ref, u)
-        state.current_edge = (v, nxt)
-        if state.current_edge == state.face_start and moved_in_face:
-            # Completed the whole face without finding a closer way out.
-            return outcome(TrialStatus.FAIL_STUCK, hops, dist)

@@ -1,18 +1,11 @@
 """Monte-Carlo experiment machinery.
 
-One trial = one seeded world + one message routed under one algorithm,
-with shared success and failure rules:
-
-* success   -- the message occupies a node at distance < 1 from the
-               destination point
-* fail_oob  -- the occupied node is within distance 1 of the region
-               border (inclusive), checked at the source and after
-               every hop
-* fail_ttl  -- the hop counter exceeds n, the world's node count
-* fail_stuck -- the algorithm has no move left: it signals Stuck, or
-               its geometry degenerates (two nodes at one position
-               leave no travel direction, a ZeroVector)
-* fail_no_nodes -- the world came up empty
+One trial = one seeded world + one message routed under one algorithm.
+run_trial picks the algorithm's step function once per trial and hands
+it to outcomes.walk, the one trial loop, which owns the success, border
+(fail_oob), hop-budget (fail_ttl, the budget being n, the world's node
+count) and fail_stuck rules for every router. An empty world ends the
+trial as fail_no_nodes before any router runs.
 
 Reproducibility contract: every trial derives its randomness from
 (master_seed, density, trial_index, stream), with separate streams for
@@ -28,7 +21,7 @@ from __future__ import annotations
 
 import multiprocessing
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,10 +33,10 @@ from .baselines import (
     ltp_init,
     ltp_step,
 )
-from .geometry import Vec2, ZeroVector
-from .outcomes import Stuck, TrialOutcome, TrialStatus
+from .geometry import Vec2
+from .outcomes import TrialOutcome, TrialStatus, walk
 from .routing import MessageState, RoutingParams, gric_step
-from .worldgen import COMM_RADIUS, Region, World, deploy, make_obstacle
+from .worldgen import Region, World, deploy, make_obstacle
 
 STANDARD_REGION = Region(-5.0, 25.0, -5.0, 25.0)
 SOURCE_POINT = Vec2(0.0, 10.0)
@@ -149,6 +142,52 @@ def source_node(world: World, point: Vec2 = SOURCE_POINT) -> int:
     return int(np.argmin(np.einsum("ij,ij->i", d, d)))
 
 
+# One factory per step-function router: (world, source, params, rng) ->
+# step. Each looks its step function up in this module at call time, so
+# the module attributes stay the hook points for wrapping them.
+def _greedy(world, source, params, rng):
+    return lambda cur: greedy_step(world, cur, DEST_POINT)
+
+
+def _inertia(world, source, params, rng):
+    state = MessageState(dest_pos=DEST_POINT)
+
+    def step(cur):
+        nxt = inertia_only_step(world, cur, state, params.beta)
+        state.prev_pos = world.pos(cur)
+        return nxt
+
+    return step
+
+
+def _gric(world, source, params, rng):
+    state = MessageState(dest_pos=DEST_POINT)
+
+    def step(cur):
+        nonlocal state
+        nxt, state = gric_step(world, cur, state, params, rng)
+        return nxt
+
+    return step
+
+
+def _ltp(world, source, params, rng):
+    state = ltp_init(source)
+    return lambda cur: ltp_step(world, cur, state, DEST_POINT, rng)
+
+
+_STEPS = {
+    Algorithm.GREEDY: _greedy,
+    Algorithm.INERTIA: _inertia,
+    Algorithm.GRIC_MINUS: _gric,
+    Algorithm.GRIC_PLUS: _gric,
+    Algorithm.LTP: _ltp,
+}
+# Routers handed the trial's routing rng; the others get None, which
+# also keeps gric- from thinning neighbors.
+_RANDOMIZED = {Algorithm.GRIC_PLUS, Algorithm.LTP}
+
+
 def run_trial(
     config: ExperimentConfig,
     density: float,
@@ -169,56 +208,17 @@ def run_trial(
     if world.n == 0:
         return TrialOutcome(TrialStatus.FAIL_NO_NODES, 0, 0.0)
     source = source_node(world)
-    ttl = world.n
-    if config.algorithm is Algorithm.FACE:
-        return face_route(
-            world,
-            source,
-            DEST_POINT,
-            ttl,
-            enforce_oob=not config.disable_out_of_bounds,
-            record_path=config.record_path,
-        )
-    rng = trial_rng(config.master_seed, density, trial_index, ROUTE_STREAM)
-    params = replace(
-        config.params, randomized=(config.algorithm is Algorithm.GRIC_PLUS)
+    rules = dict(
+        enforce_oob=not config.disable_out_of_bounds,
+        record_path=config.record_path,
     )
-
-    cur = source
-    mstate = MessageState(dest_pos=DEST_POINT)
-    lstate = ltp_init(source)
-    hops = 0
-    dist = 0.0
-    path = [world.pos(source)] if config.record_path else None
-    check_oob = not config.disable_out_of_bounds
-
-    while True:
-        p = world.pos(cur)
-        if (p - DEST_POINT).norm() < COMM_RADIUS:
-            return TrialOutcome(TrialStatus.SUCCESS, hops, dist, path)
-        if check_oob and world.region.border_distance(p) <= COMM_RADIUS:
-            return TrialOutcome(TrialStatus.FAIL_OOB, hops, dist, path)
-        if hops > ttl:
-            return TrialOutcome(TrialStatus.FAIL_TTL, hops, dist, path)
-        try:
-            if config.algorithm is Algorithm.GREEDY:
-                nxt = greedy_step(world, cur, DEST_POINT)
-            elif config.algorithm is Algorithm.INERTIA:
-                nxt = inertia_only_step(world, cur, mstate, params.beta)
-                mstate = replace(mstate, prev_pos=p)
-            elif config.algorithm is Algorithm.LTP:
-                nxt = ltp_step(world, cur, lstate, DEST_POINT, rng)
-            elif config.algorithm in (Algorithm.GRIC_MINUS, Algorithm.GRIC_PLUS):
-                nxt, mstate = gric_step(world, cur, mstate, params, rng)
-            else:
-                raise ValueError(f"unhandled algorithm {config.algorithm}")
-        except (Stuck, ZeroVector):
-            return TrialOutcome(TrialStatus.FAIL_STUCK, hops, dist, path)
-        dist += (world.pos(nxt) - p).norm()
-        hops += 1
-        cur = nxt
-        if path is not None:
-            path.append(world.pos(nxt))
+    if config.algorithm is Algorithm.FACE:
+        return face_route(world, source, DEST_POINT, world.n, **rules)
+    rng = None
+    if config.algorithm in _RANDOMIZED:
+        rng = trial_rng(config.master_seed, density, trial_index, ROUTE_STREAM)
+    step = _STEPS[config.algorithm](world, source, config.params, rng)
+    return walk(world, source, DEST_POINT, step, world.n, **rules)
 
 
 def _world_key(config: ExperimentConfig) -> tuple:

@@ -1,15 +1,32 @@
-"""Shared trial-outcome records and routing signals.
+"""The one trial loop, its outcome records and its routing signals.
 
-Kept separate so both the routing engines and the experiment harness can
-import them without a cycle.
+Every router, face routing included, moves a message through walk(),
+which owns the rules all routers are judged by:
+
+* success   -- the message occupies a node at distance < COMM_RADIUS
+               from the destination point
+* fail_oob  -- the occupied node is within COMM_RADIUS of the region
+               border (inclusive), when the border rule is enforced;
+               checked at the source and after every hop
+* fail_ttl  -- the hop counter exceeds the hop budget
+* fail_stuck -- the router has no move left: it signals Stuck, or its
+               geometry degenerates (two nodes at one position leave no
+               travel direction, a ZeroVector)
+
+A router is only a step function, current node in, next node out; it
+never checks delivery, the border or the budget itself. Kept apart from
+the routers and the experiment harness so both can import it without a
+cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from collections.abc import Callable
 
-from .geometry import Vec2
+from .geometry import Vec2, ZeroVector
+from .worldgen import COMM_RADIUS, World
 
 
 class Stuck(Exception):
@@ -42,3 +59,41 @@ class TrialOutcome:
     @property
     def succeeded(self) -> bool:
         return self.status is TrialStatus.SUCCESS
+
+
+def walk(
+    world: World,
+    source: int,
+    dest: Vec2,
+    step: Callable[[int], int],
+    ttl: int,
+    *,
+    enforce_oob: bool = True,
+    record_path: bool = False,
+) -> TrialOutcome:
+    """Move a message from source by step() until a rule ends the trial.
+
+    step(current) returns the next node or raises Stuck; it is called
+    once per hop and keeps whatever state its router needs.
+    """
+    cur = source
+    hops = 0
+    dist = 0.0
+    path = [world.pos(source)] if record_path else None
+    while True:
+        p = world.pos(cur)
+        if (p - dest).norm() < COMM_RADIUS:
+            return TrialOutcome(TrialStatus.SUCCESS, hops, dist, path)
+        if enforce_oob and world.region.border_distance(p) <= COMM_RADIUS:
+            return TrialOutcome(TrialStatus.FAIL_OOB, hops, dist, path)
+        if hops > ttl:
+            return TrialOutcome(TrialStatus.FAIL_TTL, hops, dist, path)
+        try:
+            nxt = step(cur)
+        except (Stuck, ZeroVector):
+            return TrialOutcome(TrialStatus.FAIL_STUCK, hops, dist, path)
+        dist += (world.pos(nxt) - p).norm()
+        hops += 1
+        cur = nxt
+        if path is not None:
+            path.append(world.pos(nxt))

@@ -38,10 +38,6 @@ from .outcomes import Stuck
 from .worldgen import World
 
 
-class PreconditionViolated(RuntimeError):
-    """A flag transition was invoked in the wrong flag state."""
-
-
 class Flag(Enum):
     DOWN = "down"
     UP_E = "up_e"
@@ -59,13 +55,12 @@ class RoutingParams:
 
     beta is the inertia-conservation parameter in [0, 1]: the fraction of
     the needed turn actually applied per hop. epsilon is the per-neighbor
-    drop probability of the randomized variant; it only matters when
-    randomized is True.
+    drop probability of the randomized variant; it only matters when the
+    router is handed an rng.
     """
 
     beta: float = 1.0 / 6.0
     epsilon: float = 0.05
-    randomized: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta <= 1.0:
@@ -86,8 +81,6 @@ class MessageState:
     dest_pos: Vec2
     prev_pos: Vec2 | None = None
     flag: Flag = Flag.DOWN
-    hops: int = 0
-    path_length: float = 0.0
 
 
 def effective_prev_direction(state: MessageState, current: Vec2) -> Vec2:
@@ -101,56 +94,43 @@ def effective_prev_direction(state: MessageState, current: Vec2) -> Vec2:
     return v
 
 
-def raise_flag(flag: Flag, c: CompassValue) -> Flag:
-    """Flag transition applied while the flag is down.
+# Flag after the compass reading, for every (flag, compass) pair: up
+# (tagged by side) on a southern reading while down, down again on the
+# northern reading of the flag's own side, otherwise unchanged.
+_FLAG_TABLE = {
+    (Flag.DOWN, CompassValue.NE): Flag.DOWN,
+    (Flag.DOWN, CompassValue.NW): Flag.DOWN,
+    (Flag.DOWN, CompassValue.SE): Flag.UP_E,
+    (Flag.DOWN, CompassValue.SW): Flag.UP_W,
+    (Flag.UP_E, CompassValue.NE): Flag.DOWN,
+    (Flag.UP_E, CompassValue.NW): Flag.UP_E,
+    (Flag.UP_E, CompassValue.SE): Flag.UP_E,
+    (Flag.UP_E, CompassValue.SW): Flag.UP_E,
+    (Flag.UP_W, CompassValue.NE): Flag.UP_W,
+    (Flag.UP_W, CompassValue.NW): Flag.DOWN,
+    (Flag.UP_W, CompassValue.SE): Flag.UP_W,
+    (Flag.UP_W, CompassValue.SW): Flag.UP_W,
+}
 
-    A southern compass means the message is moving away from the
-    destination; the flag goes up tagged with the side it veered to.
-    """
-    if flag is not Flag.DOWN:
-        raise PreconditionViolated("raise_flag requires the flag to be down")
-    if c is CompassValue.SW:
-        return Flag.UP_W
-    if c is CompassValue.SE:
-        return Flag.UP_E
-    return Flag.DOWN
-
-
-def lower_flag(flag: Flag, c: CompassValue) -> Flag:
-    """Flag transition applied while the flag is up.
-
-    The flag drops once the compass swings into the northern quadrant on
-    the flag's own side, meaning the detour has carried the message back
-    on course. Otherwise flag and tag are kept as they are.
-    """
-    if flag is Flag.DOWN:
-        raise PreconditionViolated("lower_flag requires the flag to be up")
-    if flag is Flag.UP_W and c is CompassValue.NW:
-        return Flag.DOWN
-    if flag is Flag.UP_E and c is CompassValue.NE:
-        return Flag.DOWN
-    return flag
+# Contour mode engages only when the raised flag's tag and the compass
+# disagree east/west; that is the signature of a message partway around
+# an obstacle. Everything else is inertia.
+_CONTOUR_PAIRS = {
+    (Flag.UP_E, CompassValue.NW),
+    (Flag.UP_E, CompassValue.SW),
+    (Flag.UP_W, CompassValue.NE),
+    (Flag.UP_W, CompassValue.SE),
+}
 
 
 def update_flag(flag: Flag, c: CompassValue) -> Flag:
-    """One full flag update: raise when down, otherwise try to lower."""
-    if flag is Flag.DOWN:
-        return raise_flag(flag, c)
-    return lower_flag(flag, c)
+    """The flag after reading compass c."""
+    return _FLAG_TABLE[(flag, c)]
 
 
 def mode_selector(flag: Flag, c: CompassValue) -> Mode:
-    """Pick the forwarding mood from flag state and compass reading.
-
-    Contour mode engages only when the raised flag's tag and the compass
-    disagree east/west; that is the signature of a message partway around
-    an obstacle. Everything else is inertia.
-    """
-    if flag is Flag.UP_E and c in (CompassValue.NW, CompassValue.SW):
-        return Mode.CONTOUR
-    if flag is Flag.UP_W and c in (CompassValue.NE, CompassValue.SE):
-        return Mode.CONTOUR
-    return Mode.INERTIA
+    """The forwarding mood for a (flag, compass) pair."""
+    return Mode.CONTOUR if (flag, c) in _CONTOUR_PAIRS else Mode.INERTIA
 
 
 def clamp_turn(alpha: float, beta: float) -> float:
@@ -187,23 +167,21 @@ def next_hop(
     world: World,
     current: int,
     v_ideal: Vec2,
-    params: RoutingParams,
+    params: RoutingParams = RoutingParams(),
     rng: np.random.Generator | None = None,
 ) -> int:
     """Neighbor whose offset has the largest scalar product with v_ideal.
 
-    The randomized variant first thins the neighbor set, keeping each
-    neighbor independently with probability 1 - epsilon, and falls back
-    to the full set when the thinning empties it. Ties on the scalar
-    product go to the smallest node id.
+    Given an rng (the randomized variant), it first thins the neighbor
+    set, keeping each neighbor independently with probability
+    1 - epsilon, and falls back to the full set when the thinning empties
+    it. Ties on the scalar product go to the smallest node id.
     """
     nbrs = world.out_links[current]
     if len(nbrs) == 0:
         raise Stuck(f"node {current} has no out-links")
     offs = world.positions[nbrs] - world.positions[current]
-    if params.randomized and params.epsilon > 0.0:
-        if rng is None:
-            raise ValueError("randomized forwarding needs an rng")
+    if rng is not None and params.epsilon > 0.0:
         keep = rng.random(len(nbrs)) >= params.epsilon
         if keep.any():
             nbrs = nbrs[keep]
@@ -225,9 +203,8 @@ def gric_step(
 
     Order of business: read the compass, update the flag, select the
     mode, bend the travel direction by the mode's turn, then hand the
-    bent direction to next_hop. The returned state has prev_pos advanced,
-    the new flag, and hop/path-length counters updated. The caller is
-    responsible for delivery, boundary, and budget checks.
+    bent direction to next_hop. The returned state has prev_pos advanced
+    and the new flag. Delivery, border and budget are the trial loop's.
     """
     p = world.pos(current)
     v_prev = effective_prev_direction(state, p)
@@ -244,12 +221,4 @@ def gric_step(
         gamma = contour_turn(alpha.radians, params.beta)
     v_ideal = rotate(v_prev, gamma)
     nxt = next_hop(world, current, v_ideal, params, rng)
-    hop_len = (world.pos(nxt) - p).norm()
-    new_state = replace(
-        state,
-        prev_pos=p,
-        flag=flag,
-        hops=state.hops + 1,
-        path_length=state.path_length + hop_len,
-    )
-    return nxt, new_state
+    return nxt, replace(state, prev_pos=p, flag=flag)

@@ -1,6 +1,10 @@
 """Shared helpers for the test suite."""
 
+import shutil
+import tempfile
+
 import numpy as np
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from gricsim.worldgen import Region, World, _adjacency, make_obstacle
 
@@ -21,3 +25,14 @@ def make_world(points, edge_list, region=None, obstacle_name="none"):
         edges=edges,
         out_links=_adjacency(len(positions), edges),
     )
+
+
+def pytest_configure(config):
+    """Keep hypothesis's on-disk caches out of the working tree.
+
+    Its pytest plugin caches the constants of local modules at collection
+    time, whatever a test's settings say.
+    """
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
