@@ -1,11 +1,13 @@
 """World generation checked against brute-force reference constructions."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from gricsim.geometry import Segment, Vec2, segments_properly_intersect
+from gricsim.harness import build_trial_world
 from gricsim.worldgen import (
     COMM_RADIUS,
     OBSTACLE_NAMES,
@@ -332,3 +334,81 @@ class TestWorldText:
         positions, edges = parse_world_text("worldv1\n")
         assert positions.shape == (0, 2)
         assert edges.shape == (0, 2)
+
+
+# sha256 of edges.tobytes(), of every out_links array concatenated and of
+# gabriel_edges().tobytes() for trial 0 of master seed 11, recorded with
+# the per-edge Python Gabriel loop, full-list wall pruning and the lexsort
+# adjacency. A change here means some world's link set, neighbour arrays
+# or Gabriel subgraph moved by at least one byte.
+PINNED_WORLDS = {
+    ("none", 4.0): (
+        "3b9978604a0fad22e6bdd0e3e4b9b99a88622009d940cbf12d894b93defcadfd",
+        "99077e3fed8586f41da4a9f3475db7e44532b97b5d822ad313b9a2acb3203027",
+        "e47eeaa0d242833fb62514702096a8c80d769e36a5db2a043eb60b0cbcbb7f58",
+    ),
+    ("none", 8.0): (
+        "3274aa262ede48fa9fa7ef058a4359f93ad85a86a207cac3ac9cf31ec703a4a1",
+        "e4927bda6f57fa78e67a05b7552da45b43d0916d916a629f9c04efc7f67587a4",
+        "2ed16cadf521cb9da725b8e9501045ea24b3b9d7143b575a56bf87acca5d3d0e",
+    ),
+    ("stripe", 4.0): (
+        "0cca8bce8296c40a7b93c24f7a3630654fccc9fbae307c0477cd715c8432226b",
+        "737fa364c687e176a2789e6cc2703281860eb92cef015c06755b1cf836cbf3b2",
+        "26e5cb69b31dc8b61963a639f5d9dc2182ab54e585e43f6256257d39ed13babc",
+    ),
+    ("stripe", 8.0): (
+        "7c9fa170fa7b6c977c81054855c31d8f721c89abde750b3d1e9a5921f60f6d70",
+        "8cac834b235dc2b00674719ef2ef2ecd37dde28becc9c42c8c91089a52a0eeaf",
+        "67ace4527bae67ebdb790e5f59c662bfc32159e2967e0f05d508c3d3efc32936",
+    ),
+    ("ushape", 4.0): (
+        "c68f91d1ba0d596e442f95b317df93d21679379bbf71e22e735a87e8ffe77af8",
+        "af2e2004bd380e6901e0c298fe1295e84cdfc92559fe73cdb147d822c1305d15",
+        "64815109a99c8f644953de9b8351f96bd763fc736cb7ccf2a696f4956d5606bc",
+    ),
+    ("ushape", 8.0): (
+        "117fd9726daa3214f7dcd21fe812e41e6279e9fb3d385c8fb750c6aa71686d86",
+        "68ab7d5abaeac937b2293205b651d34e4c8044da5e188fb2c1c8801c53c70b87",
+        "075b2f239888e64cf6c77d40437bd1c074048fca609fe710581f47f250638c71",
+    ),
+    ("concave1", 4.0): (
+        "61b5799d4082aaf48eea2bb57a55ae13630fa8f4c686352aab907404eb3e644e",
+        "4b0325f3deedcdf21604861fe75b552f4e4573523efe4002491b37498159befc",
+        "a6f9548e8ee12e50657ea3f1ed860f6cdc7bcd0671dca212a277dc800dcff1b7",
+    ),
+    ("concave1", 8.0): (
+        "073ef72aa57ccb67f6369699fa5e89013d54141841374c5c81071f7634551bcb",
+        "a3f89aa694671a54f3be0f2202331b3bc5878b944094945dbf2e1c0b3b8d5e4f",
+        "84f5eef8de086d7981040609cb6588ccd41a3f046262f2f4673677e27bf96867",
+    ),
+    ("concave2", 4.0): (
+        "a60c117e7b0ac3e545e0ecf899bf2dc4faf65068ada185750ffe7a2ed9cea1cd",
+        "ffed1416b64f0f29fe8bae46d683dd298d036d425d0706d50db075b8faa6e5ad",
+        "619588b74f835a146880ec18a451ff667febca92eee25c356f21eeed6bd9757b",
+    ),
+    ("concave2", 8.0): (
+        "8862aef5a00152938c4b81b6235127a11ecbbe72297cb862edd26e5a264a6243",
+        "c6f38bbbc2fdd6bdd9ae00b34a0b15e57c26426e3068872763686179be6c0390",
+        "f905226978293b9f852cb933e062f8df6aa53179025fba6d78b00f582c918462",
+    ),
+}
+
+
+def _sha(arr):
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+class TestPinnedWorlds:
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_world_bytes_match_recorded_digests(self, obstacle):
+        for density in (4.0, 8.0):
+            w = build_trial_world(11, density, 0, obstacle)
+            assert w.edges.dtype == np.int64
+            assert all(links.dtype == np.int64 for links in w.out_links)
+            got = (
+                _sha(w.edges),
+                _sha(np.concatenate(w.out_links)),
+                _sha(w.gabriel_edges()),
+            )
+            assert got == PINNED_WORLDS[(obstacle, density)], (obstacle, density)
