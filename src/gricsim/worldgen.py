@@ -21,6 +21,10 @@ from .geometry import COLLINEAR_EPS, Segment, Vec2, segments_cross_interior
 # of the Gabriel rule; keeps boundary nodes from flickering in and out.
 GABRIEL_EPS = 1e-12
 
+# Squared-distance band around the Gabriel threshold inside which the
+# nearest-node test is not trusted and the whole disk is searched.
+_GABRIEL_TIE = 1e-9
+
 COMM_RADIUS = 1.0
 
 
@@ -177,12 +181,13 @@ def _adjacency(n: int, edges: np.ndarray) -> list[np.ndarray]:
     if len(edges) == 0:
         empty = np.empty(0, dtype=np.int64)
         return [empty for _ in range(n)]
-    both = np.concatenate([edges, edges[:, ::-1]])
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    both = both[order]
-    counts = np.bincount(both[:, 0], minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return [both[offsets[i]:offsets[i + 1], 1] for i in range(n)]
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    # One sort orders the directed links by source, then destination; a
+    # tie can only be a repeated link, whose entries are equal anyway.
+    dst = dst[np.argsort(src * n + dst)]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]).tolist()
+    return [dst[offsets[i]:offsets[i + 1]] for i in range(n)]
 
 
 @dataclass
@@ -228,27 +233,45 @@ def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
     "Contains" is strict interior with the GABRIEL_EPS slack on squared
     distance, so a node sitting exactly on the circle does not disqualify
-    the edge. Candidate blockers come from a ball query around each edge
-    midpoint; any node inside the disk counts, neighbor or not.
+    the edge. Any node inside the disk counts, neighbor or not, and the
+    disk holds one exactly when it holds the node nearest its center that
+    is neither endpoint, so only that node is tested. Where its squared
+    distance is within _GABRIEL_TIE of the threshold (coincident and
+    cocircular nodes, or a kd-tree distance that rounds differently), the
+    edge is settled by testing every node in the disk instead.
     """
     if len(edges) == 0:
         return edges.copy()
     tree = cKDTree(positions)
-    mids = 0.5 * (positions[edges[:, 0]] + positions[edges[:, 1]])
-    diffs = positions[edges[:, 0]] - positions[edges[:, 1]]
+    pu = positions[edges[:, 0]]
+    pv = positions[edges[:, 1]]
+    mids = 0.5 * (pu + pv)
+    diffs = pu - pv
     radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    near = tree.query_ball_point(mids, radii)
-    keep = np.ones(len(edges), dtype=bool)
-    for k, candidates in enumerate(near):
-        u = edges[k, 0]
-        v = edges[k, 1]
+    if len(positions) < 3:
+        keep = np.ones(len(edges), dtype=bool)
+        tie = np.arange(len(edges))
+    else:
+        # Of the three nodes nearest a midpoint, at least one is neither
+        # endpoint; the first such is the nearest one.
+        _, near = tree.query(mids, k=3)
+        other = (near != edges[:, :1]) & (near != edges[:, 1:])
+        w = near[np.arange(len(edges)), other.argmax(axis=1)]
+        dx = positions[w, 0] - mids[:, 0]
+        dy = positions[w, 1] - mids[:, 1]
+        d2 = dx * dx + dy * dy
+        threshold = radii * radii - GABRIEL_EPS
+        keep = ~(d2 < threshold)
+        tie = np.flatnonzero(np.abs(d2 - threshold) < _GABRIEL_TIE)
+    for k, candidates in zip(tie, tree.query_ball_point(mids[tie], radii[tie])):
+        u, v = edges[k]
         r2 = radii[k] * radii[k]
-        mid = mids[k]
+        keep[k] = True
         for w in candidates:
             if w == u or w == v:
                 continue
-            dx = positions[w, 0] - mid[0]
-            dy = positions[w, 1] - mid[1]
+            dx = positions[w, 0] - mids[k, 0]
+            dy = positions[w, 1] - mids[k, 1]
             if dx * dx + dy * dy < r2 - GABRIEL_EPS:
                 keep[k] = False
                 break
@@ -279,23 +302,7 @@ def deploy(
         high=(region.x_max, region.y_max),
         size=(n, 2),
     )
-    if n >= 2:
-        tree = cKDTree(positions)
-        pairs = tree.query_pairs(COMM_RADIUS, output_type="ndarray")
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    if len(pairs) > 0:
-        # Canonical ordering keeps serialization reproducible.
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs = pairs[order]
-        for wall in obstacle.walls:
-            if len(pairs) == 0:
-                break
-            blocked = _links_blocked_by_wall(
-                positions[pairs[:, 0]], positions[pairs[:, 1]], wall.a, wall.b
-            )
-            pairs = pairs[~blocked]
-    edges = pairs.astype(np.int64, copy=False)
+    edges = _wire(positions, obstacle.walls)
     return World(
         region=region,
         obstacle=obstacle,
@@ -305,6 +312,39 @@ def deploy(
     )
 
 
+def _wire(positions: np.ndarray, walls: tuple[Segment, ...]) -> np.ndarray:
+    """Sorted (u, v), u < v, of every pair at distance <= 1 touching no wall.
+
+    A link of length <= 1 that touches a wall has its lower-id endpoint
+    within 1 of the wall, so only links whose lower-id endpoint lies in
+    the wall's bounding box grown by a little over 1 get the exact test.
+    """
+    n = len(positions)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = cKDTree(positions).query_pairs(COMM_RADIUS, output_type="ndarray")
+    # Canonical (u, v) ordering keeps serialization reproducible.
+    pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+    x, y = positions[:, 0], positions[:, 1]
+    reach = COMM_RADIUS + 1e-6
+    for wall in walls:
+        near = (
+            (x >= min(wall.a.x, wall.b.x) - reach)
+            & (x <= max(wall.a.x, wall.b.x) + reach)
+            & (y >= min(wall.a.y, wall.b.y) - reach)
+            & (y <= max(wall.a.y, wall.b.y) + reach)
+        )
+        tested = np.flatnonzero(near[pairs[:, 0]])
+        blocked = tested[
+            _links_blocked_by_wall(
+                positions[pairs[tested, 0]], positions[pairs[tested, 1]], wall.a, wall.b
+            )
+        ]
+        if len(blocked):
+            pairs = np.delete(pairs, blocked, axis=0)
+    return pairs.astype(np.int64, copy=False)
+
+
 def interior_mean_degree(world: World) -> float:
     """Mean out-degree over nodes at least one radio radius from the border.
 
@@ -312,14 +352,13 @@ def interior_mean_degree(world: World) -> float:
     their expected degree is pi * density. Returns nan when no node
     qualifies.
     """
-    degrees = [
-        len(world.out_links[i])
-        for i in range(world.n)
-        if world.region.border_distance(world.pos(i)) >= COMM_RADIUS
-    ]
-    if not degrees:
+    r, x, y = world.region, world.positions[:, 0], world.positions[:, 1]
+    border = np.minimum.reduce([x - r.x_min, r.x_max - x, y - r.y_min, r.y_max - y])
+    degrees = np.array([len(links) for links in world.out_links], dtype=np.int64)
+    interior = degrees[border >= COMM_RADIUS]
+    if len(interior) == 0:
         return float("nan")
-    return float(np.mean(degrees))
+    return float(np.mean(interior))
 
 
 def is_connected(n: int, links: list[np.ndarray]) -> bool:

@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from conftest import make_world
+from gricsim import worldgen
 from gricsim.geometry import Segment, Vec2, segments_properly_intersect
 from gricsim.harness import build_trial_world
 from gricsim.worldgen import (
     COMM_RADIUS,
+    GABRIEL_EPS,
     OBSTACLE_NAMES,
     Region,
     UnknownObstacle,
@@ -17,6 +21,7 @@ from gricsim.worldgen import (
     _adjacency,
     _gabriel_filter,
     _links_blocked_by_wall,
+    _wire,
     deploy,
     find_planarity_violation,
     interior_mean_degree,
@@ -65,6 +70,75 @@ def brute_force_gabriel(positions, edges):
         if ok:
             kept.append((u, v))
     return kept
+
+
+def scalar_gabriel_filter(positions, edges):
+    """Reference for _gabriel_filter: a ball query and a loop per edge."""
+    if len(edges) == 0:
+        return edges.copy()
+    tree = cKDTree(positions)
+    mids = 0.5 * (positions[edges[:, 0]] + positions[edges[:, 1]])
+    diffs = positions[edges[:, 0]] - positions[edges[:, 1]]
+    radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    near = tree.query_ball_point(mids, radii)
+    keep = np.ones(len(edges), dtype=bool)
+    for k, candidates in enumerate(near):
+        u = edges[k, 0]
+        v = edges[k, 1]
+        r2 = radii[k] * radii[k]
+        mid = mids[k]
+        for w in candidates:
+            if w == u or w == v:
+                continue
+            dx = positions[w, 0] - mid[0]
+            dy = positions[w, 1] - mid[1]
+            if dx * dx + dy * dy < r2 - GABRIEL_EPS:
+                keep[k] = False
+                break
+    return edges[keep]
+
+
+def unpruned_wire(positions, walls):
+    """Reference for _wire: the exact wall test on every unit-disk pair."""
+    if len(positions) < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = cKDTree(positions).query_pairs(COMM_RADIUS, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    for wall in walls:
+        blocked = _links_blocked_by_wall(
+            positions[pairs[:, 0]], positions[pairs[:, 1]], wall.a, wall.b
+        )
+        pairs = pairs[~blocked]
+    return pairs.astype(np.int64, copy=False)
+
+
+def lexsort_adjacency(n, edges):
+    """Reference for _adjacency: lexsort of both directions of each link."""
+    if len(edges) == 0:
+        return [np.empty(0, dtype=np.int64) for _ in range(n)]
+    both = np.concatenate([edges, edges[:, ::-1]])
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    counts = np.bincount(both[:, 0], minlength=n)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return [both[offsets[i]:offsets[i + 1], 1] for i in range(n)]
+
+
+def scalar_interior_mean_degree(world):
+    """Reference for interior_mean_degree: one Vec2 per node."""
+    degrees = [
+        len(world.out_links[i])
+        for i in range(world.n)
+        if world.region.border_distance(world.pos(i)) >= COMM_RADIUS
+    ]
+    if not degrees:
+        return float("nan")
+    return float(np.mean(degrees))
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestRegion:
@@ -334,6 +408,212 @@ class TestWorldText:
         positions, edges = parse_world_text("worldv1\n")
         assert positions.shape == (0, 2)
         assert edges.shape == (0, 2)
+
+
+def _edges(pairs):
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _all_pairs(n):
+    return _edges([(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _on_threshold(offset):
+    """Edge (0,1) of radius 0.35 and a node whose squared distance from the
+    midpoint is the Gabriel threshold plus about offset."""
+    r2 = 0.35 * 0.35
+    y = math.sqrt(r2 - GABRIEL_EPS + offset)
+    return np.array([[0.0, 0.0], [0.7, 0.0], [0.35, y]])
+
+
+class TestFastGabriel:
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_matches_scalar_loop_on_random_worlds(self, obstacle):
+        for density in (2.0, 5.0, 8.0):
+            w = build_trial_world(5, density, 0, obstacle)
+            assert_same_array(
+                _gabriel_filter(w.positions, w.edges),
+                scalar_gabriel_filter(w.positions, w.edges),
+            )
+
+    @pytest.mark.parametrize(
+        "points,edges",
+        [
+            ([], []),
+            ([(0.0, 0.0)], []),
+            ([(0.0, 0.0), (0.5, 0.5)], []),
+            ([(0.0, 0.0), (0.5, 0.5)], [(0, 1)]),
+            ([(0.3, 0.3), (0.3, 0.3)], [(0, 1)]),
+        ],
+    )
+    def test_tiny_worlds(self, points, edges):
+        positions = np.array(points, dtype=float).reshape(-1, 2)
+        e = _edges(edges)
+        got = _gabriel_filter(positions, e)
+        assert_same_array(got, scalar_gabriel_filter(positions, e))
+        assert_same_array(got, e)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # A third node on the midpoint of two coincident ones.
+            [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
+            # Coincident endpoints with a node beside them.
+            [(0.2, 0.2), (0.2, 0.2), (0.6, 0.2)],
+            # Two nodes stacked on the midpoint of a third pair.
+            [(0.0, 0.0), (0.8, 0.0), (0.4, 0.0), (0.4, 0.0)],
+            # A node stacked on an endpoint.
+            [(0.0, 0.0), (0.8, 0.0), (0.0, 0.0), (0.4, 0.5)],
+        ],
+    )
+    def test_coincident_nodes(self, points):
+        positions = np.array(points, dtype=float)
+        e = _all_pairs(len(positions))
+        assert_same_array(
+            _gabriel_filter(positions, e), scalar_gabriel_filter(positions, e)
+        )
+
+    def test_node_exactly_on_the_circle(self):
+        positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+        e = _all_pairs(3)
+        got = _gabriel_filter(positions, e)
+        assert_same_array(got, scalar_gabriel_filter(positions, e))
+        assert (0, 1) in set(map(tuple, got.tolist()))
+
+    @pytest.mark.parametrize("offset", [-1e-8, -1e-11, -1e-13, 1e-13, 1e-11, 1e-8])
+    def test_node_next_to_the_threshold(self, offset):
+        positions = _on_threshold(offset)
+        e = _all_pairs(3)
+        got = _gabriel_filter(positions, e)
+        assert_same_array(got, scalar_gabriel_filter(positions, e))
+        # Far enough from the threshold, the offset alone decides.
+        if abs(offset) > 1e-12:
+            assert ((0, 1) in set(map(tuple, got.tolist()))) == (offset > 0)
+
+    def test_band_overrides_a_kd_tree_that_orders_near_ties_wrongly(
+        self, monkeypatch
+    ):
+        # Two nodes straddle the threshold of edge (0, 1), 1e-13 inside and
+        # outside. A kd-tree that rounds distances differently may rank the
+        # outer one first; the band must still find the inner one.
+        inner = math.sqrt(0.35 * 0.35 - GABRIEL_EPS - 1e-13)
+        outer = math.sqrt(0.35 * 0.35 - GABRIEL_EPS + 1e-13)
+        positions = np.array([[0.0, 0.0], [0.7, 0.0], [0.35, inner], [0.35, -outer]])
+        e = _edges([(0, 1)])
+
+        class FarthestFirst(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                d, i = super().query(x, k=k, **kwargs)
+                return d[:, ::-1], i[:, ::-1]
+
+        monkeypatch.setattr(worldgen, "cKDTree", FarthestFirst)
+        got = _gabriel_filter(positions, e)
+        assert_same_array(got, scalar_gabriel_filter(positions, e))
+        assert len(got) == 0
+
+    def test_cocircular_square_keeps_both_diagonals(self):
+        positions = np.array([[0.0, 0.0], [0.6, 0.0], [0.6, 0.6], [0.0, 0.6]])
+        e = _all_pairs(4)
+        got = _gabriel_filter(positions, e)
+        assert_same_array(got, scalar_gabriel_filter(positions, e))
+        assert_same_array(got, e)
+
+
+# Walls of the pruning checks: a horizontal one (degenerate bounding box)
+# and a slanted one.
+FLAT = Segment(Vec2(0.0, 0.0), Vec2(2.0, 0.0))
+SLANT = Segment(Vec2(4.0, 4.0), Vec2(6.0, 5.0))
+
+
+class TestWallPruning:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # A node exactly on the wall, linked across and along it.
+            [(1.0, 0.0), (1.0, 0.5), (1.0, -0.5), (0.5, 0.3), (1.6, 0.0)],
+            # Links collinear with the wall: overlapping it, past its end,
+            # and touching its end.
+            [(1.5, 0.0), (2.3, 0.0), (2.5, 0.0), (3.2, 0.0), (-0.9, 0.0), (0.0, 0.0)],
+            # A link ending exactly at each wall endpoint.
+            [(2.5, 0.5), (2.0, 0.0), (-0.6, -0.6), (0.0, 0.0), (3.3, 4.5), (4.0, 4.0)],
+            # Lower-id endpoints exactly COMM_RADIUS outside a corner of
+            # each wall's bounding box, linked to the corner or past it.
+            [(3.0, 4.0), (4.0, 4.0), (7.0, 5.0), (6.0, 5.0), (-1.0, 0.0), (0.0, 0.0)],
+            [(3.0, 4.0), (3.9, 4.4), (7.0, 5.0), (6.05, 4.4), (3.0, 3.0), (4.0, 4.0)],
+            [(6.0, 6.0), (6.0, 5.0), (2.0, 1.0), (2.0, 0.0), (0.0, -1.0), (0.0, 0.0)],
+        ],
+    )
+    def test_matches_unpruned_wall_test(self, points):
+        positions = np.array(points, dtype=float)
+        got = _wire(positions, (FLAT, SLANT))
+        want = unpruned_wire(positions, (FLAT, SLANT))
+        assert_same_array(got, want)
+        # Every case blocks something, so each exercises the wall test.
+        assert len(want) < len(unpruned_wire(positions, ()))
+
+    def test_matches_on_nodes_snapped_to_walls(self):
+        rng = np.random.default_rng(5)
+        walls = make_obstacle("concave2").walls
+        on_walls = []
+        for wall in walls:
+            t = rng.choice([0.0, 0.25, 0.5, 1.0], size=20)
+            on_walls.append(
+                np.column_stack(
+                    [wall.a.x + t * (wall.b.x - wall.a.x), wall.a.y + t * (wall.b.y - wall.a.y)]
+                )
+            )
+        positions = np.concatenate(on_walls + [rng.uniform(4.0, 16.0, (1500, 2))])
+        positions = positions[rng.permutation(len(positions))]
+        assert_same_array(_wire(positions, walls), unpruned_wire(positions, walls))
+
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_deploy_matches_unpruned_wall_test(self, obstacle):
+        w = build_trial_world(5, 4.0, 0, obstacle)
+        assert_same_array(w.edges, unpruned_wire(w.positions, w.obstacle.walls))
+
+
+class TestOneSortAdjacency:
+    def test_matches_lexsort(self):
+        rng = np.random.default_rng(9)
+        for n, m in [(1, 0), (5, 3), (50, 200), (400, 3000)]:
+            pairs = rng.integers(0, n, size=(m, 2))
+            edges = pairs[pairs[:, 0] != pairs[:, 1]].astype(np.int64)
+            got = _adjacency(n, edges)
+            want = lexsort_adjacency(n, edges)
+            assert len(got) == n
+            for a, b in zip(got, want):
+                assert_same_array(a, b)
+
+    def test_matches_lexsort_on_worlds(self):
+        for obstacle in OBSTACLE_NAMES:
+            w = build_trial_world(5, 3.0, 1, obstacle)
+            for a, b in zip(w.out_links, lexsort_adjacency(w.n, w.edges)):
+                assert_same_array(a, b)
+            g = w.gabriel_edges()
+            for a, b in zip(w.gabriel_links, lexsort_adjacency(w.n, g)):
+                assert_same_array(a, b)
+
+
+class TestVectorizedInteriorDegree:
+    def test_bit_identical_to_per_node_loop(self):
+        worlds = [build_trial_world(5, d, 0, o) for o in OBSTACLE_NAMES for d in (2.0, 5.0)]
+        worlds += [
+            deploy(2.0, Region(0, 1.5, 0, 1.5), make_obstacle("none"), 0),
+            deploy(3.0, Region(0, 3, 0, 4), make_obstacle("none"), 1),
+            deploy(0.0, SMALL, make_obstacle("none"), 0),
+            # Node 0 sits exactly one radio radius from the border.
+            make_world(
+                [(1.0, 2.0), (1.5, 1.5), (0.5, 0.5), (2.0, 2.0)],
+                [(0, 1), (0, 2), (0, 3), (1, 3)],
+                region=Region(0, 3, 0, 3),
+            ),
+        ]
+        for w in worlds:
+            got = interior_mean_degree(w)
+            want = scalar_interior_mean_degree(w)
+            assert math.isnan(got) == math.isnan(want)
+            if not math.isnan(want):
+                assert got.hex() == want.hex()
 
 
 # sha256 of edges.tobytes(), of every out_links array concatenated and of
