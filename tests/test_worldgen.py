@@ -311,9 +311,10 @@ class TestGabriel:
     def test_node_on_circle_keeps_edge(self):
         # (0.5, 0.5) sits exactly on the diameter circle of (0,0)-(1,0).
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
-        edges = np.array([[0, 1]], dtype=np.int64)
+        edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
         kept = _gabriel_filter(positions, edges)
         assert (0, 1) in set(map(tuple, kept))
+        assert_same_array(kept, scalar_gabriel_filter(positions, edges))
 
     def test_planar_on_random_worlds(self):
         for seed in range(5):
@@ -379,6 +380,26 @@ class TestInteriorDegree:
     def test_nan_when_no_interior(self):
         w = deploy(2.0, Region(0, 1.5, 0, 1.5), make_obstacle("none"), 0)
         assert math.isnan(interior_mean_degree(w))
+
+    def test_bit_identical_to_per_node_loop(self):
+        worlds = [build_trial_world(5, d, 0, o) for o in OBSTACLE_NAMES for d in (2.0, 5.0)]
+        worlds += [
+            deploy(2.0, Region(0, 1.5, 0, 1.5), make_obstacle("none"), 0),
+            deploy(3.0, Region(0, 3, 0, 4), make_obstacle("none"), 1),
+            deploy(0.0, SMALL, make_obstacle("none"), 0),
+            # Node 0 sits exactly one radio radius from the border.
+            make_world(
+                [(1.0, 2.0), (1.5, 1.5), (0.5, 0.5), (2.0, 2.0)],
+                [(0, 1), (0, 2), (0, 3), (1, 3)],
+                region=Region(0, 3, 0, 3),
+            ),
+        ]
+        for w in worlds:
+            got = interior_mean_degree(w)
+            want = scalar_interior_mean_degree(w)
+            assert math.isnan(got) == math.isnan(want)
+            if not math.isnan(want):
+                assert got.hex() == want.hex()
 
 
 class TestWorldText:
@@ -472,13 +493,6 @@ class TestFastGabriel:
         assert_same_array(
             _gabriel_filter(positions, e), scalar_gabriel_filter(positions, e)
         )
-
-    def test_node_exactly_on_the_circle(self):
-        positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
-        e = _all_pairs(3)
-        got = _gabriel_filter(positions, e)
-        assert_same_array(got, scalar_gabriel_filter(positions, e))
-        assert (0, 1) in set(map(tuple, got.tolist()))
 
     @pytest.mark.parametrize("offset", [-1e-8, -1e-11, -1e-13, 1e-13, 1e-11, 1e-8])
     def test_node_next_to_the_threshold(self, offset):
@@ -592,28 +606,6 @@ class TestOneSortAdjacency:
             g = w.gabriel_edges()
             for a, b in zip(w.gabriel_links, lexsort_adjacency(w.n, g)):
                 assert_same_array(a, b)
-
-
-class TestVectorizedInteriorDegree:
-    def test_bit_identical_to_per_node_loop(self):
-        worlds = [build_trial_world(5, d, 0, o) for o in OBSTACLE_NAMES for d in (2.0, 5.0)]
-        worlds += [
-            deploy(2.0, Region(0, 1.5, 0, 1.5), make_obstacle("none"), 0),
-            deploy(3.0, Region(0, 3, 0, 4), make_obstacle("none"), 1),
-            deploy(0.0, SMALL, make_obstacle("none"), 0),
-            # Node 0 sits exactly one radio radius from the border.
-            make_world(
-                [(1.0, 2.0), (1.5, 1.5), (0.5, 0.5), (2.0, 2.0)],
-                [(0, 1), (0, 2), (0, 3), (1, 3)],
-                region=Region(0, 3, 0, 3),
-            ),
-        ]
-        for w in worlds:
-            got = interior_mean_degree(w)
-            want = scalar_interior_mean_degree(w)
-            assert math.isnan(got) == math.isnan(want)
-            if not math.isnan(want):
-                assert got.hex() == want.hex()
 
 
 # sha256 of edges.tobytes(), of every out_links array concatenated and of
