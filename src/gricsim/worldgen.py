@@ -21,7 +21,7 @@ from .geometry import COLLINEAR_EPS, Segment, Vec2, segments_cross_interior
 # of the Gabriel rule; keeps boundary nodes from flickering in and out.
 GABRIEL_EPS = 1e-12
 
-# Squared-distance band around the Gabriel threshold inside which the
+# Squared-distance band above the Gabriel threshold inside which the
 # nearest-node test is not trusted and the whole disk is searched.
 _GABRIEL_TIE = 1e-9
 
@@ -235,10 +235,10 @@ def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     distance, so a node sitting exactly on the circle does not disqualify
     the edge. Any node inside the disk counts, neighbor or not, and the
     disk holds one exactly when it holds the node nearest its center that
-    is neither endpoint, so only that node is tested. Where its squared
-    distance is within _GABRIEL_TIE of the threshold (coincident and
-    cocircular nodes, or a kd-tree distance that rounds differently), the
-    edge is settled by testing every node in the disk instead.
+    is neither endpoint, so only that node is tested. A node found inside
+    settles the edge. One found less than _GABRIEL_TIE outside does not:
+    a kd-tree whose distances round differently from this test may have
+    ranked a node inside behind it, so every node in the disk is tested.
     """
     if len(edges) == 0:
         return edges.copy()
@@ -262,11 +262,10 @@ def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
         d2 = dx * dx + dy * dy
         threshold = radii * radii - GABRIEL_EPS
         keep = ~(d2 < threshold)
-        tie = np.flatnonzero(np.abs(d2 - threshold) < _GABRIEL_TIE)
+        tie = np.flatnonzero(keep & (d2 - threshold < _GABRIEL_TIE))
     for k, candidates in zip(tie, tree.query_ball_point(mids[tie], radii[tie])):
         u, v = edges[k]
         r2 = radii[k] * radii[k]
-        keep[k] = True
         for w in candidates:
             if w == u or w == v:
                 continue
