@@ -143,37 +143,49 @@ def source_node(world: World, point: Vec2 = SOURCE_POINT) -> int:
 
 
 # One factory per step-function router: (world, source, params, rng) ->
-# step. Each looks its step function up in this module at call time, so
-# the module attributes stay the hook points for wrapping them.
+# (step, state_key). state_key is None unless the router is a pure
+# function of its state, which it then names for outcomes.walk's cycle
+# fast-forward: (current node, previous node id) for inertia, plus the
+# flag for gric-. The previous node's id is used rather than its
+# position, a finer key, so nodes sharing a position stay apart. gric+
+# and ltp draw from the rng, greedy cannot revisit a node, and face
+# routing keeps its own budget. Each factory looks its step function up
+# in this module at call time, so the module attributes stay the hook
+# points for wrapping them.
 def _greedy(world, source, params, rng):
-    return lambda cur: greedy_step(world, cur, DEST_POINT)
+    return (lambda cur: greedy_step(world, cur, DEST_POINT)), None
 
 
 def _inertia(world, source, params, rng):
     state = MessageState(dest_pos=DEST_POINT)
+    prev = None
 
     def step(cur):
+        nonlocal prev
         nxt = inertia_only_step(world, cur, state, params.beta)
         state.prev_pos = world.pos(cur)
+        prev = cur
         return nxt
 
-    return step
+    return step, lambda cur: (cur, prev)
 
 
 def _gric(world, source, params, rng):
     state = MessageState(dest_pos=DEST_POINT)
+    prev = None
 
     def step(cur):
-        nonlocal state
+        nonlocal state, prev
         nxt, state = gric_step(world, cur, state, params, rng)
+        prev = cur
         return nxt
 
-    return step
+    return step, (lambda cur: (cur, prev, state.flag)) if rng is None else None
 
 
 def _ltp(world, source, params, rng):
     state = ltp_init(source)
-    return lambda cur: ltp_step(world, cur, state, DEST_POINT, rng)
+    return (lambda cur: ltp_step(world, cur, state, DEST_POINT, rng)), None
 
 
 _STEPS = {
@@ -217,8 +229,8 @@ def run_trial(
     rng = None
     if config.algorithm in _RANDOMIZED:
         rng = trial_rng(config.master_seed, density, trial_index, ROUTE_STREAM)
-    step = _STEPS[config.algorithm](world, source, config.params, rng)
-    return walk(world, source, DEST_POINT, step, world.n, **rules)
+    step, key = _STEPS[config.algorithm](world, source, config.params, rng)
+    return walk(world, source, DEST_POINT, step, world.n, state_key=key, **rules)
 
 
 def _world_key(config: ExperimentConfig) -> tuple:

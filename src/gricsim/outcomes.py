@@ -8,7 +8,9 @@ which owns the rules all routers are judged by:
 * fail_oob  -- the occupied node is within COMM_RADIUS of the region
                border (inclusive), when the border rule is enforced;
                checked at the source and after every hop
-* fail_ttl  -- the hop counter exceeds the hop budget
+* fail_ttl  -- the hop counter exceeds the hop budget; a deterministic
+               router whose state repeats is fast-forwarded to this
+               end (see walk)
 * fail_stuck -- the router has no move left: it signals Stuck, or its
                geometry degenerates (two nodes at one position leave no
                travel direction, a ZeroVector)
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 
 from .geometry import Vec2, ZeroVector
 from .worldgen import COMM_RADIUS, World
@@ -48,13 +50,17 @@ class TrialOutcome:
     hops counts every move of the message, backtracking moves included.
     distance is the total Euclidean length travelled. path holds the
     sequence of visited node positions when path recording was requested,
-    else None.
+    else None. cycle_start and cycle_len are set only when walk
+    fast-forwarded a repeated router state: the hop at which the cycle's
+    state was first seen, and the cycle's length in hops.
     """
 
     status: TrialStatus
     hops: int
     distance: float
     path: list[Vec2] | None = field(default=None)
+    cycle_start: int | None = None
+    cycle_len: int | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -70,16 +76,28 @@ def walk(
     *,
     enforce_oob: bool = True,
     record_path: bool = False,
+    state_key: Callable[[int], Hashable] | None = None,
 ) -> TrialOutcome:
     """Move a message from source by step() until a rule ends the trial.
 
     step(current) returns the next node or raises Stuck; it is called
     once per hop and keeps whatever state its router needs.
+
+    state_key(current), given only for a router whose next move and next
+    state are a pure function of its state, names that state just before
+    each step. Once a key repeats, the walk is periodic, and every node
+    on the cycle has already passed the delivery and border checks, so
+    the trial must end fail_ttl at ttl + 1 hops. walk finishes it from
+    the cycle's recorded hop lengths, added to the distance one at a
+    time in walking order, so the outcome equals that of the full walk
+    bit for bit.
     """
     cur = source
     hops = 0
     dist = 0.0
     path = [world.pos(source)] if record_path else None
+    seen: dict[Hashable, int] = {}
+    legs: list[float] = []
     while True:
         p = world.pos(cur)
         if (p - dest).norm() < COMM_RADIUS:
@@ -88,12 +106,26 @@ def walk(
             return TrialOutcome(TrialStatus.FAIL_OOB, hops, dist, path)
         if hops > ttl:
             return TrialOutcome(TrialStatus.FAIL_TTL, hops, dist, path)
+        if state_key is not None:
+            start = seen.setdefault(state_key(cur), hops)
+            if start < hops:
+                period = hops - start
+                for h in range(hops, ttl + 1):
+                    dist += legs[start + (h - start) % period]
+                    if path is not None:
+                        path.append(path[-period])
+                return TrialOutcome(
+                    TrialStatus.FAIL_TTL, ttl + 1, dist, path, start, period
+                )
         try:
             nxt = step(cur)
         except (Stuck, ZeroVector):
             return TrialOutcome(TrialStatus.FAIL_STUCK, hops, dist, path)
-        dist += (world.pos(nxt) - p).norm()
+        leg = (world.pos(nxt) - p).norm()
+        dist += leg
         hops += 1
         cur = nxt
+        if state_key is not None:
+            legs.append(leg)
         if path is not None:
             path.append(world.pos(nxt))

@@ -235,9 +235,12 @@ def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     distance, so a node sitting exactly on the circle does not disqualify
     the edge. Any node inside the disk counts, neighbor or not, and the
     disk holds one exactly when it holds the node nearest its center that
-    is neither endpoint, so only that node is tested. A node found inside
-    settles the edge. One found less than _GABRIEL_TIE outside does not:
-    a kd-tree whose distances round differently from this test may have
+    is neither endpoint, so one kd-tree query per edge decides it. When
+    the node nearest the center is an endpoint, every third node lies at
+    least the radius away up to rounding, far below GABRIEL_EPS, and the
+    edge is kept. Otherwise that node is tested: one found inside settles
+    the edge. One found less than _GABRIEL_TIE outside does not: a
+    kd-tree whose distances round differently from this test may have
     ranked a node inside behind it, so every node in the disk is tested.
     """
     if len(edges) == 0:
@@ -248,21 +251,14 @@ def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     mids = 0.5 * (pu + pv)
     diffs = pu - pv
     radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    if len(positions) < 3:
-        keep = np.ones(len(edges), dtype=bool)
-        tie = np.arange(len(edges))
-    else:
-        # Of the three nodes nearest a midpoint, at least one is neither
-        # endpoint; the first such is the nearest one.
-        _, near = tree.query(mids, k=3)
-        other = (near != edges[:, :1]) & (near != edges[:, 1:])
-        w = near[np.arange(len(edges)), other.argmax(axis=1)]
-        dx = positions[w, 0] - mids[:, 0]
-        dy = positions[w, 1] - mids[:, 1]
-        d2 = dx * dx + dy * dy
-        threshold = radii * radii - GABRIEL_EPS
-        keep = ~(d2 < threshold)
-        tie = np.flatnonzero(keep & (d2 - threshold < _GABRIEL_TIE))
+    _, w = tree.query(mids, k=1)
+    third = (w != edges[:, 0]) & (w != edges[:, 1])
+    dx = positions[w, 0] - mids[:, 0]
+    dy = positions[w, 1] - mids[:, 1]
+    d2 = dx * dx + dy * dy
+    threshold = radii * radii - GABRIEL_EPS
+    keep = ~(third & (d2 < threshold))
+    tie = np.flatnonzero(third & keep & (d2 - threshold < _GABRIEL_TIE))
     for k, candidates in zip(tie, tree.query_ball_point(mids[tie], radii[tie])):
         u, v = edges[k]
         r2 = radii[k] * radii[k]

@@ -151,7 +151,12 @@ def test_criterion_01_open_field_baselines():
     neighbor and stops at a local minimum, so it never walks into the
     border; it must stay below the 0.95 line the others clear, and every
     message it loses must be stuck at a brute-force-verified local
-    minimum."""
+    minimum.
+
+    The "< 0.95" clause has little margin across seeds. At density 5,
+    200 trials, greedy scores 0.905 on seed 3 (the seed used here), 0.945
+    on seed 1 and 0.965 on seed 0, so on seed 0 the clause would fail.
+    The seed and the threshold stay as they are."""
     rows = sweep_rows(
         (
             Algorithm.GREEDY,

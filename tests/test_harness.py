@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,9 +30,17 @@ from gricsim.harness import (
     source_node,
     trial_rng,
 )
-from gricsim.outcomes import TrialStatus
+from gricsim.geometry import Segment, Vec2
+from gricsim.outcomes import TrialStatus, walk
 from gricsim.routing import RoutingParams
-from gricsim.worldgen import COMM_RADIUS, OBSTACLE_NAMES, make_obstacle
+from gricsim.worldgen import (
+    COMM_RADIUS,
+    OBSTACLE_NAMES,
+    Obstacle,
+    World,
+    _adjacency,
+    _wire,
+)
 
 
 class TestMedian:
@@ -305,27 +314,143 @@ class TestLoopRules:
         assert (out.status, out.hops) == (TrialStatus.FAIL_TTL, budget + 1)
 
 
+def plain_trial(config, world):
+    """run_trial with the cycle fast-forward off: the same step function,
+    walked by outcomes.walk with state_key=None. For the routers that take
+    no rng (gric- and inertia)."""
+    source = source_node(world)
+    step, _ = harness._STEPS[config.algorithm](world, source, config.params, None)
+    return walk(
+        world, source, DEST_POINT, step, world.n,
+        enforce_oob=not config.disable_out_of_bounds,
+        record_path=config.record_path,
+    )
+
+
+def trail(out):
+    return (out.status, out.hops, out.distance.hex(), out.path)
+
+
+KEYED = (Algorithm.GRIC_MINUS, Algorithm.INERTIA)
+
+# A ring the inertia router walks forever: source 0 -> 1 -> 2 -> 0 -> 1 ...
+# with legs of two lengths. The message revisits its source with previous
+# node 2, a state unlike the first visit's, which had none.
+RING = ([(0.0, 10.0), (0.9, 10.0), (0.45, 10.7)], [(0, 1), (1, 2), (0, 2)])
+
+
+class TestCycleFastForward:
+    """walk's fast-forward against the plain walk it shortens."""
+
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_matches_the_plain_walk(self, obstacle):
+        fired = {algo: 0 for algo in KEYED}
+        for density in (2.0, 4.0, 8.0):
+            for trial in range(2):
+                world = build_trial_world(11, density, trial, obstacle)
+                for algo in KEYED:
+                    cfg = ExperimentConfig(
+                        algorithm=algo, obstacle=obstacle, densities=(density,),
+                        master_seed=11, record_path=True,
+                    )
+                    fast = run_trial(cfg, density, trial, world=world)
+                    plain = plain_trial(cfg, world)
+                    assert plain.cycle_start is plain.cycle_len is None
+                    assert replace(fast, cycle_start=None, cycle_len=None) == plain
+                    assert trail(fast) == trail(plain)
+                    if fast.cycle_start is not None:
+                        fired[algo] += 1
+                        s, n = fast.cycle_start, fast.cycle_len
+                        assert fast.status is TrialStatus.FAIL_TTL
+                        assert plain.path[s:s + n] == plain.path[s + n:s + 2 * n]
+        assert all(fired.values()), fired
+
+    @pytest.mark.parametrize("algo", KEYED)
+    def test_two_node_ping_pong(self, algo):
+        world = make_world([(0.0, 10.0), (0.3, 10.0)], [(0, 1)], region=STANDARD_REGION)
+        step, key = harness._STEPS[algo](world, 0, RoutingParams(), None)
+        ttl = 10_001
+        out = walk(world, 0, DEST_POINT, step, ttl, record_path=True, state_key=key)
+        leg = (world.pos(1) - world.pos(0)).norm()
+        dist = 0.0
+        for _ in range(ttl + 1):
+            dist += leg
+        assert (out.status, out.hops) == (TrialStatus.FAIL_TTL, ttl + 1)
+        assert out.distance.hex() == dist.hex()
+        assert out.path == [world.pos(h % 2) for h in range(ttl + 2)]
+        assert out.cycle_len == 2
+
+    @pytest.mark.parametrize("algo", KEYED)
+    def test_cycle_through_the_source(self, algo):
+        # Every budget from before the first repeat to well past it, so
+        # the fast-forward ends at every phase of the cycle.
+        world = make_world(*RING, region=STANDARD_REGION)
+        for ttl in [*range(12), 1000, 1001, 1002]:
+            runs = []
+            for with_key in (True, False):
+                step, key = harness._STEPS[algo](world, 0, RoutingParams(), None)
+                runs.append(
+                    walk(world, 0, DEST_POINT, step, ttl, record_path=True,
+                         state_key=key if with_key else None)
+                )
+            fast, plain = runs
+            assert trail(fast) == trail(plain), ttl
+            assert (fast.status, fast.hops) == (TrialStatus.FAIL_TTL, ttl + 1)
+        nodes = [world.positions.tolist().index([p.x, p.y]) for p in fast.path]
+        assert 0 in nodes[1:]
+        if algo is Algorithm.INERTIA:
+            # (source, no previous node) never recurs: the first repeated
+            # state is the one after it.
+            assert nodes[:8] == [0, 1, 2, 0, 1, 2, 0, 1]
+            assert (fast.cycle_start, fast.cycle_len) == (1, 3)
+
+
 # Coordinates on a 0.5 lattice around the destination, plus the region's
 # border lines (-5 and 25): drawn worlds are full of coincident nodes,
 # collinear runs, nodes exactly on the border and isolated nodes.
 XS = st.sampled_from([17.5 + 0.5 * i for i in range(8)] + [25.0])
 YS = st.sampled_from([9.0, 9.5, 10.0, 10.5, 11.0, -5.0, 25.0])
+# Walls either on the inner lattice or along the line through two drawn
+# nodes in radio range, at multiples -1, 0, 1/2, 1 and 2 of their offset:
+# drawn nodes sit exactly on walls and on their ends, and links run
+# collinear with them.
+LATTICE = st.tuples(
+    st.sampled_from([17.5 + 0.5 * i for i in range(8)]),
+    st.sampled_from([9.0, 9.5, 10.0, 10.5, 11.0]),
+)
+ALONG = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
 
 
 @st.composite
 def degenerate_worlds(draw):
-    """Unit-disk worlds of one to eight nodes on the lattice above."""
+    """Worlds of one to eight nodes on the lattice above and up to two
+    walls, wired by the deployment rule."""
     points = draw(st.lists(st.tuples(XS, YS), min_size=1, max_size=8))
-    edges = [
-        (i, j)
-        for i in range(len(points))
-        for j in range(i + 1, len(points))
-        if math.dist(points[i], points[j]) <= COMM_RADIUS
+    pairs = [
+        (p, q) for p in points for q in points
+        if p != q and math.dist(p, q) <= COMM_RADIUS
     ]
-    return make_world(points, edges, region=STANDARD_REGION)
+    walls = []
+    for _ in range(draw(st.integers(0, 2))):
+        if not pairs or draw(st.booleans()):
+            a, b = draw(LATTICE), draw(LATTICE)
+        else:
+            (px, py), (qx, qy) = draw(st.sampled_from(pairs))
+            a, b = ((px + k * (qx - px), py + k * (qy - py)) for k in (draw(ALONG), draw(ALONG)))
+        if a != b:
+            walls.append(Segment(Vec2(*a), Vec2(*b)))
+    positions = np.array(points, dtype=float)
+    edges = _wire(positions, tuple(walls))
+    return World(
+        region=STANDARD_REGION,
+        obstacle=Obstacle("drawn", tuple(walls)),
+        positions=positions,
+        edges=edges,
+        out_links=_adjacency(len(points), edges),
+    )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(world=degenerate_worlds(), enforce_oob=st.booleans())
 def test_degenerate_worlds_give_defined_outcomes(world, enforce_oob):
     for algo in Algorithm:
@@ -339,6 +464,8 @@ def test_degenerate_worlds_give_defined_outcomes(world, enforce_oob):
         assert out.distance == pytest.approx(sum(legs)), algo
         at_dest = (out.path[-1] - DEST_POINT).norm() < COMM_RADIUS
         assert out.succeeded == at_dest, algo
+        if algo in KEYED:
+            assert trail(out) == trail(plain_trial(cfg, world)), algo
 
 
 class TestRunSweep:

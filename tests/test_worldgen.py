@@ -515,15 +515,47 @@ class TestFastGabriel:
         positions = np.array([[0.0, 0.0], [0.7, 0.0], [0.35, inner], [0.35, -outer]])
         e = _edges([(0, 1)])
 
-        class FarthestFirst(cKDTree):
+        class SecondNearestFirst(cKDTree):
             def query(self, x, k=1, **kwargs):
-                d, i = super().query(x, k=k, **kwargs)
-                return d[:, ::-1], i[:, ::-1]
+                d, i = super().query(x, k=k + 1, **kwargs)
+                return d[:, 1], i[:, 1]
 
-        monkeypatch.setattr(worldgen, "cKDTree", FarthestFirst)
+        assert SecondNearestFirst(positions).query(np.array([[0.35, 0.0]]))[1] == [3]
+        monkeypatch.setattr(worldgen, "cKDTree", SecondNearestFirst)
         got = _gabriel_filter(positions, e)
         assert_same_array(got, scalar_gabriel_filter(positions, e))
         assert len(got) == 0
+
+    @pytest.mark.parametrize("offset", [-1e-13, 0.0, 1e-13, 1e-8])
+    @pytest.mark.parametrize("endpoint_first", [False, True])
+    def test_endpoint_nearest_the_midpoint(self, offset, endpoint_first, monkeypatch):
+        # Node 2 lies offset from the circle of edge (0, 1), in squared
+        # distance from its midpoint, so an endpoint is the midpoint's
+        # nearest node or within rounding of it. Such an edge is kept
+        # without the band. endpoint_first swaps in a kd-tree that rounds
+        # far worse than a real one: it ranks first the lowest id within
+        # 1e-12 of the nearest, in squared distance, which is an endpoint
+        # here even when node 2 lies 1e-13 inside the circle.
+        r2 = 0.35 * 0.35
+        positions = np.array(
+            [[0.0, 0.0], [0.7, 0.0], [0.35, math.sqrt(r2 + offset)], [0.35, -0.5]]
+        )
+
+        class LowestIdFirst(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                d, i = super().query(x, k=3, **kwargs)
+                near = d * d - d[:, :1] * d[:, :1] < 1e-12
+                return d[:, 0], np.where(near, i, len(self.data)).min(axis=1)
+
+        mid = np.array([[0.35, 0.0]])
+        tree = LowestIdFirst if endpoint_first else cKDTree
+        if endpoint_first or offset > 0:
+            assert tree(positions).query(mid)[1] in ([0], [1])
+        monkeypatch.setattr(worldgen, "cKDTree", tree)
+        for e in (_edges([(0, 1)]), _all_pairs(4)):
+            got = _gabriel_filter(positions, e)
+            assert_same_array(got, scalar_gabriel_filter(positions, e))
+            assert (0, 1) in set(map(tuple, got.tolist()))
 
     def test_cocircular_square_keeps_both_diagonals(self):
         positions = np.array([[0.0, 0.0], [0.6, 0.0], [0.6, 0.6], [0.0, 0.6]])
