@@ -17,13 +17,13 @@ DEST = Vec2(9.5, 5.0)
 
 
 def component_reaches(world, source) -> bool:
-    links = world.gabriel_links
+    indptr, indices = world.gabriel_csr
     seen = {source}
     frontier = [source]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in links[u]:
+            for v in indices[indptr[u]:indptr[u + 1]]:
                 v = int(v)
                 if v not in seen:
                     seen.add(v)

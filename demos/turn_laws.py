@@ -34,9 +34,9 @@ def main() -> None:
     print(header)
     for flag in Flag:
         cells = "".join(
-            f"{update_flag(flag, q).value:>8s}" for q in quadrants
+            f"{update_flag(flag, q).name.lower():>8s}" for q in quadrants
         )
-        print(f"  {flag.value:<6s}{cells}")
+        print(f"  {flag.name.lower():<6s}{cells}")
 
     print("\nmode selection (same axes):")
     print(header)
@@ -44,7 +44,7 @@ def main() -> None:
         cells = "".join(
             f"{mode_selector(flag, q).value:>8s}" for q in quadrants
         )
-        print(f"  {flag.value:<6s}{cells}")
+        print(f"  {flag.name.lower():<6s}{cells}")
 
     print(f"\nturn laws at beta = 1/6 (inertia cap {BETA * math.pi:.3f} rad,")
     print(f"contour cap {2 * math.pi * BETA:.3f} rad):")

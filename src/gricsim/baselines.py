@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, Vec2, orient
+from .geometry import COLLINEAR_EPS, TWO_PI, Vec2
 from .outcomes import Stuck, TrialOutcome, walk
-from .routing import MessageState, effective_prev_direction, inertia_ideal, next_hop
+from .routing import MessageState, clamp_turn, next_hop, travel_turn
 from .worldgen import World
 
 # Backtrack allowance for the limited-backtrack router. Small on purpose:
@@ -36,11 +36,13 @@ def greedy_step(world: World, current: int, dest_pos: Vec2) -> int:
     none, the node is a local minimum and the router gives up. Ties on
     distance go to the smallest node id.
     """
-    nbrs = world.out_links[current]
+    nbrs = world.indices[world.indptr[current]:world.indptr[current + 1]]
     if len(nbrs) == 0:
         raise Stuck(f"node {current} has no out-links")
-    p = world.positions[current]
-    d_cur = math.hypot(p[0] - dest_pos.x, p[1] - dest_pos.y)
+    x, y = world.coords[current]
+    d_cur = math.hypot(x - dest_pos.x, y - dest_pos.y)
+    # np.hypot and math.hypot differ in the last bit on some inputs; the
+    # neighbours' distances have always come from np.hypot.
     offs = world.positions[nbrs]
     dists = np.hypot(offs[:, 0] - dest_pos.x, offs[:, 1] - dest_pos.y)
     closer = dists < d_cur
@@ -57,12 +59,15 @@ def inertia_only_step(
 
     The ideal direction is the previous travel direction rotated toward
     the destination by at most beta * pi; the neighbor maximizing the
-    scalar product with it wins. The caller advances state.prev_pos.
+    scalar product with it wins. state.prev_pos advances to this node.
     """
-    p = world.pos(current)
-    v_prev = effective_prev_direction(state, p)
-    v_ideal = inertia_ideal(v_prev, state.dest_pos - p, beta)
-    return next_hop(world, current, v_ideal)
+    x, y = world.coords[current]
+    vx, vy, alpha = travel_turn(state, x, y)
+    gamma = clamp_turn(alpha, beta)
+    cos_g, sin_g = math.cos(gamma), math.sin(gamma)
+    nxt = next_hop(world, current, cos_g * vx - sin_g * vy, sin_g * vx + cos_g * vy)
+    state.prev_pos = (x, y)
+    return nxt
 
 
 @dataclass
@@ -108,9 +113,9 @@ def ltp_step(
     """
     if not state.stack or state.stack[-1] != current:
         raise ValueError("stack top must be the current node")
-    nbrs = world.out_links[current]
-    p = world.positions[current]
-    d_cur = math.hypot(p[0] - dest_pos.x, p[1] - dest_pos.y)
+    nbrs = world.indices[world.indptr[current]:world.indptr[current + 1]]
+    x, y = world.coords[current]
+    d_cur = math.hypot(x - dest_pos.x, y - dest_pos.y)
     tried = state.tried[-1]
     candidates: list[int] = []
     if len(nbrs) > 0:
@@ -135,52 +140,54 @@ def ltp_step(
     return state.stack[-1]
 
 
-def _first_edge_cw(
-    positions: np.ndarray,
-    links: list[np.ndarray],
-    at: int,
-    ref_theta: float,
-    reverse_of: int | None,
-) -> int:
+def _first_edge_cw(positions, csr, at: int, ref_theta: float, reverse_of: int | None) -> int:
     """Neighbor of `at` first encountered sweeping clockwise from ref_theta.
 
-    That is the neighbor minimizing (ref_theta - theta_w) mod 2*pi. When
-    reverse_of is given, that neighbor's zero angle counts as a full turn
-    so the walk only doubles straight back on a dead-end spur. Angle ties
-    break toward the smallest node id.
+    positions gives a node's (x, y) by id and csr is the (indptr,
+    indices) adjacency to search. The pick is the neighbor minimizing
+    (ref_theta - theta_w) mod 2*pi. When reverse_of is given, that
+    neighbor's zero angle counts as a full turn so the walk only doubles
+    straight back on a dead-end spur. Angle ties break toward the
+    smallest node id.
     """
+    indptr, indices = csr
     best = -1
     best_delta = math.inf
-    px, py = positions[at]
-    for w in links[at]:
-        theta = math.atan2(positions[w, 1] - py, positions[w, 0] - px)
-        delta = (ref_theta - theta) % TWO_PI
+    for w in indices[indptr[at]:indptr[at + 1]].tolist():
+        delta = (ref_theta - _bearing(positions[at], positions[w])) % TWO_PI
         if w == reverse_of and delta == 0.0:
             delta = TWO_PI
         if delta < best_delta:
             best_delta = delta
-            best = int(w)
+            best = w
     return best
 
 
-def _proper_crossing(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> Vec2 | None:
-    """Intersection point of segments a-b and c-d, interiors only.
+def _bearing(p, q) -> float:
+    """Heading of q seen from p, for (x, y) pairs."""
+    return math.atan2(q[1] - p[1], q[0] - p[0])
+
+
+def _orient(a, b, c) -> int:
+    """geometry.orient on (x, y) pairs of plain floats."""
+    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (d > COLLINEAR_EPS) - (d < -COLLINEAR_EPS)
+
+
+def _proper_crossing(a, b, c, d) -> tuple[float, float] | None:
+    """Intersection point of segments a-b and c-d, given as (x, y) pairs,
+    interiors only.
 
     Returns None unless the two segments cross at a single interior
     point. Touching endpoints or collinear overlap do not count; faces
     are switched only on unambiguous crossings.
     """
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    if o1 * o2 >= 0 or o3 * o4 >= 0:
+    if _orient(a, b, c) * _orient(a, b, d) >= 0 or _orient(c, d, a) * _orient(c, d, b) >= 0:
         return None
-    ab = b - a
-    cd = d - c
-    denom = ab.cross(cd)
-    t = (c - a).cross(cd) / denom
-    return Vec2(a.x + t * ab.x, a.y + t * ab.y)
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    cdx, cdy = d[0] - c[0], d[1] - c[1]
+    t = ((c[0] - a[0]) * cdy - (c[1] - a[1]) * cdx) / (abx * cdy - aby * cdx)
+    return a[0] + t * abx, a[1] + t * aby
 
 
 def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]:
@@ -194,34 +201,31 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
     Completing a face loop with no crossing improvement means the
     destination is unreachable, and the step raises Stuck.
     """
-    positions = world.positions
-    links = world.gabriel_links
-    s_pos = world.pos(source)
-    anchor_d = (s_pos - dest_pos).norm()
+    coords = world.coords
+    csr = world.gabriel_csr
+    s_pos = coords[source]
+    dest = (dest_pos.x, dest_pos.y)
+    anchor_d = math.hypot(s_pos[0] - dest[0], s_pos[1] - dest[1])
     edge = face_start = None
 
     def step(current: int) -> int:
         nonlocal anchor_d, edge, face_start
         if edge is None:
-            if len(links[source]) == 0:
+            if csr[0][source] == csr[0][source + 1]:
                 raise Stuck(f"node {source} has no Gabriel links")
-            first = _first_edge_cw(
-                positions, links, source, (dest_pos - s_pos).heading(), None
-            )
+            first = _first_edge_cw(coords, csr, source, _bearing(s_pos, dest), None)
             edge = face_start = (source, first)
         else:
             # The message just traversed edge u -> v and sits on v.
             u, v = edge
-            ref = math.atan2(
-                positions[u, 1] - positions[v, 1], positions[u, 0] - positions[v, 0]
-            )
-            edge = (v, _first_edge_cw(positions, links, v, ref, u))
+            edge = (v, _first_edge_cw(coords, csr, v, _bearing(coords[v], coords[u]), u))
             if edge == face_start:
                 raise Stuck("completed a face without a closer way out")
         while True:
             u, v = edge
-            x = _proper_crossing(world.pos(u), world.pos(v), s_pos, dest_pos)
-            if x is None or (x - dest_pos).norm() >= anchor_d:
+            x = _proper_crossing(coords[u], coords[v], s_pos, dest)
+            x_d = math.inf if x is None else math.hypot(x[0] - dest[0], x[1] - dest[1])
+            if x_d >= anchor_d:
                 return v
             # Strict improvement: continue in the face holding the rest of
             # the line, which is the side of edge (u, v) the destination
@@ -229,8 +233,8 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
             # strictly off the edge's line, so the sign is decisive. Each
             # switch strictly shrinks anchor_d, so this cannot recur
             # forever even in degenerate layouts.
-            anchor_d = (x - dest_pos).norm()
-            if orient(world.pos(u), world.pos(v), dest_pos) > 0:
+            anchor_d = x_d
+            if _orient(coords[u], coords[v], dest) > 0:
                 # The line presses on through the face already being
                 # walked (it dipped into the adjacent face and came back):
                 # restart this face's walk at the crossing edge.
@@ -239,10 +243,8 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
             # The line leaves through the edge: enter the adjacent face.
             # The message stays on u; the next boundary edge is the
             # clockwise successor of the virtual arrival from v.
-            ref = math.atan2(
-                positions[v, 1] - positions[u, 1], positions[v, 0] - positions[u, 0]
-            )
-            edge = face_start = (u, _first_edge_cw(positions, links, u, ref, v))
+            ref = _bearing(coords[u], coords[v])
+            edge = face_start = (u, _first_edge_cw(coords, csr, u, ref, v))
 
     return step
 

@@ -354,12 +354,12 @@ def cmd_graphcheck(ns: argparse.Namespace) -> int:
         raise UsageError("density must be nonnegative")
 
     world = build_trial_world(seed, density, 0, obstacle)
-    degrees_sum = sum(len(links) for links in world.out_links)
+    degrees_sum = int(world.indptr[-1])
     mean_degree = degrees_sum / world.n if world.n else float("nan")
     interior = interior_mean_degree(world)
     gabriel = world.gabriel_edges()
     violation = find_planarity_violation(world.positions, gabriel)
-    connected = is_connected(world.n, world.out_links)
+    connected = is_connected(world.n, (world.indptr, world.indices))
 
     print(f"nodes: {world.n}")
     print(f"links: {len(world.edges)}")

@@ -126,6 +126,11 @@ class CompassValue(Enum):
     SW = "SW"
 
 
+# The readings in quadrant() order: the per-hop router works with the
+# small int and indexes its tables by it.
+COMPASS = tuple(CompassValue)
+
+
 def angle_from_to(v_from: Vec2, v_to: Vec2) -> Angle:
     """Signed turn carrying the direction of v_from onto v_to.
 
@@ -144,21 +149,25 @@ def rotate(v: Vec2, gamma: Angle | float) -> Vec2:
     return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
 
 
-def compass_of(alpha: Angle) -> CompassValue:
-    """Classify a turn angle into its compass quadrant.
+def quadrant(r: float) -> int:
+    """Index in COMPASS of the quadrant of a wrapped turn angle r.
 
     The partition is half-open so every angle lands in exactly one
     quadrant: SW is [-pi, -pi/2), NW is [-pi/2, 0), NE is [0, pi/2),
     SE is [pi/2, pi).
     """
-    r = alpha.radians
     if r < -math.pi / 2:
-        return CompassValue.SW
+        return 3
     if r < 0.0:
-        return CompassValue.NW
+        return 1
     if r < math.pi / 2:
-        return CompassValue.NE
-    return CompassValue.SE
+        return 0
+    return 2
+
+
+def compass_of(alpha: Angle) -> CompassValue:
+    """Classify a turn angle into its compass quadrant (see quadrant)."""
+    return COMPASS[quadrant(alpha.radians)]
 
 
 def compass(p: Vec2, p_prev: Vec2, p_dest: Vec2) -> CompassValue:

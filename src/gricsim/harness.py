@@ -162,10 +162,8 @@ def _inertia(world, source, params, rng):
 
     def step(cur):
         nonlocal prev
-        nxt = inertia_only_step(world, cur, state, params.beta)
-        state.prev_pos = world.pos(cur)
         prev = cur
-        return nxt
+        return inertia_only_step(world, cur, state, params.beta)
 
     return step, lambda cur: (cur, prev)
 
@@ -175,10 +173,9 @@ def _gric(world, source, params, rng):
     prev = None
 
     def step(cur):
-        nonlocal state, prev
-        nxt, state = gric_step(world, cur, state, params, rng)
+        nonlocal prev
         prev = cur
-        return nxt
+        return gric_step(world, cur, state, params, rng)
 
     return step, (lambda cur: (cur, prev, state.flag)) if rng is None else None
 

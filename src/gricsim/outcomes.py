@@ -23,6 +23,7 @@ cycle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Callable, Hashable
@@ -91,18 +92,25 @@ def walk(
     the cycle's recorded hop lengths, added to the distance one at a
     time in walking order, so the outcome equals that of the full walk
     bit for bit.
+
+    The loop reads node positions as plain floats from world.coords; the
+    path, when recorded, is the only Vec2 it builds.
     """
+    coords = world.coords
+    r = world.region
+    dx, dy = dest.x, dest.y
     cur = source
     hops = 0
     dist = 0.0
     path = [world.pos(source)] if record_path else None
     seen: dict[Hashable, int] = {}
     legs: list[float] = []
+    x, y = coords[cur]
     while True:
-        p = world.pos(cur)
-        if (p - dest).norm() < COMM_RADIUS:
+        if math.hypot(x - dx, y - dy) < COMM_RADIUS:
             return TrialOutcome(TrialStatus.SUCCESS, hops, dist, path)
-        if enforce_oob and world.region.border_distance(p) <= COMM_RADIUS:
+        border = min(x - r.x_min, r.x_max - x, y - r.y_min, r.y_max - y)
+        if enforce_oob and border <= COMM_RADIUS:
             return TrialOutcome(TrialStatus.FAIL_OOB, hops, dist, path)
         if hops > ttl:
             return TrialOutcome(TrialStatus.FAIL_TTL, hops, dist, path)
@@ -118,14 +126,15 @@ def walk(
                     TrialStatus.FAIL_TTL, ttl + 1, dist, path, start, period
                 )
         try:
-            nxt = step(cur)
+            cur = step(cur)
         except (Stuck, ZeroVector):
             return TrialOutcome(TrialStatus.FAIL_STUCK, hops, dist, path)
-        leg = (world.pos(nxt) - p).norm()
+        nx, ny = coords[cur]
+        leg = math.hypot(nx - x, ny - y)
         dist += leg
         hops += 1
-        cur = nxt
+        x, y = nx, ny
         if state_key is not None:
             legs.append(leg)
         if path is not None:
-            path.append(world.pos(nxt))
+            path.append(Vec2(x, y))

@@ -19,29 +19,20 @@ to the matching northern quadrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
+from enum import Enum, IntEnum
 
 import numpy as np
 
-from .geometry import (
-    TWO_PI,
-    Angle,
-    CompassValue,
-    Vec2,
-    ZeroVector,
-    angle_from_to,
-    compass_of,
-    rotate,
-)
+from .geometry import COMPASS, TWO_PI, CompassValue, Vec2, ZeroVector, quadrant, wrap_angle
 from .outcomes import Stuck
 from .worldgen import World
 
 
-class Flag(Enum):
-    DOWN = "down"
-    UP_E = "up_e"
-    UP_W = "up_w"
+class Flag(IntEnum):
+    DOWN = 0
+    UP_E = 1
+    UP_W = 2
 
 
 class Mode(Enum):
@@ -73,64 +64,66 @@ class RoutingParams:
 class MessageState:
     """Per-message routing state carried hop to hop.
 
-    prev_pos is None exactly while the message still sits on its source
-    node; the router then pretends the message arrived flying straight
-    at the destination, which reads as compass NE with a zero turn.
+    prev_pos, the (x, y) of the node the message arrived from, is None
+    exactly while the message still sits on its source node; the router
+    then pretends the message arrived flying straight at the destination,
+    which reads as compass NE with a zero turn. The step functions
+    advance prev_pos and flag in place.
     """
 
     dest_pos: Vec2
-    prev_pos: Vec2 | None = None
+    prev_pos: tuple[float, float] | None = None
     flag: Flag = Flag.DOWN
 
 
-def effective_prev_direction(state: MessageState, current: Vec2) -> Vec2:
-    """Travel direction to measure turns against at the current node."""
+def travel_turn(state: MessageState, x: float, y: float) -> tuple[float, float, float]:
+    """(vx, vy, alpha) at the node (x, y): the travel direction to
+    measure turns against, and the wrapped turn alpha carrying it onto
+    the destination bearing.
+
+    Raises ZeroVector when either direction is the zero vector.
+    """
+    wx = state.dest_pos.x - x
+    wy = state.dest_pos.y - y
     if state.prev_pos is None:
-        v = state.dest_pos - current
+        vx, vy = wx, wy
     else:
-        v = current - state.prev_pos
-    if v.is_zero():
+        vx = x - state.prev_pos[0]
+        vy = y - state.prev_pos[1]
+    if (vx == 0.0 and vy == 0.0) or (wx == 0.0 and wy == 0.0):
         raise ZeroVector("message has no usable travel direction")
-    return v
+    return vx, vy, wrap_angle(math.atan2(wy, wx) - math.atan2(vy, vx))
 
 
-# Flag after the compass reading, for every (flag, compass) pair: up
-# (tagged by side) on a southern reading while down, down again on the
-# northern reading of the flag's own side, otherwise unchanged.
-_FLAG_TABLE = {
-    (Flag.DOWN, CompassValue.NE): Flag.DOWN,
-    (Flag.DOWN, CompassValue.NW): Flag.DOWN,
-    (Flag.DOWN, CompassValue.SE): Flag.UP_E,
-    (Flag.DOWN, CompassValue.SW): Flag.UP_W,
-    (Flag.UP_E, CompassValue.NE): Flag.DOWN,
-    (Flag.UP_E, CompassValue.NW): Flag.UP_E,
-    (Flag.UP_E, CompassValue.SE): Flag.UP_E,
-    (Flag.UP_E, CompassValue.SW): Flag.UP_E,
-    (Flag.UP_W, CompassValue.NE): Flag.UP_W,
-    (Flag.UP_W, CompassValue.NW): Flag.DOWN,
-    (Flag.UP_W, CompassValue.SE): Flag.UP_W,
-    (Flag.UP_W, CompassValue.SW): Flag.UP_W,
-}
+# Flag after the compass reading, indexed [flag][quadrant]: up (tagged by
+# side) on a southern reading while down, down again on the northern
+# reading of the flag's own side, otherwise unchanged.
+_FLAG_TABLE = (
+    # NE         NW         SE         SW
+    (Flag.DOWN, Flag.DOWN, Flag.UP_E, Flag.UP_W),  # DOWN
+    (Flag.DOWN, Flag.UP_E, Flag.UP_E, Flag.UP_E),  # UP_E
+    (Flag.UP_W, Flag.DOWN, Flag.UP_W, Flag.UP_W),  # UP_W
+)
 
-# Contour mode engages only when the raised flag's tag and the compass
-# disagree east/west; that is the signature of a message partway around
-# an obstacle. Everything else is inertia.
-_CONTOUR_PAIRS = {
-    (Flag.UP_E, CompassValue.NW),
-    (Flag.UP_E, CompassValue.SW),
-    (Flag.UP_W, CompassValue.NE),
-    (Flag.UP_W, CompassValue.SE),
-}
+# Contour mode, indexed [flag][quadrant], engages only when the raised
+# flag's tag and the compass disagree east/west; that is the signature
+# of a message partway around an obstacle. Everything else is inertia.
+_CONTOUR_TABLE = (
+    # NE     NW     SE     SW
+    (False, False, False, False),  # DOWN
+    (False, True, False, True),  # UP_E
+    (True, False, True, False),  # UP_W
+)
 
 
 def update_flag(flag: Flag, c: CompassValue) -> Flag:
     """The flag after reading compass c."""
-    return _FLAG_TABLE[(flag, c)]
+    return _FLAG_TABLE[flag][COMPASS.index(c)]
 
 
 def mode_selector(flag: Flag, c: CompassValue) -> Mode:
     """The forwarding mood for a (flag, compass) pair."""
-    return Mode.CONTOUR if (flag, c) in _CONTOUR_PAIRS else Mode.INERTIA
+    return Mode.CONTOUR if _CONTOUR_TABLE[flag][COMPASS.index(c)] else Mode.INERTIA
 
 
 def clamp_turn(alpha: float, beta: float) -> float:
@@ -157,39 +150,41 @@ def contour_turn(alpha: float, beta: float) -> float:
     return beta * sign * (TWO_PI - abs(alpha))
 
 
-def inertia_ideal(v_prev: Vec2, v_dest: Vec2, beta: float) -> Vec2:
-    """Ideal forwarding direction in inertia mode."""
-    alpha = angle_from_to(v_prev, v_dest)
-    return rotate(v_prev, clamp_turn(alpha.radians, beta))
-
-
 def next_hop(
     world: World,
     current: int,
-    v_ideal: Vec2,
+    ix: float,
+    iy: float,
     params: RoutingParams = RoutingParams(),
     rng: np.random.Generator | None = None,
 ) -> int:
-    """Neighbor whose offset has the largest scalar product with v_ideal.
+    """Neighbor whose offset has the largest scalar product with (ix, iy).
 
     Given an rng (the randomized variant), it first thins the neighbor
     set, keeping each neighbor independently with probability
     1 - epsilon, and falls back to the full set when the thinning empties
     it. Ties on the scalar product go to the smallest node id.
     """
-    nbrs = world.out_links[current]
-    if len(nbrs) == 0:
+    nbrs = world.indices[world.indptr[current]:world.indptr[current + 1]].tolist()
+    if not nbrs:
         raise Stuck(f"node {current} has no out-links")
-    offs = world.positions[nbrs] - world.positions[current]
     if rng is not None and params.epsilon > 0.0:
-        keep = rng.random(len(nbrs)) >= params.epsilon
-        if keep.any():
-            nbrs = nbrs[keep]
-            offs = offs[keep]
-    proj = offs[:, 0] * v_ideal.x + offs[:, 1] * v_ideal.y
-    # argmax returns the first maximum and nbrs is sorted ascending, so
-    # ties resolve to the smallest node id without extra work.
-    return int(nbrs[int(np.argmax(proj))])
+        eps = params.epsilon
+        kept = [v for v, u in zip(nbrs, rng.random(len(nbrs)).tolist()) if u >= eps]
+        if kept:
+            nbrs = kept
+    coords = world.coords
+    x, y = coords[current]
+    # The neighbours come in ascending id order and only a strictly
+    # larger product replaces the best, so ties keep the smallest id.
+    best = -math.inf
+    for v in nbrs:
+        vx, vy = coords[v]
+        proj = (vx - x) * ix + (vy - y) * iy
+        if proj > best:
+            best = proj
+            pick = v
+    return pick
 
 
 def gric_step(
@@ -198,27 +193,27 @@ def gric_step(
     state: MessageState,
     params: RoutingParams,
     rng: np.random.Generator | None = None,
-) -> tuple[int, MessageState]:
-    """One forwarding decision: returns (next node, updated state).
+) -> int:
+    """One forwarding decision: returns the next node.
 
     Order of business: read the compass, update the flag, select the
     mode, bend the travel direction by the mode's turn, then hand the
-    bent direction to next_hop. The returned state has prev_pos advanced
-    and the new flag. Delivery, border and budget are the trial loop's.
+    bent direction to next_hop. state gets the new flag and prev_pos
+    advanced to this node. Delivery, border and budget are the trial
+    loop's.
     """
-    p = world.pos(current)
-    v_prev = effective_prev_direction(state, p)
-    v_dest = state.dest_pos - p
-    if v_dest.is_zero():
-        raise ZeroVector("message is exactly at the destination point")
-    alpha = angle_from_to(v_prev, v_dest)
-    c = compass_of(alpha)
-    flag = update_flag(state.flag, c)
-    mode = mode_selector(flag, c)
-    if mode is Mode.INERTIA:
-        gamma = clamp_turn(alpha.radians, params.beta)
+    x, y = world.coords[current]
+    vx, vy, alpha = travel_turn(state, x, y)
+    c = quadrant(alpha)
+    flag = _FLAG_TABLE[state.flag][c]
+    if _CONTOUR_TABLE[flag][c]:
+        gamma = contour_turn(alpha, params.beta)
     else:
-        gamma = contour_turn(alpha.radians, params.beta)
-    v_ideal = rotate(v_prev, gamma)
-    nxt = next_hop(world, current, v_ideal, params, rng)
-    return nxt, replace(state, prev_pos=p, flag=flag)
+        gamma = clamp_turn(alpha, params.beta)
+    cos_g, sin_g = math.cos(gamma), math.sin(gamma)
+    nxt = next_hop(
+        world, current, cos_g * vx - sin_g * vy, sin_g * vx + cos_g * vy, params, rng
+    )
+    state.prev_pos = (x, y)
+    state.flag = flag
+    return nxt

@@ -9,7 +9,6 @@ touch a wall segment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,45 +175,55 @@ def _links_blocked_by_wall(
     return proper | touch
 
 
-def _adjacency(n: int, edges: np.ndarray) -> list[np.ndarray]:
-    """Per-node sorted neighbor arrays from an undirected edge list."""
-    if len(edges) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return [empty for _ in range(n)]
+def _adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR form (indptr, indices) of an undirected edge list.
+
+    The neighbours of node i are indices[indptr[i]:indptr[i + 1]], in
+    ascending id order.
+    """
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    # One sort orders the directed links by source, then destination; a
-    # tie can only be a repeated link, whose entries are equal anyway.
-    dst = dst[np.argsort(src * n + dst)]
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]).tolist()
-    return [dst[offsets[i]:offsets[i + 1]] for i in range(n)]
+    # One sort of the keys src * n + dst orders the directed links by
+    # source, then destination; each key less its source's share is the
+    # destination.
+    degree = np.bincount(src, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.sort(src * n + dst) - np.repeat(np.arange(n, dtype=np.int64) * n, degree)
+    return indptr, indices
 
 
 @dataclass
 class World:
     """One deployed network: node positions plus usable links.
 
-    out_links[i] is the sorted array of node ids that node i can forward
-    to. The relation is symmetric by construction. gabriel_links is the
-    same structure restricted to the Gabriel subgraph and is computed on
-    first use, since only face routing ever needs it.
+    The links are held once, in CSR form built from edges: the neighbours
+    of node i are indices[indptr[i]:indptr[i + 1]], sorted by id, and the
+    relation is symmetric by construction. coords holds the positions as
+    Python floats for the per-hop router loops. The Gabriel subgraph is
+    computed on first use, since only face routing ever needs it.
     """
 
     region: Region
     obstacle: Obstacle
     positions: np.ndarray
     edges: np.ndarray
-    out_links: list[np.ndarray]
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
+    coords: list[list[float]] = field(init=False, repr=False)
     _gabriel_edges: np.ndarray | None = field(default=None, repr=False)
-    _gabriel_links: list[np.ndarray] | None = field(default=None, repr=False)
+    _gabriel_csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.indptr, self.indices = _adjacency(len(self.positions), self.edges)
+        self.coords = self.positions.tolist()
 
     @property
     def n(self) -> int:
         return len(self.positions)
 
     def pos(self, node: int) -> Vec2:
-        x, y = self.positions[node]
-        return Vec2(float(x), float(y))
+        return Vec2(*self.coords[node])
 
     def gabriel_edges(self) -> np.ndarray:
         if self._gabriel_edges is None:
@@ -222,10 +231,11 @@ class World:
         return self._gabriel_edges
 
     @property
-    def gabriel_links(self) -> list[np.ndarray]:
-        if self._gabriel_links is None:
-            self._gabriel_links = _adjacency(self.n, self.gabriel_edges())
-        return self._gabriel_links
+    def gabriel_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the Gabriel subgraph."""
+        if self._gabriel_csr is None:
+            self._gabriel_csr = _adjacency(self.n, self.gabriel_edges())
+        return self._gabriel_csr
 
 
 def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -297,14 +307,7 @@ def deploy(
         high=(region.x_max, region.y_max),
         size=(n, 2),
     )
-    edges = _wire(positions, obstacle.walls)
-    return World(
-        region=region,
-        obstacle=obstacle,
-        positions=positions,
-        edges=edges,
-        out_links=_adjacency(n, edges),
-    )
+    return World(region, obstacle, positions, _wire(positions, obstacle.walls))
 
 
 def _wire(positions: np.ndarray, walls: tuple[Segment, ...]) -> np.ndarray:
@@ -313,15 +316,15 @@ def _wire(positions: np.ndarray, walls: tuple[Segment, ...]) -> np.ndarray:
     A link of length <= 1 that touches a wall has its lower-id endpoint
     within 1 of the wall, so only links whose lower-id endpoint lies in
     the wall's bounding box grown by a little over 1 get the exact test.
+    Each wall clears the links it blocks from one keep mask, which is
+    applied once at the end.
     """
     n = len(positions)
-    if n < 2:
-        return np.empty((0, 2), dtype=np.int64)
     pairs = cKDTree(positions).query_pairs(COMM_RADIUS, output_type="ndarray")
-    # Canonical (u, v) ordering keeps serialization reproducible.
-    pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+    key = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
     x, y = positions[:, 0], positions[:, 1]
     reach = COMM_RADIUS + 1e-6
+    keep = np.ones(len(pairs), dtype=bool)
     for wall in walls:
         near = (
             (x >= min(wall.a.x, wall.b.x) - reach)
@@ -329,15 +332,15 @@ def _wire(positions: np.ndarray, walls: tuple[Segment, ...]) -> np.ndarray:
             & (y >= min(wall.a.y, wall.b.y) - reach)
             & (y <= max(wall.a.y, wall.b.y) + reach)
         )
-        tested = np.flatnonzero(near[pairs[:, 0]])
-        blocked = tested[
-            _links_blocked_by_wall(
-                positions[pairs[tested, 0]], positions[pairs[tested, 1]], wall.a, wall.b
-            )
-        ]
-        if len(blocked):
-            pairs = np.delete(pairs, blocked, axis=0)
-    return pairs.astype(np.int64, copy=False)
+        tested = np.flatnonzero(near[pairs[:, 0]] & keep)
+        keep[tested] = ~_links_blocked_by_wall(
+            positions[pairs[tested, 0]], positions[pairs[tested, 1]], wall.a, wall.b
+        )
+    # Canonical (u, v) ordering keeps serialization reproducible: one sort
+    # of the keys u * n + v.
+    key = np.sort(key[keep])
+    u = key // n
+    return np.column_stack([u, key - u * n])
 
 
 def interior_mean_degree(world: World) -> float:
@@ -349,27 +352,53 @@ def interior_mean_degree(world: World) -> float:
     """
     r, x, y = world.region, world.positions[:, 0], world.positions[:, 1]
     border = np.minimum.reduce([x - r.x_min, r.x_max - x, y - r.y_min, r.y_max - y])
-    degrees = np.array([len(links) for links in world.out_links], dtype=np.int64)
-    interior = degrees[border >= COMM_RADIUS]
+    interior = np.diff(world.indptr)[border >= COMM_RADIUS]
     if len(interior) == 0:
         return float("nan")
     return float(np.mean(interior))
 
 
-def is_connected(n: int, links: list[np.ndarray]) -> bool:
-    """Whether the graph with the given adjacency has a single component."""
+def is_connected(n: int, csr: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether the graph with CSR adjacency (indptr, indices) has a single
+    component."""
     if n == 0:
         return True
+    indptr, indices = csr
     seen = np.zeros(n, dtype=bool)
     stack = [0]
     seen[0] = True
     while stack:
         u = stack.pop()
-        for v in links[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
+        nbrs = indices[indptr[u]:indptr[u + 1]]
+        nbrs = nbrs[~seen[nbrs]]
+        seen[nbrs] = True
+        stack.extend(nbrs.tolist())
     return bool(seen.all())
+
+
+def _orient_signs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """geometry.orient over rows: sign of (b - a) x (c - a), with its
+    collinearity tolerance."""
+    bx, by = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    return _sign_eps(bx * (c[:, 1] - a[:, 1]) - by * (c[:, 0] - a[:, 0]))
+
+
+def _cross_interior(
+    positions: np.ndarray, edges: np.ndarray, e1: np.ndarray, e2: np.ndarray
+) -> np.ndarray:
+    """geometry.segments_cross_interior for each edge pair (e1[k], e2[k]),
+    False for pairs sharing a vertex."""
+    (ia, ib), (ic, id_) = edges[e1].T, edges[e2].T
+    apart = (ia != ic) & (ia != id_) & (ib != ic) & (ib != id_)
+    a, b, c, d = (positions[i] for i in (ia, ib, ic, id_))
+    o1, o2 = _orient_signs(a, b, c), _orient_signs(a, b, d)
+    o3, o4 = _orient_signs(c, d, a), _orient_signs(c, d, b)
+    hit = apart & (o1 * o2 < 0) & (o3 * o4 < 0)
+    # Four collinear points, which only degenerate layouts have: the
+    # scalar rule decides whether the two segments overlap.
+    for k in np.flatnonzero(apart & (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)):
+        hit[k] = segments_cross_interior(*(Vec2(*p[k]) for p in (a, b, c, d)))
+    return hit
 
 
 def find_planarity_violation(
@@ -377,46 +406,38 @@ def find_planarity_violation(
 ) -> tuple[int, int] | None:
     """Search an embedded edge set for two edges whose interiors cross.
 
-    Returns the offending pair of edge indices, or None if the embedding
-    is planar. Edges sharing a vertex are allowed to touch there. Uses a
-    unit-cell bucket grid so only nearby edges are compared; correct for
-    edges no longer than the communication radius.
+    Returns the smallest pair (e1, e2), e1 < e2, of edge indices whose
+    open segments cross or overlap (geometry.segments_cross_interior),
+    or None if the embedding is planar. Edges sharing a vertex are
+    allowed to touch there. Only edges whose bounding boxes share a unit
+    cell are compared, which two edges meeting at a point always do; the
+    memory taken grows with the square of the edges per cell, which a
+    planar graph keeps small.
     """
     m = len(edges)
     if m < 2:
         return None
-    cells: dict[tuple[int, int], list[int]] = {}
-    for k in range(m):
-        pa = positions[edges[k, 0]]
-        pb = positions[edges[k, 1]]
-        cx0 = math.floor(min(pa[0], pb[0]))
-        cx1 = math.floor(max(pa[0], pb[0]))
-        cy0 = math.floor(min(pa[1], pb[1]))
-        cy1 = math.floor(max(pa[1], pb[1]))
-        for cx in range(cx0, cx1 + 1):
-            for cy in range(cy0, cy1 + 1):
-                cells.setdefault((cx, cy), []).append(k)
-    checked: set[tuple[int, int]] = set()
-    for bucket in cells.values():
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                e1, e2 = bucket[i], bucket[j]
-                key = (e1, e2) if e1 < e2 else (e2, e1)
-                if key in checked:
-                    continue
-                checked.add(key)
-                a, b = edges[e1]
-                c, d = edges[e2]
-                if a == c or a == d or b == c or b == d:
-                    continue
-                if segments_cross_interior(
-                    Vec2(*positions[a]),
-                    Vec2(*positions[b]),
-                    Vec2(*positions[c]),
-                    Vec2(*positions[d]),
-                ):
-                    return key
-    return None
+    pa, pb = positions[edges[:, 0]], positions[edges[:, 1]]
+    lo = np.floor(np.minimum(pa, pb)).astype(np.int64)
+    span = np.floor(np.maximum(pa, pb)).astype(np.int64) - lo + 1
+    # One (cell, edge) entry per unit cell of each edge's bounding box,
+    # grouped by cell with the edges ascending in each group.
+    count = span[:, 0] * span[:, 1]
+    edge = np.repeat(np.arange(m), count)
+    k = np.arange(len(edge)) - np.repeat(np.cumsum(count) - count, count)
+    cx, cy = lo[edge, 0] + k // span[edge, 1], lo[edge, 1] + k % span[edge, 1]
+    cell = (cx - cx.min()) * (cy.max() - cy.min() + 1) + (cy - cy.min())
+    order = np.argsort(cell, kind="stable")
+    edge, cell = edge[order], cell[order]
+    # Each entry pairs with the later, higher-id entries of its cell.
+    later = np.searchsorted(cell, cell, side="right") - np.arange(len(cell)) - 1
+    first = np.repeat(np.arange(len(cell)), later)
+    skip = np.repeat(np.cumsum(later) - later, later)
+    e1, e2 = edge[first], edge[first + 1 + np.arange(len(first)) - skip]
+    hit = np.flatnonzero(_cross_interior(positions, edges, e1, e2))
+    if len(hit) == 0:
+        return None
+    return divmod(int((e1[hit] * m + e2[hit]).min()), m)
 
 
 def world_to_text(world: World) -> str:

@@ -6,7 +6,7 @@ import tempfile
 import numpy as np
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from gricsim.worldgen import Region, World, _adjacency, make_obstacle
+from gricsim.worldgen import Region, World, make_obstacle
 
 
 def make_world(points, edge_list, region=None, obstacle_name="none"):
@@ -14,7 +14,8 @@ def make_world(points, edge_list, region=None, obstacle_name="none"):
 
     points is a sequence of (x, y) pairs, edge_list a sequence of
     undirected (u, v) node id pairs. No geometry checks are applied, so
-    tests can build configurations deploy() would never produce.
+    tests can build configurations deploy() would never produce. World
+    builds the CSR adjacency from the edges as it does for deploy().
     """
     positions = np.asarray(points, dtype=float).reshape(-1, 2)
     edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
@@ -23,7 +24,6 @@ def make_world(points, edge_list, region=None, obstacle_name="none"):
         obstacle=make_obstacle(obstacle_name),
         positions=positions,
         edges=edges,
-        out_links=_adjacency(len(positions), edges),
     )
 
 

@@ -353,13 +353,13 @@ def test_criterion_06_face_routing_is_exact():
         out = face_route(
             world, source, dest, ttl=10**9, enforce_oob=False
         )
-        links = world.gabriel_links
+        indptr, indices = world.gabriel_csr
         seen = {source}
         frontier = [source]
         while frontier:
             nxt = []
             for u in frontier:
-                for v in links[u]:
+                for v in indices[indptr[u]:indptr[u + 1]]:
                     v = int(v)
                     if v not in seen:
                         seen.add(v)

@@ -34,13 +34,13 @@ SMALL = Region(0.0, 10.0, 0.0, 10.0)
 def bfs_can_deliver(world, source, dest_pos):
     """Reachability oracle: does the source's Gabriel component contain a
     node within one radio radius of the destination point?"""
-    links = world.gabriel_links
+    indptr, indices = world.gabriel_csr
     seen = {source}
     frontier = [source]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in links[u]:
+            for v in indices[indptr[u]:indptr[u + 1]]:
                 v = int(v)
                 if v not in seen:
                     seen.add(v)
@@ -108,15 +108,16 @@ class TestInertiaOnly:
             [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)],
             [(0, 1), (0, 2), (0, 3), (0, 4)],
         )
-        state = MessageState(dest_pos=Vec2(0, 3), prev_pos=Vec2(-1, 0))
+        state = MessageState(dest_pos=Vec2(0, 3), prev_pos=(-1.0, 0.0))
         assert inertia_only_step(w, 0, state, beta=1.0 / 6.0) == 1
+        assert state.prev_pos == (0.0, 0.0)
 
     def test_full_beta_aims_at_destination(self):
         w = make_world(
             [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)],
             [(0, 1), (0, 2), (0, 3), (0, 4)],
         )
-        state = MessageState(dest_pos=Vec2(0, 3), prev_pos=Vec2(-1, 0))
+        state = MessageState(dest_pos=Vec2(0, 3), prev_pos=(-1.0, 0.0))
         assert inertia_only_step(w, 0, state, beta=1.0) == 2
 
     def test_source_heads_straight_for_destination(self):

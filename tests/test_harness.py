@@ -1,5 +1,6 @@
 """Experiment harness: seeding discipline, trial rules, aggregation."""
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import replace
@@ -10,7 +11,8 @@ from conftest import make_world
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gricsim import harness
+import vec2_routers
+from gricsim import baselines, harness, routing, worldgen
 from gricsim.harness import (
     DEST_POINT,
     ROUTE_STREAM,
@@ -30,15 +32,14 @@ from gricsim.harness import (
     source_node,
     trial_rng,
 )
-from gricsim.geometry import Segment, Vec2
+from gricsim.geometry import Segment, Vec2, ZeroVector
 from gricsim.outcomes import TrialStatus, walk
-from gricsim.routing import RoutingParams
+from gricsim.routing import MessageState, RoutingParams, gric_step, next_hop
 from gricsim.worldgen import (
     COMM_RADIUS,
     OBSTACLE_NAMES,
     Obstacle,
     World,
-    _adjacency,
     _wire,
 )
 
@@ -239,7 +240,8 @@ class TestRunTrial:
         return (
             world.positions.tobytes(),
             world.edges.tobytes(),
-            [links.tobytes() for links in world.out_links],
+            world.indptr.tobytes(),
+            world.indices.tobytes(),
         )
 
     def test_epsilon_zero_collapses_randomized_variant(self):
@@ -405,6 +407,120 @@ class TestCycleFastForward:
             assert (fast.cycle_start, fast.cycle_len) == (1, 3)
 
 
+def assert_same_outcome(got, want, label):
+    """Whole TrialOutcomes equal, the distance down to its bits."""
+    assert got == want, label
+    assert got.distance.hex() == want.distance.hex(), label
+
+
+class TestFloatRouters:
+    """The float step loop against the Vec2 routers kept in vec2_routers."""
+
+    @staticmethod
+    def config(algo, density=2.0, **kw):
+        kw.setdefault("record_path", True)
+        return ExperimentConfig(algorithm=algo, densities=(density,), **kw)
+
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_match_the_vec2_routers(self, obstacle):
+        for density in (2.0, 4.0, 8.0):
+            world = build_trial_world(13, density, 1, obstacle)
+            for algo in Algorithm:
+                cfg = self.config(algo, density, obstacle=obstacle, master_seed=13)
+                got = run_trial(cfg, density, 1, world=world)
+                want = vec2_routers.trial(cfg, density, 1, world)
+                assert_same_outcome(got, want, (algo, density))
+
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_degenerate_worlds(self, algo):
+        worlds = {
+            # Node 1 sits on the source: a hop there leaves no travel
+            # direction (ZeroVector), which ends the trial fail_stuck.
+            "coincident": ([(0.0, 10.0), (0.0, 10.0), (-0.5, 10.0)],
+                           [(0, 1), (0, 2), (1, 2)]),
+            # The source has no link at all (Stuck).
+            "isolated": ([(0.0, 10.0), (0.5, 10.0), (1.0, 10.0)], [(1, 2)]),
+            # The source's one link, 1.1 long, leads to a node exactly at
+            # the destination.
+            "at destination": ([(18.9, 10.0), (20.0, 10.0), (20.5, 10.0)],
+                               [(0, 1), (1, 2)]),
+            # Nodes 1 and 2 project equally on the source's heading, which
+            # is due east: the tie goes to the lower id.
+            "tie": ([(0.0, 10.0), (0.5, 9.5), (0.5, 10.5), (-0.5, 10.0)],
+                    [(0, 1), (0, 2), (0, 3)]),
+        }
+        for name, (points, edges) in worlds.items():
+            world = make_world(points, edges, region=STANDARD_REGION)
+            for enforce in (True, False):
+                cfg = self.config(algo, disable_out_of_bounds=not enforce)
+                got = run_trial(cfg, 2.0, 0, world=world)
+                want = vec2_routers.trial(cfg, 2.0, 0, world)
+                assert_same_outcome(got, want, (name, enforce))
+        world = make_world(*worlds["tie"], region=STANDARD_REGION)
+        assert next_hop(world, 0, 1.0, 0.0) == 1
+        for rng in (None, np.random.default_rng(3)):
+            state = MessageState(dest_pos=DEST_POINT)
+            assert gric_step(world, 0, state, RoutingParams(epsilon=1e-9), rng) == 1
+
+    def test_steps_at_the_destination_raise_like_the_vec2_steps(self):
+        world = make_world([(20.0, 10.0), (20.5, 10.0)], [(0, 1)], region=STANDARD_REGION)
+        for prev in (None, (19.5, 10.0)):
+            with pytest.raises(ZeroVector):
+                gric_step(world, 0, MessageState(DEST_POINT, prev), RoutingParams())
+            with pytest.raises(ZeroVector):
+                baselines.inertia_only_step(world, 0, MessageState(DEST_POINT, prev), 0.2)
+            old = vec2_routers.VecState(DEST_POINT, None if prev is None else Vec2(*prev))
+            with pytest.raises(ZeroVector):
+                vec2_routers.gric_step(world, 0, old, RoutingParams())
+            with pytest.raises(ZeroVector):
+                vec2_routers.inertia_only_step(world, 0, old, 0.2)
+
+
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_no_vec2_per_hop_without_a_path(self, algo, monkeypatch):
+        world = build_trial_world(13, 4.0, 0, "concave1")
+        world.gabriel_edges()
+        built = []
+        init = Vec2.__init__
+        monkeypatch.setattr(Vec2, "__init__", lambda v, x, y: built.append(1) or init(v, x, y))
+        out = run_trial(self.config(algo, 4.0, obstacle="concave1", master_seed=13,
+                                    record_path=False), 4.0, 0, world=world)
+        assert out.hops > 0 and built == []
+
+
+class TestTracerHooks:
+    """perfbench/tracing.py wraps these module attributes from outside."""
+
+    def test_hook_attributes_exist(self):
+        assert callable(routing.__dict__["next_hop"])
+        assert baselines.__dict__["next_hop"] is routing.next_hop
+        for attr in ("deploy", "run_trial", "run_sweep", "gric_step", "greedy_step",
+                     "inertia_only_step", "ltp_step", "face_route"):
+            assert callable(harness.__dict__[attr]), attr
+        assert callable(worldgen.World.__dict__["gabriel_edges"])
+        fields = {f.name: f for f in dataclasses.fields(worldgen.World)}
+        assert fields["_gabriel_edges"].default is None
+
+    @pytest.mark.parametrize("algo", [Algorithm.GRIC_PLUS, Algorithm.INERTIA])
+    def test_every_hop_goes_through_the_wrapped_attributes(self, algo, monkeypatch):
+        calls = {"step": 0, "next_hop": 0}
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        step = "gric_step" if algo is Algorithm.GRIC_PLUS else "inertia_only_step"
+        module = routing if algo is Algorithm.GRIC_PLUS else baselines
+        monkeypatch.setattr(harness, step, counted(getattr(harness, step), "step"))
+        monkeypatch.setattr(module, "next_hop", counted(module.next_hop, "next_hop"))
+        cfg = ExperimentConfig(algorithm=algo, densities=(4.0,), master_seed=2)
+        out = run_trial(cfg, 4.0, 0)
+        assert out.hops > 5 and out.cycle_start is None
+        assert calls == {"step": out.hops, "next_hop": out.hops}
+
+
 # Coordinates on a 0.5 lattice around the destination, plus the region's
 # border lines (-5 and 25): drawn worlds are full of coincident nodes,
 # collinear runs, nodes exactly on the border and isolated nodes.
@@ -446,7 +562,6 @@ def degenerate_worlds(draw):
         obstacle=Obstacle("drawn", tuple(walls)),
         positions=positions,
         edges=edges,
-        out_links=_adjacency(len(points), edges),
     )
 
 
@@ -466,6 +581,7 @@ def test_degenerate_worlds_give_defined_outcomes(world, enforce_oob):
         assert out.succeeded == at_dest, algo
         if algo in KEYED:
             assert trail(out) == trail(plain_trial(cfg, world)), algo
+        assert_same_outcome(out, vec2_routers.trial(cfg, 2.0, 0, world), algo)
 
 
 class TestRunSweep:

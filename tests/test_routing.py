@@ -21,13 +21,13 @@ from gricsim.routing import (
     RoutingParams,
     clamp_turn,
     contour_turn,
-    effective_prev_direction,
     gric_step,
-    inertia_ideal,
     mode_selector,
     next_hop,
+    travel_turn,
     update_flag,
 )
+from vec2_routers import inertia_ideal
 
 N_RANDOM = 100_000
 
@@ -188,20 +188,25 @@ class TestIdealDirections:
 
 
 class TestEffectivePrevDirection:
+    """travel_turn's travel direction and turn."""
+
     def test_source_points_at_destination(self):
         s = MessageState(dest_pos=Vec2(10, 10))
-        v = effective_prev_direction(s, Vec2(2, 2))
-        assert (v.x, v.y) == (8.0, 8.0)
+        assert travel_turn(s, 2.0, 2.0) == (8.0, 8.0, 0.0)
 
     def test_in_flight_uses_last_hop(self):
-        s = MessageState(dest_pos=Vec2(10, 10), prev_pos=Vec2(1, 0))
-        v = effective_prev_direction(s, Vec2(2, 0))
-        assert (v.x, v.y) == (1.0, 0.0)
+        s = MessageState(dest_pos=Vec2(10, 10), prev_pos=(1.0, 0.0))
+        vx, vy, alpha = travel_turn(s, 2.0, 0.0)
+        assert (vx, vy) == (1.0, 0.0)
+        assert alpha == Angle(math.atan2(10.0, 8.0)).radians
 
     def test_degenerate_raises(self):
         s = MessageState(dest_pos=Vec2(5, 5))
         with pytest.raises(ZeroVector):
-            effective_prev_direction(s, Vec2(5, 5))
+            travel_turn(s, 5.0, 5.0)
+        # A hop between coincident nodes leaves no travel direction.
+        with pytest.raises(ZeroVector):
+            travel_turn(replace(s, prev_pos=(1.0, 1.0)), 1.0, 1.0)
 
 
 class TestNextHop:
@@ -209,25 +214,25 @@ class TestNextHop:
         w = make_world(
             [(0, 0), (1, 0), (0, 1), (-1, 0)], [(0, 1), (0, 2), (0, 3)]
         )
-        got = next_hop(w, 0, Vec2(0.9, 0.1), RoutingParams())
+        got = next_hop(w, 0, 0.9, 0.1, RoutingParams())
         assert got == 1
 
     def test_tie_breaks_to_smallest_id(self):
         # Both neighbors project to zero on the ideal direction.
         w = make_world([(0, 0), (1, 0), (-1, 0)], [(0, 1), (0, 2)])
-        got = next_hop(w, 0, Vec2(0, 1), RoutingParams())
+        got = next_hop(w, 0, 0, 1, RoutingParams())
         assert got == 1
 
     def test_accepts_backward_progress(self):
         # The best neighbor may still point away from the ideal direction.
         w = make_world([(0, 0), (-1, 0.2), (-1, -0.2)], [(0, 1), (0, 2)])
-        got = next_hop(w, 0, Vec2(1, 0.01), RoutingParams())
+        got = next_hop(w, 0, 1, 0.01, RoutingParams())
         assert got in (1, 2)
 
     def test_isolated_node_is_stuck(self):
         w = make_world([(0, 0), (5, 5)], np.empty((0, 2), dtype=np.int64))
         with pytest.raises(Stuck):
-            next_hop(w, 0, Vec2(1, 0), RoutingParams())
+            next_hop(w, 0, 1, 0, RoutingParams())
 
     def test_thinning_falls_back_to_full_set(self):
         # With epsilon near one the thinning usually empties the set; the
@@ -236,7 +241,7 @@ class TestNextHop:
         params = RoutingParams(epsilon=0.999999)
         rng = np.random.default_rng(25)
         for _ in range(1000):
-            assert next_hop(w, 0, Vec2(1, 0), params, rng) in (1, 2)
+            assert next_hop(w, 0, 1, 0, params, rng) in (1, 2)
 
     def test_thinning_can_divert(self):
         # With a fair epsilon the second-best neighbor gets picked
@@ -244,18 +249,18 @@ class TestNextHop:
         w = make_world([(0, 0), (1, 0), (0.9, 0.3)], [(0, 1), (0, 2)])
         params = RoutingParams(epsilon=0.4)
         rng = np.random.default_rng(26)
-        picks = {next_hop(w, 0, Vec2(1, 0), params, rng) for _ in range(500)}
+        picks = {next_hop(w, 0, 1, 0, params, rng) for _ in range(500)}
         assert picks == {1, 2}
         # Without an rng (gric-) nothing is thinned, whatever epsilon says.
-        assert {next_hop(w, 0, Vec2(1, 0), params) for _ in range(50)} == {1}
+        assert {next_hop(w, 0, 1, 0, params) for _ in range(50)} == {1}
 
     def test_epsilon_zero_is_deterministic(self):
         w = make_world([(0, 0), (1, 0), (0.9, 0.3)], [(0, 1), (0, 2)])
         params = RoutingParams(epsilon=0.0)
         rng = np.random.default_rng(27)
-        base = next_hop(w, 0, Vec2(1, 0), RoutingParams())
+        base = next_hop(w, 0, 1, 0, RoutingParams())
         for _ in range(100):
-            assert next_hop(w, 0, Vec2(1, 0), params, rng) == base
+            assert next_hop(w, 0, 1, 0, params, rng) == base
 
 
 class TestGricStep:
@@ -264,11 +269,10 @@ class TestGricStep:
         # advances prev_pos.
         w = make_world([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2)])
         state = MessageState(dest_pos=Vec2(2, 0))
-        nxt, s1 = gric_step(w, 0, state, RoutingParams())
+        nxt = gric_step(w, 0, state, RoutingParams())
         assert nxt == 1
-        assert s1.prev_pos == Vec2(0, 0)
-        # The input state is left alone.
-        assert state.prev_pos is None
+        # The step advances the state it is given.
+        assert state.prev_pos == (0.0, 0.0)
 
     def test_straight_corridor_walks_to_destination(self):
         pts = [(float(i), 0.0) for i in range(6)]
@@ -276,13 +280,13 @@ class TestGricStep:
         state = MessageState(dest_pos=Vec2(5, 0))
         node = 0
         for want in (1, 2, 3, 4, 5):
-            node, state = gric_step(w, node, state, RoutingParams())
+            node = gric_step(w, node, state, RoutingParams())
             assert node == want
-        assert state.prev_pos == Vec2(4, 0)
+        assert state.prev_pos == (4.0, 0.0)
 
     def test_at_destination_raises(self):
         w = make_world([(0, 0), (1, 0)], [(0, 1)])
-        state = MessageState(dest_pos=Vec2(0, 0), prev_pos=Vec2(-1, 0))
+        state = MessageState(dest_pos=Vec2(0, 0), prev_pos=(-1.0, 0.0))
         with pytest.raises(ZeroVector):
             gric_step(w, 0, state, RoutingParams())
 
@@ -290,16 +294,16 @@ class TestGricStep:
         # Travelling east with the destination behind and to the left:
         # alpha sits in [pi/2, pi), which reads SE and hoists the east flag.
         w = make_world([(0, 0), (1, 0), (1, -1)], [(0, 1), (0, 2), (1, 2)])
-        state = MessageState(dest_pos=Vec2(-3.0, 0.5), prev_pos=Vec2(-1, 0))
-        _, s1 = gric_step(w, 0, state, RoutingParams())
-        assert s1.flag is Flag.UP_E
+        state = MessageState(dest_pos=Vec2(-3.0, 0.5), prev_pos=(-1.0, 0.0))
+        gric_step(w, 0, state, RoutingParams())
+        assert state.flag is Flag.UP_E
 
     def test_flag_rises_behind_right(self):
         # Destination behind and to the right reads SW: west flag.
         w = make_world([(0, 0), (1, 0), (1, -1)], [(0, 1), (0, 2), (1, 2)])
-        state = MessageState(dest_pos=Vec2(-3.0, -0.5), prev_pos=Vec2(-1, 0))
-        _, s1 = gric_step(w, 0, state, RoutingParams())
-        assert s1.flag is Flag.UP_W
+        state = MessageState(dest_pos=Vec2(-3.0, -0.5), prev_pos=(-1.0, 0.0))
+        gric_step(w, 0, state, RoutingParams())
+        assert state.flag is Flag.UP_W
 
     def test_beta_one_matches_projection_on_destination(self):
         # With the full turn allowed both modes aim at the destination,
@@ -314,9 +318,9 @@ class TestGricStep:
             prev = Vec2(float(rng.uniform(-4, 0)), float(rng.uniform(0, 4)))
             if (w.pos(0) - prev).is_zero() or (dest - w.pos(0)).is_zero():
                 continue
-            state = MessageState(dest_pos=dest, prev_pos=prev)
+            state = MessageState(dest_pos=dest, prev_pos=(prev.x, prev.y))
             for flag in (Flag.DOWN, Flag.UP_E, Flag.UP_W):
-                got, _ = gric_step(w, 0, replace(state, flag=flag), params)
+                got = gric_step(w, 0, replace(state, flag=flag), params)
                 v = dest - w.pos(0)
                 proj = [
                     (w.pos(j) - w.pos(0)).dot(v) for j in range(1, 8)
@@ -339,9 +343,9 @@ class TestGricStep:
             if prev.is_zero() or dest.is_zero():
                 continue
             flag = rng.choice(list(Flag))
-            state = MessageState(dest_pos=dest, prev_pos=prev, flag=flag)
-            _, s1 = gric_step(w, 0, state, params)
-            assert s1.flag is update_flag(
+            state = MessageState(dest_pos=dest, prev_pos=(prev.x, prev.y), flag=flag)
+            gric_step(w, 0, state, params)
+            assert state.flag is update_flag(
                 flag, compass_of(Angle((dest - w.pos(0)).heading()
                                        - (w.pos(0) - prev).heading()))
             )

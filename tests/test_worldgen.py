@@ -9,7 +9,13 @@ from scipy.spatial import cKDTree
 
 from conftest import make_world
 from gricsim import worldgen
-from gricsim.geometry import Segment, Vec2, segments_properly_intersect
+from gricsim.geometry import (
+    Segment,
+    Vec2,
+    orient,
+    segments_cross_interior,
+    segments_properly_intersect,
+)
 from gricsim.harness import build_trial_world
 from gricsim.worldgen import (
     COMM_RADIUS,
@@ -113,7 +119,8 @@ def unpruned_wire(positions, walls):
 
 
 def lexsort_adjacency(n, edges):
-    """Reference for _adjacency: lexsort of both directions of each link."""
+    """Reference for _adjacency: lexsort of both directions of each link,
+    as one neighbour array per node."""
     if len(edges) == 0:
         return [np.empty(0, dtype=np.int64) for _ in range(n)]
     both = np.concatenate([edges, edges[:, ::-1]])
@@ -125,14 +132,67 @@ def lexsort_adjacency(n, edges):
 
 def scalar_interior_mean_degree(world):
     """Reference for interior_mean_degree: one Vec2 per node."""
+    links = lexsort_adjacency(world.n, world.edges)
     degrees = [
-        len(world.out_links[i])
+        len(links[i])
         for i in range(world.n)
         if world.region.border_distance(world.pos(i)) >= COMM_RADIUS
     ]
     if not degrees:
         return float("nan")
     return float(np.mean(degrees))
+
+
+def loop_planarity_violation(positions, edges):
+    """Reference for find_planarity_violation: the unit-cell bucket loop
+    over edge pairs. Returns the first crossing pair it meets."""
+    m = len(edges)
+    if m < 2:
+        return None
+    cells = {}
+    for k in range(m):
+        pa = positions[edges[k, 0]]
+        pb = positions[edges[k, 1]]
+        for cx in range(math.floor(min(pa[0], pb[0])), math.floor(max(pa[0], pb[0])) + 1):
+            for cy in range(math.floor(min(pa[1], pb[1])), math.floor(max(pa[1], pb[1])) + 1):
+                cells.setdefault((cx, cy), []).append(k)
+    checked = set()
+    for bucket in cells.values():
+        for i in range(len(bucket)):
+            for j in range(i + 1, len(bucket)):
+                e1, e2 = bucket[i], bucket[j]
+                key = (e1, e2) if e1 < e2 else (e2, e1)
+                if key in checked:
+                    continue
+                checked.add(key)
+                a, b = edges[e1]
+                c, d = edges[e2]
+                if a == c or a == d or b == c or b == d:
+                    continue
+                if segments_cross_interior(*(Vec2(*positions[v]) for v in (a, b, c, d))):
+                    return key
+    return None
+
+
+def collinear(positions, edges, pair):
+    """Whether the two edges of a pair lie on one line."""
+    a, b = (Vec2(*positions[v]) for v in edges[pair[0]])
+    c, d = (Vec2(*positions[v]) for v in edges[pair[1]])
+    return orient(a, b, c) == orient(a, b, d) == 0
+
+
+def crossing_pairs(positions, edges):
+    """Every crossing pair (e1, e2), e1 < e2, by comparing all pairs."""
+    out = []
+    for e1 in range(len(edges)):
+        for e2 in range(e1 + 1, len(edges)):
+            a, b = edges[e1]
+            c, d = edges[e2]
+            if len({a, b, c, d}) == 4 and segments_cross_interior(
+                *(Vec2(*positions[v]) for v in (a, b, c, d))
+            ):
+                out.append((e1, e2))
+    return out
 
 
 def assert_same_array(got, want):
@@ -259,11 +319,16 @@ class TestDeploy:
 
     def test_out_links_mirror_edges(self):
         w = deploy(2.0, SMALL, make_obstacle("none"), 10)
-        degree_sum = sum(len(nbrs) for nbrs in w.out_links)
-        assert degree_sum == 2 * len(w.edges)
+        assert w.indptr[0] == 0
+        assert np.all(np.diff(w.indptr) >= 0)
+        assert w.indptr[-1] == len(w.indices) == 2 * len(w.edges)
+
+        def nbrs(i):
+            return w.indices[w.indptr[i]:w.indptr[i + 1]]
+
         for u, v in w.edges[:200]:
-            assert int(v) in w.out_links[int(u)]
-            assert int(u) in w.out_links[int(v)]
+            assert int(v) in nbrs(int(u))
+            assert int(u) in nbrs(int(v))
 
 
 class TestVectorizedBlocking:
@@ -327,8 +392,8 @@ class TestGabriel:
         # when there are no walls: any removed edge has a two-hop detour.
         for seed in range(3):
             w = deploy(4.0, SMALL, make_obstacle("none"), 200 + seed)
-            if is_connected(w.n, w.out_links):
-                assert is_connected(w.n, w.gabriel_links)
+            if is_connected(w.n, (w.indptr, w.indices)):
+                assert is_connected(w.n, w.gabriel_csr)
 
 
 class TestPlanarityCheck:
@@ -350,6 +415,66 @@ class TestPlanarityCheck:
         )
         edges = np.array([[0, 1], [2, 3]], dtype=np.int64)
         assert find_planarity_violation(positions, edges) is None
+
+    def test_matches_the_bucket_loop_on_random_edge_sets(self):
+        # Nodes on a quarter lattice, so edges share endpoints, run
+        # collinear and overlap, next to generic ones.
+        rng = np.random.default_rng(41)
+        found = overlaps = 0
+        for case in range(60):
+            n = int(rng.integers(2, 30))
+            if case % 2 == 0:
+                positions = rng.integers(0, 9, (n, 2)) * 0.25
+            else:
+                positions = rng.uniform(0.0, 2.5, (n, 2))
+            u, v = np.triu_indices(n, 1)
+            d = np.hypot(*(positions[u] - positions[v]).T)
+            ok = (d <= 1.0) & (d > 0.0)
+            pick = rng.random(ok.sum()) < 0.4
+            edges = np.column_stack([u[ok][pick], v[ok][pick]]).astype(np.int64)
+            edges = edges[rng.permutation(len(edges))]
+            got = find_planarity_violation(positions, edges)
+            old = loop_planarity_violation(positions, edges)
+            every = crossing_pairs(positions, edges)
+            assert (got is None) == (old is None) == (not every), case
+            if every:
+                found += 1
+                assert old in every
+                assert got == min(every), case
+                overlaps += any(collinear(positions, edges, pair) for pair in every)
+        assert found >= 20 and overlaps >= 1, (found, overlaps)
+
+    def test_collinear_overlap_and_touching_tips(self):
+        positions = np.array(
+            [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [1.5, 0.0], [2.5, 0.0], [1.0, 0.0]]
+        )
+        # 0-1 and 2-3 overlap on [0.5, 1]. 5-3 and 3-4 share node 3, and
+        # 0-1 and 5-3 only touch tips at x = 1, on two distinct nodes.
+        edges = np.array([[3, 4], [0, 1], [2, 3], [5, 3]], dtype=np.int64)
+        assert find_planarity_violation(positions, edges) == (1, 2)
+        assert find_planarity_violation(positions, edges[[0, 1, 3]]) is None
+        # The smallest pair wins, wherever the cells put it.
+        positions = np.array(
+            [[0.2, 0.2], [0.8, 0.8], [0.2, 0.8], [0.8, 0.2],
+             [3.2, 3.2], [3.8, 3.8], [3.2, 3.8], [3.8, 3.2]]
+        )
+        edges = np.array([[4, 5], [0, 1], [6, 7], [2, 3]], dtype=np.int64)
+        assert find_planarity_violation(positions, edges) == (0, 2)
+
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_matches_the_bucket_loop_on_worlds(self, obstacle):
+        w = build_trial_world(3, 3.0, 0, obstacle)
+        assert find_planarity_violation(w.positions, w.gabriel_edges()) is None
+        assert loop_planarity_violation(w.positions, w.gabriel_edges()) is None
+        # The unit-disk graph itself crosses.
+        got = find_planarity_violation(w.positions, w.edges)
+        old = loop_planarity_violation(w.positions, w.edges)
+        assert got is not None and old is not None
+        assert got <= old
+        a, b = w.edges[got[0]]
+        c, d = w.edges[got[1]]
+        assert len({a, b, c, d}) == 4
+        assert segments_cross_interior(*(w.pos(int(v)) for v in (a, b, c, d)))
 
 
 class TestConnectivity:
@@ -624,26 +749,28 @@ class TestOneSortAdjacency:
         for n, m in [(1, 0), (5, 3), (50, 200), (400, 3000)]:
             pairs = rng.integers(0, n, size=(m, 2))
             edges = pairs[pairs[:, 0] != pairs[:, 1]].astype(np.int64)
-            got = _adjacency(n, edges)
+            indptr, indices = _adjacency(n, edges)
             want = lexsort_adjacency(n, edges)
-            assert len(got) == n
-            for a, b in zip(got, want):
-                assert_same_array(a, b)
+            assert len(indptr) == n + 1
+            assert indptr.dtype == indices.dtype == np.int64
+            for i, b in enumerate(want):
+                assert_same_array(indices[indptr[i]:indptr[i + 1]], b)
 
     def test_matches_lexsort_on_worlds(self):
         for obstacle in OBSTACLE_NAMES:
             w = build_trial_world(5, 3.0, 1, obstacle)
-            for a, b in zip(w.out_links, lexsort_adjacency(w.n, w.edges)):
-                assert_same_array(a, b)
-            g = w.gabriel_edges()
-            for a, b in zip(w.gabriel_links, lexsort_adjacency(w.n, g)):
-                assert_same_array(a, b)
+            for (indptr, indices), edges in (
+                ((w.indptr, w.indices), w.edges),
+                (w.gabriel_csr, w.gabriel_edges()),
+            ):
+                for i, b in enumerate(lexsort_adjacency(w.n, edges)):
+                    assert_same_array(indices[indptr[i]:indptr[i + 1]], b)
 
 
-# sha256 of edges.tobytes(), of every out_links array concatenated and of
-# gabriel_edges().tobytes() for trial 0 of master seed 11, recorded with
-# the per-edge Python Gabriel loop, full-list wall pruning and the lexsort
-# adjacency. A change here means some world's link set, neighbour arrays
+# sha256 of edges.tobytes(), of every out_links array concatenated (the
+# bytes of the CSR indices array) and of gabriel_edges().tobytes() for
+# trial 0 of master seed 11, recorded with the per-edge Python Gabriel
+# loop, full-list wall pruning and the lexsort adjacency. A change here means some world's link set, neighbour arrays
 # or Gabriel subgraph moved by at least one byte.
 PINNED_WORLDS = {
     ("none", 4.0): (
@@ -709,10 +836,10 @@ class TestPinnedWorlds:
         for density in (4.0, 8.0):
             w = build_trial_world(11, density, 0, obstacle)
             assert w.edges.dtype == np.int64
-            assert all(links.dtype == np.int64 for links in w.out_links)
+            assert w.indices.dtype == np.int64
             got = (
                 _sha(w.edges),
-                _sha(np.concatenate(w.out_links)),
+                _sha(w.indices),
                 _sha(w.gabriel_edges()),
             )
             assert got == PINNED_WORLDS[(obstacle, density)], (obstacle, density)
