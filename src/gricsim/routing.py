@@ -30,9 +30,13 @@ from .worldgen import World
 
 
 class Flag(IntEnum):
+    """The message's flag; its int value indexes the routing tables."""
+
     DOWN = 0
     UP_E = 1
     UP_W = 2
+
+    __str__ = Enum.__str__  # prints as Flag.DOWN, as before it was an int
 
 
 class Mode(Enum):

@@ -39,8 +39,11 @@ from gricsim.worldgen import (
     COMM_RADIUS,
     OBSTACLE_NAMES,
     Obstacle,
+    Region,
     World,
     _wire,
+    deploy,
+    make_obstacle,
 )
 
 
@@ -461,6 +464,25 @@ class TestFloatRouters:
         for rng in (None, np.random.default_rng(3)):
             state = MessageState(dest_pos=DEST_POINT)
             assert gric_step(world, 0, state, RoutingParams(epsilon=1e-9), rng) == 1
+
+    def test_face_on_sparse_worlds(self):
+        # Sparse worlds where the destination is often cut off, so face
+        # walks restart their face and end stuck after a whole loop.
+        region = Region(0.0, 10.0, 0.0, 10.0)
+        dest = Vec2(9.5, 5.0)
+        for k in range(40):
+            density = 0.8 + 2.0 * (k % 20) / 19.0
+            world = deploy(density, region, make_obstacle("none"), 50_000 + k)
+            d = np.hypot(world.positions[:, 0] - 0.5, world.positions[:, 1] - 5.0)
+            source = int(np.argmin(d))
+            got = baselines.face_route(
+                world, source, dest, ttl=10**9, enforce_oob=False, record_path=True
+            )
+            want = vec2_routers.walk(
+                world, source, dest, vec2_routers.face_step(world, source, dest),
+                3 * len(world.gabriel_edges()), enforce_oob=False, record_path=True,
+            )
+            assert_same_outcome(got, want, k)
 
     def test_steps_at_the_destination_raise_like_the_vec2_steps(self):
         world = make_world([(20.0, 10.0), (20.5, 10.0)], [(0, 1)], region=STANDARD_REGION)
