@@ -41,8 +41,8 @@ def greedy_step(world: World, current: int, dest_pos: Vec2) -> int:
         raise Stuck(f"node {current} has no out-links")
     x, y = world.coords[current]
     d_cur = math.hypot(x - dest_pos.x, y - dest_pos.y)
-    # np.hypot and math.hypot differ in the last bit on some inputs; the
-    # neighbours' distances have always come from np.hypot.
+    # np.hypot and math.hypot differ in the last bit on some inputs, and
+    # the pinned outcomes were recorded with np.hypot for the neighbours.
     offs = world.positions[nbrs]
     dists = np.hypot(offs[:, 0] - dest_pos.x, offs[:, 1] - dest_pos.y)
     closer = dists < d_cur

@@ -321,7 +321,7 @@ def _wire(positions: np.ndarray, walls: tuple[Segment, ...]) -> np.ndarray:
     """
     n = len(positions)
     pairs = cKDTree(positions).query_pairs(COMM_RADIUS, output_type="ndarray")
-    key = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
+    key = pairs[:, 0] * n + pairs[:, 1]
     x, y = positions[:, 0], positions[:, 1]
     reach = COMM_RADIUS + 1e-6
     keep = np.ones(len(pairs), dtype=bool)
