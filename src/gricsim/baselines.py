@@ -36,8 +36,8 @@ def greedy_step(world: World, current: int, dest_pos: Vec2) -> int:
     none, the node is a local minimum and the router gives up. Ties on
     distance go to the smallest node id.
     """
-    nbrs = world.indices[world.indptr[current]:world.indptr[current + 1]]
-    if len(nbrs) == 0:
+    nbrs = world.neighbors(current)
+    if not nbrs:
         raise Stuck(f"node {current} has no out-links")
     x, y = world.coords[current]
     d_cur = math.hypot(x - dest_pos.x, y - dest_pos.y)
@@ -45,11 +45,10 @@ def greedy_step(world: World, current: int, dest_pos: Vec2) -> int:
     # the pinned outcomes were recorded with np.hypot for the neighbours.
     offs = world.positions[nbrs]
     dists = np.hypot(offs[:, 0] - dest_pos.x, offs[:, 1] - dest_pos.y)
-    closer = dists < d_cur
-    if not closer.any():
+    closer = np.flatnonzero(dists < d_cur)
+    if len(closer) == 0:
         raise Stuck(f"node {current} is a local minimum")
-    cand = nbrs[closer]
-    return int(cand[int(np.argmin(dists[closer]))])
+    return nbrs[closer[np.argmin(dists[closer])]]
 
 
 def inertia_only_step(
@@ -113,16 +112,16 @@ def ltp_step(
     """
     if not state.stack or state.stack[-1] != current:
         raise ValueError("stack top must be the current node")
-    nbrs = world.indices[world.indptr[current]:world.indptr[current + 1]]
+    nbrs = world.neighbors(current)
     x, y = world.coords[current]
     d_cur = math.hypot(x - dest_pos.x, y - dest_pos.y)
     tried = state.tried[-1]
     candidates: list[int] = []
-    if len(nbrs) > 0:
+    if nbrs:
         pts = world.positions[nbrs]
         dists = np.hypot(pts[:, 0] - dest_pos.x, pts[:, 1] - dest_pos.y)
         candidates = [
-            int(v) for v, dv in zip(nbrs, dists) if dv < d_cur and int(v) not in tried
+            v for v, dv in zip(nbrs, dists.tolist()) if dv < d_cur and v not in tried
         ]
     if candidates:
         choice = candidates[int(rng.integers(len(candidates)))]

@@ -70,7 +70,7 @@ def parse_densities(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad densities {text!r}: ranges look like start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _finite_floats(text, parts)
         if step <= 0:
             raise ValueError(f"bad densities {text!r}: range step must be positive")
         if stop < start:
@@ -78,8 +78,16 @@ def parse_densities(text: str) -> tuple[float, ...]:
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(start + i * step for i in range(count))
     if "," in text:
-        return tuple(float(p) for p in text.split(",") if p.strip())
-    return (float(text),)
+        return _finite_floats(text, [p for p in text.split(",") if p.strip()])
+    return _finite_floats(text, [text])
+
+
+def _finite_floats(text: str, parts: list[str]) -> tuple[float, ...]:
+    """The parts of the densities text as floats; nan and inf are errors."""
+    values = tuple(float(p) for p in parts)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"bad densities {text!r}: values must be finite")
+    return values
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -350,8 +358,8 @@ def cmd_graphcheck(ns: argparse.Namespace) -> int:
     obstacle = _check_obstacle(_resolve(ns, "obstacle", str, "none"))
     seed = _resolve_seed(ns)
     dump_path = _resolve(ns, "dump", str, None)
-    if density < 0:
-        raise UsageError("density must be nonnegative")
+    if not (math.isfinite(density) and density >= 0):
+        raise UsageError("density must be finite and nonnegative")
 
     world = build_trial_world(seed, density, 0, obstacle)
     degrees_sum = int(world.indptr[-1])
@@ -359,7 +367,7 @@ def cmd_graphcheck(ns: argparse.Namespace) -> int:
     interior = interior_mean_degree(world)
     gabriel = world.gabriel_edges()
     violation = find_planarity_violation(world.positions, gabriel)
-    connected = is_connected(world.n, (world.indptr, world.indices))
+    connected = is_connected(world.n, world.csr)
 
     print(f"nodes: {world.n}")
     print(f"links: {len(world.edges)}")

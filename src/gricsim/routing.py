@@ -169,7 +169,7 @@ def next_hop(
     1 - epsilon, and falls back to the full set when the thinning empties
     it. Ties on the scalar product go to the smallest node id.
     """
-    nbrs = world.indices[world.indptr[current]:world.indptr[current + 1]].tolist()
+    nbrs = world.neighbors(current)
     if not nbrs:
         raise Stuck(f"node {current} has no out-links")
     if rng is not None and params.epsilon > 0.0:

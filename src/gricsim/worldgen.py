@@ -9,6 +9,7 @@ touch a wall segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,18 @@ GABRIEL_EPS = 1e-12
 _GABRIEL_TIE = 1e-9
 
 COMM_RADIUS = 1.0
+
+# Slack on the radio range for kd-tree pair searches and near-wall boxes,
+# far above rounding and far below any distance that matters.
+_REACH = COMM_RADIUS + 1e-6
+
+# Edge pairs find_planarity_violation tests at a time: a few tens of MB.
+_PAIR_CHUNK = 1 << 18
+
+# Grid cell indices are floor(coordinate * _CELL_SCALE): cells a hair
+# wider than the radio range, so that no rounding in a coordinate
+# difference puts two linked nodes more than one cell apart.
+_CELL_SCALE = 1.0 - 2.0**-20
 
 
 class UnknownObstacle(ValueError):
@@ -193,30 +206,158 @@ def _adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-@dataclass
+def _in_range(dx, dy):
+    """The unit-disk rule on coordinate differences, for floats or arrays.
+
+    Every link, whether wired for the whole world or for one node, is
+    decided by this one expression, so the two can never disagree.
+    """
+    return dx * dx + dy * dy <= COMM_RADIUS * COMM_RADIUS
+
+
+def _pairs(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v), u < v, of every pair within _REACH, and the mask of those
+    that _in_range links.
+
+    The kd-tree searches the wider _REACH so that its own rounding cannot
+    drop a pair the rule accepts.
+    """
+    pairs = cKDTree(positions).query_pairs(_REACH, output_type="ndarray")
+    x, y = positions[:, 0], positions[:, 1]
+    u, v = pairs[:, 0], pairs[:, 1]
+    return pairs, _in_range(x[u] - x[v], y[u] - y[v])
+
+
+def _near(positions: np.ndarray, wall: Segment) -> np.ndarray:
+    """Mask of the nodes in the wall's bounding box grown by _REACH.
+
+    Both endpoints of a link that touches the wall lie in it.
+    """
+    x, y = positions[:, 0], positions[:, 1]
+    return (
+        (x >= min(wall.a.x, wall.b.x) - _REACH)
+        & (x <= max(wall.a.x, wall.b.x) + _REACH)
+        & (y >= min(wall.a.y, wall.b.y) - _REACH)
+        & (y <= max(wall.a.y, wall.b.y) + _REACH)
+    )
+
+
+def _blocked(
+    positions: np.ndarray, pairs: np.ndarray, walls: tuple[Segment, ...]
+) -> np.ndarray:
+    """Mask of the pairs (u, v) whose segment touches a wall.
+
+    Only the pairs whose u lies near a wall get that wall's exact test.
+    """
+    blocked = np.zeros(len(pairs), dtype=bool)
+    for wall in walls:
+        tested = np.flatnonzero(_near(positions, wall)[pairs[:, 0]] & ~blocked)
+        blocked[tested] = _links_blocked_by_wall(
+            positions[pairs[tested, 0]], positions[pairs[tested, 1]], wall.a, wall.b
+        )
+    return blocked
+
+
+class _LocalLinks:
+    """What wiring one node on demand needs: the nodes bucketed by grid
+    cell, and the wall-blocked partners of each node.
+
+    Cells are a hair wider than the radio range (_CELL_SCALE) and a
+    margin of empty cells surrounds the occupied ones, so a node's linked
+    nodes all lie in its own cell and the eight around it, and those nine
+    cells always exist. Cell c = column * rows + row, so each column's
+    three cells are one run of the sorted order.
+    """
+
+    def __init__(self, positions: np.ndarray, walls: tuple[Segment, ...]) -> None:
+        self.positions = positions
+        cells = np.floor(positions * _CELL_SCALE).astype(np.int64)
+        cells -= cells.min(axis=0) - 1
+        cols, self.rows = (cells.max(axis=0) + 2).tolist()
+        cell = cells[:, 0] * self.rows + cells[:, 1]
+        self.order = np.argsort(cell, kind="stable")
+        starts = np.zeros(cols * self.rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell, minlength=cols * self.rows), out=starts[1:])
+        self.starts = starts.tolist()
+        self.cell = cell.tolist()
+        # A blocked link joins two nodes near a wall, so one pass over the
+        # pairs of near-wall nodes finds them all.
+        near = np.zeros(len(positions), dtype=bool)
+        for wall in walls:
+            near |= _near(positions, wall)
+        ids = np.flatnonzero(near)
+        pairs, linked = _pairs(positions[ids])
+        pairs = ids[pairs]
+        self.blocked: dict[int, set[int]] = {}
+        for u, v in pairs[linked & _blocked(positions, pairs, walls)].tolist():
+            self.blocked.setdefault(u, set()).add(v)
+            self.blocked.setdefault(v, set()).add(u)
+
+    def links(self, node: int) -> list[int]:
+        """The nodes linked to node, ascending by id."""
+        c, r, s, order = self.cell[node], self.rows, self.starts, self.order
+        near = np.concatenate(
+            [
+                order[s[c - r - 1]:s[c - r + 2]],
+                order[s[c - 1]:s[c + 2]],
+                order[s[c + r - 1]:s[c + r + 2]],
+            ]
+        )
+        d = self.positions[near] - self.positions[node]
+        near = near[_in_range(d[:, 0], d[:, 1])]
+        near.sort()
+        out = near.tolist()
+        out.remove(node)
+        blocked = self.blocked.get(node)
+        return [v for v in out if v not in blocked] if blocked else out
+
+
+@dataclass(init=False)
 class World:
     """One deployed network: node positions plus usable links.
 
-    The links are held once, in CSR form built from edges: the neighbours
-    of node i are indices[indptr[i]:indptr[i + 1]], sorted by id, and the
-    relation is symmetric by construction. coords holds the positions as
-    Python floats for the per-hop router loops. The Gabriel subgraph is
-    computed on first use, since only face routing ever needs it.
+    A world made by deploy wires its links on demand. The first
+    neighbors(i) call gathers the nodes in i's grid cell and the eight
+    around it, keeps those the unit-disk rule links to i, drops i's
+    wall-blocked partners and caches the result; a router that visits a
+    few hundred nodes of thousands wires only those. The whole-graph
+    views are built on first use by the batch code: edges (_wire), the
+    CSR arrays indptr and indices (_adjacency), where the neighbours of
+    node i are indices[indptr[i]:indptr[i + 1]], and the Gabriel
+    subgraph, which only face routing needs. A world built from an
+    explicit edge list, and a deployed world once its edges exist, serve
+    neighbors from CSR slices; both ways give the same ascending-id lists.
+    coords holds the positions as Python floats for the per-hop router
+    loops.
     """
 
     region: Region
     obstacle: Obstacle
     positions: np.ndarray
-    edges: np.ndarray
-    indptr: np.ndarray = field(init=False, repr=False)
-    indices: np.ndarray = field(init=False, repr=False)
-    coords: list[list[float]] = field(init=False, repr=False)
+    coords: list[list[float]] = field(repr=False)
+    _edges: np.ndarray | None = field(default=None, repr=False)
+    _csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _gabriel_edges: np.ndarray | None = field(default=None, repr=False)
     _gabriel_csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _local: _LocalLinks | None = field(default=None, repr=False)
+    _neighbors: list[list[int] | None] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        self.indptr, self.indices = _adjacency(len(self.positions), self.edges)
-        self.coords = self.positions.tolist()
+    def __init__(
+        self,
+        region: Region,
+        obstacle: Obstacle,
+        positions: np.ndarray,
+        edges: np.ndarray | None = None,
+    ) -> None:
+        """edges, (u, v) rows, fixes the links; without it the world is
+        wired by the deployment rule: distance <= 1, touching no wall."""
+        self.region = region
+        self.obstacle = obstacle
+        self.positions = positions
+        self.coords = positions.tolist()
+        self._edges = edges
+        self._csr = self._gabriel_edges = self._gabriel_csr = self._local = None
+        self._neighbors = [None] * len(positions)
 
     @property
     def n(self) -> int:
@@ -224,6 +365,45 @@ class World:
 
     def pos(self, node: int) -> Vec2:
         return Vec2(*self.coords[node])
+
+    def neighbors(self, node: int) -> list[int]:
+        """The nodes linked to node, ascending by id.
+
+        The list is cached and handed to every caller: do not change it.
+        """
+        nbrs = self._neighbors[node]
+        if nbrs is None:
+            if self._edges is None:
+                if self._local is None:
+                    self._local = _LocalLinks(self.positions, self.obstacle.walls)
+                nbrs = self._local.links(node)
+            else:
+                indptr, indices = self.csr
+                nbrs = indices[indptr[node]:indptr[node + 1]].tolist()
+            self._neighbors[node] = nbrs
+        return nbrs
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Every link once, as sorted (u, v) rows with u < v."""
+        if self._edges is None:
+            self._edges = _wire(self.positions, self.obstacle.walls)
+        return self._edges
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the whole graph."""
+        if self._csr is None:
+            self._csr = _adjacency(self.n, self.edges)
+        return self._csr
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.csr[1]
 
     def gabriel_edges(self) -> np.ndarray:
         if self._gabriel_edges is None:
@@ -289,14 +469,15 @@ def deploy(
     obstacle: Obstacle,
     rng_seed,
 ) -> World:
-    """Drop round(density * area) nodes uniformly and wire them up.
+    """Drop round(density * area) nodes uniformly into region.
 
     rng_seed may be an integer, a numpy SeedSequence, or a prepared
     Generator; identical seeds give byte-identical worlds. Links join
-    every pair at distance <= 1 whose segment touches no wall.
+    every pair at distance <= 1 whose segment touches no wall; the world
+    wires them on demand.
     """
-    if density < 0:
-        raise ValueError(f"density must be nonnegative, got {density}")
+    if not (math.isfinite(density) and density >= 0):
+        raise ValueError(f"density must be finite and nonnegative, got {density}")
     if isinstance(rng_seed, np.random.Generator):
         rng = rng_seed
     else:
@@ -307,38 +488,17 @@ def deploy(
         high=(region.x_max, region.y_max),
         size=(n, 2),
     )
-    return World(region, obstacle, positions, _wire(positions, obstacle.walls))
+    return World(region, obstacle, positions)
 
 
 def _wire(positions: np.ndarray, walls: tuple[Segment, ...]) -> np.ndarray:
-    """Sorted (u, v), u < v, of every pair at distance <= 1 touching no wall.
-
-    A link of length <= 1 that touches a wall has its lower-id endpoint
-    within 1 of the wall, so only links whose lower-id endpoint lies in
-    the wall's bounding box grown by a little over 1 get the exact test.
-    Each wall clears the links it blocks from one keep mask, which is
-    applied once at the end.
-    """
+    """Sorted (u, v), u < v, of every pair at distance <= 1 touching no wall."""
     n = len(positions)
-    pairs = cKDTree(positions).query_pairs(COMM_RADIUS, output_type="ndarray")
-    key = pairs[:, 0] * n + pairs[:, 1]
-    x, y = positions[:, 0], positions[:, 1]
-    reach = COMM_RADIUS + 1e-6
-    keep = np.ones(len(pairs), dtype=bool)
-    for wall in walls:
-        near = (
-            (x >= min(wall.a.x, wall.b.x) - reach)
-            & (x <= max(wall.a.x, wall.b.x) + reach)
-            & (y >= min(wall.a.y, wall.b.y) - reach)
-            & (y <= max(wall.a.y, wall.b.y) + reach)
-        )
-        tested = np.flatnonzero(near[pairs[:, 0]] & keep)
-        keep[tested] = ~_links_blocked_by_wall(
-            positions[pairs[tested, 0]], positions[pairs[tested, 1]], wall.a, wall.b
-        )
+    pairs, linked = _pairs(positions)
+    linked &= ~_blocked(positions, pairs, walls)
     # Canonical (u, v) ordering keeps serialization reproducible: one sort
     # of the keys u * n + v.
-    key = np.sort(key[keep])
+    key = np.sort((pairs[:, 0] * n + pairs[:, 1])[linked])
     u = key // n
     return np.column_stack([u, key - u * n])
 
@@ -410,9 +570,9 @@ def find_planarity_violation(
     open segments cross or overlap (geometry.segments_cross_interior),
     or None if the embedding is planar. Edges sharing a vertex are
     allowed to touch there. Only edges whose bounding boxes share a unit
-    cell are compared, which two edges meeting at a point always do; the
-    memory taken grows with the square of the edges per cell, which a
-    planar graph keeps small.
+    cell are compared, which two edges meeting at a point always do. The
+    pairs are tested about _PAIR_CHUNK at a time, so the memory taken
+    stays bounded even on a dense non-planar edge set.
     """
     m = len(edges)
     if m < 2:
@@ -429,15 +589,25 @@ def find_planarity_violation(
     cell = (cx - cx.min()) * (cy.max() - cy.min() + 1) + (cy - cy.min())
     order = np.argsort(cell, kind="stable")
     edge, cell = edge[order], cell[order]
-    # Each entry pairs with the later, higher-id entries of its cell.
+    # Each entry pairs with the later, higher-id entries of its cell; a
+    # chunk is a run of entries whose pairs number about _PAIR_CHUNK.
     later = np.searchsorted(cell, cell, side="right") - np.arange(len(cell)) - 1
-    first = np.repeat(np.arange(len(cell)), later)
-    skip = np.repeat(np.cumsum(later) - later, later)
-    e1, e2 = edge[first], edge[first + 1 + np.arange(len(first)) - skip]
-    hit = np.flatnonzero(_cross_interior(positions, edges, e1, e2))
-    if len(hit) == 0:
-        return None
-    return divmod(int((e1[hit] * m + e2[hit]).min()), m)
+    done = np.cumsum(later)
+    best = None
+    lo = 0
+    while lo < len(cell):
+        end = done[lo] - later[lo] + _PAIR_CHUNK
+        hi = max(lo + 1, int(np.searchsorted(done, end, side="right")))
+        count = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), count)
+        skip = np.repeat(np.cumsum(count) - count, count)
+        e1, e2 = edge[first], edge[first + 1 + np.arange(len(first)) - skip]
+        hit = np.flatnonzero(_cross_interior(positions, edges, e1, e2))
+        if len(hit):
+            key = int((e1[hit] * m + e2[hit]).min())
+            best = key if best is None else min(best, key)
+        lo = hi
+    return None if best is None else divmod(best, m)
 
 
 def world_to_text(world: World) -> str:

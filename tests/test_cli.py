@@ -38,7 +38,9 @@ class TestParseDensities:
         assert got[0] == 1.0 and got[-1] == pytest.approx(10.0)
 
     @pytest.mark.parametrize(
-        "text", ["", "1:2", "1:2:0", "5:1:0.5", "1:2:-0.5", "a,b", "1;2"]
+        "text",
+        ["", "1:2", "1:2:0", "5:1:0.5", "1:2:-0.5", "a,b", "1;2",
+         "nan", "inf", "1e400", "2,nan", "1:inf:1", "nan:2:1", "1:2:nan"],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
@@ -210,6 +212,33 @@ class TestGraphcheck:
         assert len(positions) == int(m.group(1))
         m = re.search(r"^links: (\d+)$", out, re.M)
         assert len(edges) == int(m.group(1))
+
+
+class TestNonFiniteDensities:
+    """A density that is not a finite number is a usage error, never a
+    traceback, wherever it comes from."""
+
+    @staticmethod
+    def exit_code(capsys, *argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert "Traceback" not in capsys.readouterr().err
+        return code
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "2,nan", "1:inf:1"])
+    def test_sweep(self, capsys, tmp_path, text):
+        argv = ("sweep", "--algo", "greedy", "--trials", "1")
+        assert self.exit_code(capsys, *argv, "--densities", text) == 2
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"densities = {text}\n")
+        assert self.exit_code(capsys, *argv, "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("command", ["graphcheck", "trace"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_single_density(self, capsys, command, text):
+        assert self.exit_code(capsys, command, "--density", text) == 2
 
 
 class TestConfigAndEnvironment:

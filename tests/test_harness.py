@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_world
+from conftest import degenerate_worlds, make_world
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,16 +32,13 @@ from gricsim.harness import (
     source_node,
     trial_rng,
 )
-from gricsim.geometry import Segment, Vec2, ZeroVector
+from gricsim.geometry import Vec2, ZeroVector
 from gricsim.outcomes import TrialStatus, walk
 from gricsim.routing import MessageState, RoutingParams, gric_step, next_hop
 from gricsim.worldgen import (
     COMM_RADIUS,
     OBSTACLE_NAMES,
-    Obstacle,
     Region,
-    World,
-    _wire,
     deploy,
     make_obstacle,
 )
@@ -95,6 +92,11 @@ class TestConfigValidation:
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm=Algorithm.GREEDY, densities=(-1.0,))
+
+    @pytest.mark.parametrize("density", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_density(self, density):
+        with pytest.raises(ValueError):
+            ExperimentConfig(algorithm=Algorithm.GREEDY, densities=(2.0, density))
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
@@ -543,50 +545,6 @@ class TestTracerHooks:
         assert calls == {"step": out.hops, "next_hop": out.hops}
 
 
-# Coordinates on a 0.5 lattice around the destination, plus the region's
-# border lines (-5 and 25): drawn worlds are full of coincident nodes,
-# collinear runs, nodes exactly on the border and isolated nodes.
-XS = st.sampled_from([17.5 + 0.5 * i for i in range(8)] + [25.0])
-YS = st.sampled_from([9.0, 9.5, 10.0, 10.5, 11.0, -5.0, 25.0])
-# Walls either on the inner lattice or along the line through two drawn
-# nodes in radio range, at multiples -1, 0, 1/2, 1 and 2 of their offset:
-# drawn nodes sit exactly on walls and on their ends, and links run
-# collinear with them.
-LATTICE = st.tuples(
-    st.sampled_from([17.5 + 0.5 * i for i in range(8)]),
-    st.sampled_from([9.0, 9.5, 10.0, 10.5, 11.0]),
-)
-ALONG = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
-
-
-@st.composite
-def degenerate_worlds(draw):
-    """Worlds of one to eight nodes on the lattice above and up to two
-    walls, wired by the deployment rule."""
-    points = draw(st.lists(st.tuples(XS, YS), min_size=1, max_size=8))
-    pairs = [
-        (p, q) for p in points for q in points
-        if p != q and math.dist(p, q) <= COMM_RADIUS
-    ]
-    walls = []
-    for _ in range(draw(st.integers(0, 2))):
-        if not pairs or draw(st.booleans()):
-            a, b = draw(LATTICE), draw(LATTICE)
-        else:
-            (px, py), (qx, qy) = draw(st.sampled_from(pairs))
-            a, b = ((px + k * (qx - px), py + k * (qy - py)) for k in (draw(ALONG), draw(ALONG)))
-        if a != b:
-            walls.append(Segment(Vec2(*a), Vec2(*b)))
-    positions = np.array(points, dtype=float)
-    edges = _wire(positions, tuple(walls))
-    return World(
-        region=STANDARD_REGION,
-        obstacle=Obstacle("drawn", tuple(walls)),
-        positions=positions,
-        edges=edges,
-    )
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(world=degenerate_worlds(), enforce_oob=st.booleans())
 def test_degenerate_worlds_give_defined_outcomes(world, enforce_oob):
@@ -748,6 +706,23 @@ class TestRunSweeps:
 
     def test_empty_config_list(self):
         assert run_sweeps([]) == []
+
+    def test_face_worlds_are_wired_once(self, monkeypatch):
+        # Face routing builds a world's whole link set, so it runs first
+        # and every other router reads its neighbours from that; without
+        # face, routers wire only the nodes they visit.
+        wired = []
+        links = worldgen._LocalLinks.links
+        monkeypatch.setattr(
+            worldgen._LocalLinks, "links",
+            lambda self, node: wired.append(node) or links(self, node),
+        )
+        configs = self.configs("stripe")
+        assert configs[-1].algorithm is Algorithm.FACE
+        run_sweeps(configs)
+        assert wired == []
+        run_sweeps(configs[:-1])
+        assert wired
 
     @pytest.mark.parametrize(
         "change",

@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from conftest import make_world
+from conftest import XS, YS, degenerate_worlds, make_world
 from gricsim import worldgen
 from gricsim.geometry import (
     Segment,
@@ -16,7 +19,7 @@ from gricsim.geometry import (
     segments_cross_interior,
     segments_properly_intersect,
 )
-from gricsim.harness import build_trial_world
+from gricsim.harness import Algorithm, ExperimentConfig, build_trial_world, run_trial
 from gricsim.worldgen import (
     COMM_RADIUS,
     GABRIEL_EPS,
@@ -24,6 +27,7 @@ from gricsim.worldgen import (
     Region,
     UnknownObstacle,
     World,
+    _CELL_SCALE,
     _adjacency,
     _gabriel_filter,
     _links_blocked_by_wall,
@@ -50,8 +54,10 @@ def brute_force_edges(positions, walls):
             dy = positions[j, 1] - positions[i, 1]
             if dx * dx + dy * dy > COMM_RADIUS * COMM_RADIUS:
                 continue
-            link = Segment(
-                Vec2(*positions[i].tolist()), Vec2(*positions[j].tolist())
+            # A plain pair of points: Segment refuses the zero-length
+            # link of two coincident nodes.
+            link = SimpleNamespace(
+                a=Vec2(*positions[i].tolist()), b=Vec2(*positions[j].tolist())
             )
             if any(segments_properly_intersect(link, w) for w in walls):
                 continue
@@ -195,6 +201,31 @@ def crossing_pairs(positions, edges):
     return out
 
 
+def random_edge_sets(seed, cases):
+    """(positions, edges) pairs of random edge sets: nodes on a quarter
+    lattice, so edges share endpoints, run collinear and overlap, in every
+    other case, and generic nodes in the rest."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        n = int(rng.integers(2, 30))
+        if case % 2 == 0:
+            positions = rng.integers(0, 9, (n, 2)) * 0.25
+        else:
+            positions = rng.uniform(0.0, 2.5, (n, 2))
+        u, v = np.triu_indices(n, 1)
+        d = np.hypot(*(positions[u] - positions[v]).T)
+        ok = (d <= 1.0) & (d > 0.0)
+        pick = rng.random(ok.sum()) < 0.4
+        edges = np.column_stack([u[ok][pick], v[ok][pick]]).astype(np.int64)
+        yield positions, edges[rng.permutation(len(edges))]
+
+
+def csr_lists(n, edges):
+    """Neighbour lists of node 0..n-1 from the batch adjacency."""
+    indptr, indices = _adjacency(n, edges)
+    return [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)]
+
+
 def assert_same_array(got, want):
     assert got.dtype == want.dtype
     assert got.shape == want.shape
@@ -267,6 +298,11 @@ class TestDeploy:
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
             deploy(-1.0, SMALL, make_obstacle("none"), 0)
+
+    @pytest.mark.parametrize("density", [math.nan, math.inf, -math.inf])
+    def test_non_finite_density_rejected(self, density):
+        with pytest.raises(ValueError):
+            deploy(density, SMALL, make_obstacle("none"), 0)
 
     def test_positions_inside_region(self):
         w = deploy(3.0, SMALL, make_obstacle("none"), 1)
@@ -417,22 +453,8 @@ class TestPlanarityCheck:
         assert find_planarity_violation(positions, edges) is None
 
     def test_matches_the_bucket_loop_on_random_edge_sets(self):
-        # Nodes on a quarter lattice, so edges share endpoints, run
-        # collinear and overlap, next to generic ones.
-        rng = np.random.default_rng(41)
         found = overlaps = 0
-        for case in range(60):
-            n = int(rng.integers(2, 30))
-            if case % 2 == 0:
-                positions = rng.integers(0, 9, (n, 2)) * 0.25
-            else:
-                positions = rng.uniform(0.0, 2.5, (n, 2))
-            u, v = np.triu_indices(n, 1)
-            d = np.hypot(*(positions[u] - positions[v]).T)
-            ok = (d <= 1.0) & (d > 0.0)
-            pick = rng.random(ok.sum()) < 0.4
-            edges = np.column_stack([u[ok][pick], v[ok][pick]]).astype(np.int64)
-            edges = edges[rng.permutation(len(edges))]
+        for case, (positions, edges) in enumerate(random_edge_sets(41, 60)):
             got = find_planarity_violation(positions, edges)
             old = loop_planarity_violation(positions, edges)
             every = crossing_pairs(positions, edges)
@@ -443,6 +465,26 @@ class TestPlanarityCheck:
                 assert got == min(every), case
                 overlaps += any(collinear(positions, edges, pair) for pair in every)
         assert found >= 20 and overlaps >= 1, (found, overlaps)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_small_chunks_keep_the_smallest_pair(self, chunk, monkeypatch):
+        # A chunk ends only between entries, so chunk=1 also covers a
+        # chunk holding more pairs than its size.
+        cases = list(random_edge_sets(43, 30))
+        w = deploy(2.0, SMALL, make_obstacle("stripe"), 3)
+        cases += [(w.positions, w.edges), (w.positions, w.gabriel_edges())]
+        whole = [find_planarity_violation(p, e) for p, e in cases]
+        monkeypatch.setattr(worldgen, "_PAIR_CHUNK", chunk)
+        found = 0
+        for k, ((positions, edges), want) in enumerate(zip(cases, whole)):
+            got = find_planarity_violation(positions, edges)
+            assert got == want, k
+            old = loop_planarity_violation(positions, edges)
+            assert (got is None) == (old is None), k
+            if got is not None:
+                found += 1
+                assert got <= old
+        assert found >= 10 and whole[-2] is not None and whole[-1] is None
 
     def test_collinear_overlap_and_touching_tips(self):
         positions = np.array(
@@ -765,6 +807,77 @@ class TestOneSortAdjacency:
             ):
                 for i, b in enumerate(lexsort_adjacency(w.n, edges)):
                     assert_same_array(indices[indptr[i]:indptr[i + 1]], b)
+
+
+class TestLinksOnDemand:
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_match_the_batch_wiring(self, obstacle):
+        for density in (1.5, 4.0, 8.0):
+            w = build_trial_world(7, density, 0, obstacle)
+            got = [w.neighbors(i) for i in range(w.n)]
+            assert w._edges is None and w._csr is None, "wired on demand"
+            assert got == csr_lists(w.n, _wire(w.positions, w.obstacle.walls))
+
+    def test_whole_graph_views_are_built_on_first_use(self):
+        w = deploy(3.0, SMALL, make_obstacle("stripe"), 4)
+        first = [w.neighbors(i) for i in range(0, w.n, 2)]
+        assert w._edges is None and w._csr is None
+        assert w.edges.tobytes() == _wire(w.positions, w.obstacle.walls).tobytes()
+        # Once the edges exist, the rest come from the CSR arrays.
+        rest = [w.neighbors(i) for i in range(1, w.n, 2)]
+        assert w._csr is not None
+        want = csr_lists(w.n, w.edges)
+        assert first == want[0::2] and rest == want[1::2]
+
+    def test_explicit_edges_are_served_as_given(self):
+        w = make_world([(0.0, 0.0), (5.0, 0.0), (0.5, 0.0)], [(1, 0), (0, 2)])
+        assert [w.neighbors(i) for i in range(3)] == [[1, 2], [0], [0]]
+
+    def test_rounding_cannot_hide_a_link_two_cells_away(self):
+        # 2 - (1 - 2**-53) rounds to exactly 1, so the rule links the
+        # pair; unit cells would put the two nodes two cells apart.
+        positions = np.array([[2.0, 0.5], [np.nextafter(1.0, 0.0), 0.5]])
+        assert _wire(positions, ()).tolist() == [[0, 1]]
+        w = World(SMALL, make_obstacle("none"), positions)
+        assert [w.neighbors(0), w.neighbors(1)] == [[1], [0]]
+
+
+# Coordinates on the boundaries of the on-demand wiring's grid cells, and
+# a hair below them, next to the degenerate lattice.
+CELL_XS = st.sampled_from(
+    [k / _CELL_SCALE for k in (18, 19, 20)] + [np.nextafter(19 / _CELL_SCALE, 0.0)]
+)
+CELL_YS = st.sampled_from(
+    [k / _CELL_SCALE for k in (9, 10, 11)] + [np.nextafter(10 / _CELL_SCALE, 0.0)]
+)
+
+
+@st.composite
+def unwired_worlds(draw):
+    """Degenerate worlds left to wire on demand, with up to three extra
+    copies of drawn nodes."""
+    w = draw(degenerate_worlds(wired=False, xs=XS | CELL_XS, ys=YS | CELL_YS))
+    copies = draw(st.lists(st.integers(0, w.n - 1), max_size=3))
+    return World(w.region, w.obstacle, np.concatenate([w.positions, w.positions[copies]]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(world=unwired_worlds())
+def test_links_on_demand_on_degenerate_worlds(world):
+    walls = world.obstacle.walls
+    unwired = World(world.region, world.obstacle, world.positions)
+    wired = World(world.region, world.obstacle, world.positions, _wire(world.positions, walls))
+    got = [world.neighbors(i) for i in range(world.n)]
+    assert world._edges is None
+    assert got == csr_lists(world.n, wired.edges)
+    assert sorted(brute_force_edges(world.positions, walls)) == [
+        (u, v) for u in range(world.n) for v in got[u] if u < v
+    ]
+    # Every router sees the same world either way.
+    for algo in Algorithm:
+        cfg = ExperimentConfig(algorithm=algo, densities=(2.0,), record_path=True)
+        want = run_trial(cfg, 2.0, 0, world=wired)
+        assert run_trial(cfg, 2.0, 0, world=unwired) == want, algo
 
 
 # sha256 of edges.tobytes(), of every out_links array concatenated (the
