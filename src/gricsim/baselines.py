@@ -139,21 +139,20 @@ def ltp_step(
     return state.stack[-1]
 
 
-def _first_edge_cw(positions, csr, at: int, ref_theta: float, reverse_of: int | None) -> int:
-    """Neighbor of `at` first encountered sweeping clockwise from ref_theta.
+def _first_edge_cw(world: World, at: int, ref_theta: float, reverse_of: int | None) -> int:
+    """Gabriel neighbor of `at` first encountered sweeping clockwise from
+    ref_theta.
 
-    positions gives a node's (x, y) by id and csr is the (indptr,
-    indices) adjacency to search. The pick is the neighbor minimizing
-    (ref_theta - theta_w) mod 2*pi. When reverse_of is given, that
-    neighbor's zero angle counts as a full turn so the walk only doubles
-    straight back on a dead-end spur. Angle ties break toward the
-    smallest node id.
+    The pick is the neighbor minimizing (ref_theta - theta_w) mod 2*pi.
+    When reverse_of is given, that neighbor's zero angle counts as a full
+    turn so the walk only doubles straight back on a dead-end spur. Angle
+    ties break toward the smallest node id.
     """
-    indptr, indices = csr
+    coords = world.coords
     best = -1
     best_delta = math.inf
-    for w in indices[indptr[at]:indptr[at + 1]].tolist():
-        delta = (ref_theta - _bearing(positions[at], positions[w])) % TWO_PI
+    for w in world.gabriel_neighbors(at):
+        delta = (ref_theta - _bearing(coords[at], coords[w])) % TWO_PI
         if w == reverse_of and delta == 0.0:
             delta = TWO_PI
         if delta < best_delta:
@@ -201,7 +200,6 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
     destination is unreachable, and the step raises Stuck.
     """
     coords = world.coords
-    csr = world.gabriel_csr
     s_pos = coords[source]
     dest = (dest_pos.x, dest_pos.y)
     anchor_d = math.hypot(s_pos[0] - dest[0], s_pos[1] - dest[1])
@@ -210,14 +208,14 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
     def step(current: int) -> int:
         nonlocal anchor_d, edge, face_start
         if edge is None:
-            if csr[0][source] == csr[0][source + 1]:
+            if not world.gabriel_neighbors(source):
                 raise Stuck(f"node {source} has no Gabriel links")
-            first = _first_edge_cw(coords, csr, source, _bearing(s_pos, dest), None)
+            first = _first_edge_cw(world, source, _bearing(s_pos, dest), None)
             edge = face_start = (source, first)
         else:
             # The message just traversed edge u -> v and sits on v.
             u, v = edge
-            edge = (v, _first_edge_cw(coords, csr, v, _bearing(coords[v], coords[u]), u))
+            edge = (v, _first_edge_cw(world, v, _bearing(coords[v], coords[u]), u))
             if edge == face_start:
                 raise Stuck("completed a face without a closer way out")
         while True:
@@ -243,7 +241,7 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
             # The message stays on u; the next boundary edge is the
             # clockwise successor of the virtual arrival from v.
             ref = _bearing(coords[u], coords[v])
-            edge = face_start = (u, _first_edge_cw(coords, csr, u, ref, v))
+            edge = face_start = (u, _first_edge_cw(world, u, ref, v))
 
     return step
 
@@ -259,16 +257,26 @@ def face_route(
 ) -> TrialOutcome:
     """Route by face traversal (face_step) through the trial loop.
 
-    The hop budget is the lesser of ttl and three times the Gabriel
-    edge count.
+    The hop budget is the lesser of ttl and three times the Gabriel edge
+    count E. The walk runs with ttl first: a walk that ends within a
+    budget takes the same course under any larger one, so its outcome
+    stands when it ends within three times the lower bound on E from the
+    Gabriel lists it read. Only a longer walk builds the whole Gabriel
+    subgraph, for E, and walks again.
     """
-    budget = min(ttl, 3 * max(1, len(world.gabriel_edges())))
-    return walk(
-        world,
-        source,
-        dest_pos,
-        face_step(world, source, dest_pos),
-        budget,
-        enforce_oob=enforce_oob,
-        record_path=record_path,
-    )
+
+    def run(budget: int) -> TrialOutcome:
+        return walk(
+            world,
+            source,
+            dest_pos,
+            face_step(world, source, dest_pos),
+            budget,
+            enforce_oob=enforce_oob,
+            record_path=record_path,
+        )
+
+    out = run(ttl)
+    if out.hops > 3 * max(1, world.gabriel_edge_floor()):
+        out = run(min(ttl, 3 * max(1, len(world.gabriel_edges()))))
+    return out

@@ -33,6 +33,7 @@ from .worldgen import (
     interior_mean_degree,
     is_connected,
     make_obstacle,
+    node_count,
     world_to_text,
 )
 
@@ -358,8 +359,10 @@ def cmd_graphcheck(ns: argparse.Namespace) -> int:
     obstacle = _check_obstacle(_resolve(ns, "obstacle", str, "none"))
     seed = _resolve_seed(ns)
     dump_path = _resolve(ns, "dump", str, None)
-    if not (math.isfinite(density) and density >= 0):
-        raise UsageError("density must be finite and nonnegative")
+    try:
+        node_count(density, STANDARD_REGION)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     world = build_trial_world(seed, density, 0, obstacle)
     degrees_sum = int(world.indptr[-1])

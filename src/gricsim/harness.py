@@ -12,14 +12,13 @@ Reproducibility contract: every trial derives its randomness from
 world generation and routing decisions. A world depends on
 (master_seed, density, trial_index) alone, so a sweep builds each world
 once and runs every requested router on it; no router changes the world
-it runs on (the links and the Gabriel subgraph it builds on demand are
-caches). Nothing depends on execution order, so sweeps can fan out to
-worker processes and still produce byte-identical reports.
+it runs on (the links and Gabriel links it wires on demand are caches).
+Nothing depends on execution order, so sweeps can fan out to worker
+processes and still produce byte-identical reports.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import statistics
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from .baselines import (
 from .geometry import Vec2
 from .outcomes import TrialOutcome, TrialStatus, walk
 from .routing import MessageState, RoutingParams, gric_step
-from .worldgen import Region, World, deploy, make_obstacle
+from .worldgen import Region, World, deploy, make_obstacle, node_count
 
 STANDARD_REGION = Region(-5.0, 25.0, -5.0, 25.0)
 SOURCE_POINT = Vec2(0.0, 10.0)
@@ -77,8 +76,8 @@ class ExperimentConfig:
             raise ValueError("trials_per_point must be at least 1")
         if not self.densities:
             raise ValueError("at least one density is required")
-        if not all(math.isfinite(d) and d >= 0 for d in self.densities):
-            raise ValueError("densities must be finite and nonnegative")
+        for density in self.densities:
+            node_count(density, STANDARD_REGION)
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
 
@@ -241,21 +240,13 @@ def _world_key(config: ExperimentConfig) -> tuple:
 
 
 def _world_task(args: tuple) -> list[tuple[int, int, int, str, int, float]]:
-    """Every config's trial on one (density, trial) world, built once.
-
-    Face routing runs first: it needs the world's whole link set, which
-    then serves every other router's neighbour lists too, where running
-    it later would leave the nodes they visited wired twice.
-    """
+    """Every config's trial on one (density, trial) world, built once."""
     configs, di, density, trial_index = args
     first = configs[0]
     world = build_trial_world(first.master_seed, density, trial_index, first.obstacle)
     results = []
-    face_first = sorted(
-        range(len(configs)), key=lambda ci: configs[ci].algorithm is not Algorithm.FACE
-    )
-    for ci in face_first:
-        out = run_trial(configs[ci], density, trial_index, world=world)
+    for ci, config in enumerate(configs):
+        out = run_trial(config, density, trial_index, world=world)
         results.append((ci, di, trial_index, out.status.value, out.hops, out.distance))
     return results
 

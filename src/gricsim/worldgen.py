@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import COLLINEAR_EPS, Segment, Vec2, segments_cross_interior
 
@@ -27,9 +26,13 @@ _GABRIEL_TIE = 1e-9
 
 COMM_RADIUS = 1.0
 
-# Slack on the radio range for kd-tree pair searches and near-wall boxes,
-# far above rounding and far below any distance that matters.
+# Slack on the radio range for near-wall boxes, far above rounding and
+# far below any distance that matters.
 _REACH = COMM_RADIUS + 1e-6
+
+# Most nodes deploy places. 10**7 positions take 160 MB; a density that
+# asks for more is a typo, and numpy would die trying to allocate it.
+MAX_NODES = 10**7
 
 # Edge pairs find_planarity_violation tests at a time: a few tens of MB.
 _PAIR_CHUNK = 1 << 18
@@ -215,17 +218,52 @@ def _in_range(dx, dy):
     return dx * dx + dy * dy <= COMM_RADIUS * COMM_RADIUS
 
 
-def _pairs(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v), u < v, of every pair within _REACH, and the mask of those
-    that _in_range links.
+def _grid(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The nodes bucketed by grid cell: (cell, order, starts, rows).
 
-    The kd-tree searches the wider _REACH so that its own rounding cannot
-    drop a pair the rule accepts.
+    Cells are a hair wider than the radio range (_CELL_SCALE) and a
+    margin of empty cells surrounds the occupied ones, so a node's linked
+    nodes all lie in its own cell and the eight around it, and those nine
+    cells always exist. cell[i] = column * rows + row is node i's cell, so
+    each column's cells are one run of the grid order; order lists the
+    nodes by cell, ascending by id within one, and the nodes of cell c
+    are order[starts[c]:starts[c + 1]]. The grid spans the nodes'
+    bounding box.
     """
-    pairs = cKDTree(positions).query_pairs(_REACH, output_type="ndarray")
-    x, y = positions[:, 0], positions[:, 1]
-    u, v = pairs[:, 0], pairs[:, 1]
-    return pairs, _in_range(x[u] - x[v], y[u] - y[v])
+    cells = np.floor(positions * _CELL_SCALE).astype(np.int64)
+    cells -= cells.min(axis=0) - 1
+    cols, rows = (cells.max(axis=0) + 2).tolist()
+    cell = cells[:, 0] * rows + cells[:, 1]
+    order = np.argsort(cell, kind="stable")
+    starts = np.zeros(cols * rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=cols * rows), out=starts[1:])
+    return cell, order, starts, rows
+
+
+def _pairs(positions: np.ndarray) -> np.ndarray:
+    """(u, v), u < v, of every pair of nodes that _in_range links.
+
+    Linked nodes share a grid cell or lie in adjacent ones. Each node is
+    paired with the nodes after it in the grid order up to the end of the
+    cell above its own, and with the three cells of the next column, so
+    every pair of cells that touch is searched once.
+    """
+    if len(positions) < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    cell, order, starts, rows = _grid(positions)
+    c = cell[order]
+    k = np.arange(len(order))
+    lo = np.concatenate([k + 1, starts[c + rows - 1]])
+    hi = np.concatenate([starts[c + 2], starts[c + rows + 2]])
+    count = hi - lo
+    first = np.repeat(np.concatenate([k, k]), count)
+    second = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(first))
+    # Positions in grid order keep the gathers close together.
+    p = positions[order]
+    x, y = p[:, 0], p[:, 1]
+    linked = np.flatnonzero(_in_range(x[first] - x[second], y[first] - y[second]))
+    u, v = order[first[linked]], order[second[linked]]
+    return np.column_stack([np.minimum(u, v), np.maximum(u, v)])
 
 
 def _near(positions: np.ndarray, wall: Segment) -> np.ndarray:
@@ -260,49 +298,40 @@ def _blocked(
 
 class _LocalLinks:
     """What wiring one node on demand needs: the nodes bucketed by grid
-    cell, and the wall-blocked partners of each node.
-
-    Cells are a hair wider than the radio range (_CELL_SCALE) and a
-    margin of empty cells surrounds the occupied ones, so a node's linked
-    nodes all lie in its own cell and the eight around it, and those nine
-    cells always exist. Cell c = column * rows + row, so each column's
-    three cells are one run of the sorted order.
-    """
+    cell (_grid), and the wall-blocked partners of each node."""
 
     def __init__(self, positions: np.ndarray, walls: tuple[Segment, ...]) -> None:
         self.positions = positions
-        cells = np.floor(positions * _CELL_SCALE).astype(np.int64)
-        cells -= cells.min(axis=0) - 1
-        cols, self.rows = (cells.max(axis=0) + 2).tolist()
-        cell = cells[:, 0] * self.rows + cells[:, 1]
-        self.order = np.argsort(cell, kind="stable")
-        starts = np.zeros(cols * self.rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cell, minlength=cols * self.rows), out=starts[1:])
+        cell, self.order, starts, self.rows = _grid(positions)
         self.starts = starts.tolist()
         self.cell = cell.tolist()
         # A blocked link joins two nodes near a wall, so one pass over the
-        # pairs of near-wall nodes finds them all.
+        # linked pairs of near-wall nodes finds them all.
         near = np.zeros(len(positions), dtype=bool)
         for wall in walls:
             near |= _near(positions, wall)
         ids = np.flatnonzero(near)
-        pairs, linked = _pairs(positions[ids])
-        pairs = ids[pairs]
+        pairs = ids[_pairs(positions[ids])]
         self.blocked: dict[int, set[int]] = {}
-        for u, v in pairs[linked & _blocked(positions, pairs, walls)].tolist():
+        for u, v in pairs[_blocked(positions, pairs, walls)].tolist():
             self.blocked.setdefault(u, set()).add(v)
             self.blocked.setdefault(v, set()).add(u)
 
-    def links(self, node: int) -> list[int]:
-        """The nodes linked to node, ascending by id."""
+    def block(self, node: int) -> np.ndarray:
+        """The nodes in node's grid cell and the eight around it, node
+        included."""
         c, r, s, order = self.cell[node], self.rows, self.starts, self.order
-        near = np.concatenate(
+        return np.concatenate(
             [
                 order[s[c - r - 1]:s[c - r + 2]],
                 order[s[c - 1]:s[c + 2]],
                 order[s[c + r - 1]:s[c + r + 2]],
             ]
         )
+
+    def links(self, node: int) -> list[int]:
+        """The nodes linked to node, ascending by id."""
+        near = self.block(node)
         d = self.positions[near] - self.positions[node]
         near = near[_in_range(d[:, 0], d[:, 1])]
         near.sort()
@@ -310,6 +339,30 @@ class _LocalLinks:
         out.remove(node)
         blocked = self.blocked.get(node)
         return [v for v in out if v not in blocked] if blocked else out
+
+    def gabriel(self, node: int, links: list[int]) -> list[int]:
+        """The links of node, given ascending, that _gabriel_filter keeps.
+
+        Walls are ignored, and each link is tested with the filter's own
+        float expressions against every node of node's block. A node
+        inside a link's diameter disk is nearer to both ends than they are
+        to each other, so within radio range of node: the block holds
+        every node that can disqualify the link.
+        """
+        if not links:
+            return []
+        p = self.positions
+        other = np.array(links)
+        pu, pv = p[np.minimum(other, node)], p[np.maximum(other, node)]
+        mids = 0.5 * (pu + pv)
+        diffs = pu - pv
+        radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        threshold = radii * radii - GABRIEL_EPS
+        w = self.block(node)
+        dx = p[w, 0] - mids[:, 0:1]
+        dy = p[w, 1] - mids[:, 1:2]
+        inside = (dx * dx + dy * dy < threshold[:, None]) & (w != node) & (w != other[:, None])
+        return [v for v, hit in zip(links, inside.any(axis=1).tolist()) if not hit]
 
 
 @dataclass(init=False)
@@ -320,15 +373,17 @@ class World:
     neighbors(i) call gathers the nodes in i's grid cell and the eight
     around it, keeps those the unit-disk rule links to i, drops i's
     wall-blocked partners and caches the result; a router that visits a
-    few hundred nodes of thousands wires only those. The whole-graph
-    views are built on first use by the batch code: edges (_wire), the
-    CSR arrays indptr and indices (_adjacency), where the neighbours of
-    node i are indices[indptr[i]:indptr[i + 1]], and the Gabriel
-    subgraph, which only face routing needs. A world built from an
-    explicit edge list, and a deployed world once its edges exist, serve
-    neighbors from CSR slices; both ways give the same ascending-id lists.
-    coords holds the positions as Python floats for the per-hop router
-    loops.
+    few hundred nodes of thousands wires only those. Face routing's
+    Gabriel links come the same way: the first gabriel_neighbors(i) call
+    tests i's links against the nodes of the same nine cells. The
+    whole-graph views are built on first use by the batch code: edges
+    (_wire), the CSR arrays indptr and indices (_adjacency), where the
+    neighbours of node i are indices[indptr[i]:indptr[i + 1]], and the
+    Gabriel subgraph (_gabriel_filter). A world built from an explicit
+    edge list, and a deployed world once its edges exist, serve both
+    kinds of list from CSR slices; both ways give the same ascending-id
+    lists. coords holds the positions as Python floats for the per-hop
+    router loops.
     """
 
     region: Region
@@ -341,6 +396,8 @@ class World:
     _gabriel_csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _local: _LocalLinks | None = field(default=None, repr=False)
     _neighbors: list[list[int] | None] = field(repr=False)
+    _gabriel: list[list[int] | None] = field(repr=False)
+    _gabriel_degrees: int = field(default=0, repr=False)
 
     def __init__(
         self,
@@ -358,6 +415,8 @@ class World:
         self._edges = edges
         self._csr = self._gabriel_edges = self._gabriel_csr = self._local = None
         self._neighbors = [None] * len(positions)
+        self._gabriel = [None] * len(positions)
+        self._gabriel_degrees = 0
 
     @property
     def n(self) -> int:
@@ -374,14 +433,39 @@ class World:
         nbrs = self._neighbors[node]
         if nbrs is None:
             if self._edges is None:
-                if self._local is None:
-                    self._local = _LocalLinks(self.positions, self.obstacle.walls)
-                nbrs = self._local.links(node)
+                nbrs = self._local_links().links(node)
             else:
                 indptr, indices = self.csr
                 nbrs = indices[indptr[node]:indptr[node + 1]].tolist()
             self._neighbors[node] = nbrs
         return nbrs
+
+    def gabriel_neighbors(self, node: int) -> list[int]:
+        """The nodes joined to node in the Gabriel subgraph, ascending by id.
+
+        The list is cached and handed to every caller: do not change it.
+        """
+        nbrs = self._gabriel[node]
+        if nbrs is None:
+            if self._edges is None:
+                nbrs = self._local_links().gabriel(node, self.neighbors(node))
+            else:
+                indptr, indices = self.gabriel_csr
+                nbrs = indices[indptr[node]:indptr[node + 1]].tolist()
+            self._gabriel[node] = nbrs
+            self._gabriel_degrees += len(nbrs)
+        return nbrs
+
+    def gabriel_edge_floor(self) -> int:
+        """A lower bound on the Gabriel edge count: half the degree sum of
+        the nodes whose Gabriel lists are cached, rounded up, since each
+        edge adds at most 2 to it."""
+        return -(-self._gabriel_degrees // 2)
+
+    def _local_links(self) -> _LocalLinks:
+        if self._local is None:
+            self._local = _LocalLinks(self.positions, self.obstacle.walls)
+        return self._local
 
     @property
     def edges(self) -> np.ndarray:
@@ -433,6 +517,8 @@ def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     kd-tree whose distances round differently from this test may have
     ranked a node inside behind it, so every node in the disk is tested.
     """
+    from scipy.spatial import cKDTree  # only whole-graph views need scipy
+
     if len(edges) == 0:
         return edges.copy()
     tree = cKDTree(positions)
@@ -463,6 +549,23 @@ def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return edges[keep]
 
 
+def node_count(density: float, region: Region) -> int:
+    """round(density * area), the number of nodes deploy drops.
+
+    Raises ValueError for a density that is not finite and nonnegative,
+    or that would drop more than MAX_NODES nodes.
+    """
+    if not (math.isfinite(density) and density >= 0):
+        raise ValueError(f"density must be finite and nonnegative, got {density}")
+    count = density * region.area
+    if count > MAX_NODES + 0.5:  # round(count) > MAX_NODES, inf included
+        raise ValueError(
+            f"density {density:g} would drop {count:.4g} nodes on an area of "
+            f"{region.area:g}; at most {MAX_NODES} are allowed"
+        )
+    return int(round(count))
+
+
 def deploy(
     density: float,
     region: Region,
@@ -476,13 +579,11 @@ def deploy(
     every pair at distance <= 1 whose segment touches no wall; the world
     wires them on demand.
     """
-    if not (math.isfinite(density) and density >= 0):
-        raise ValueError(f"density must be finite and nonnegative, got {density}")
+    n = node_count(density, region)
     if isinstance(rng_seed, np.random.Generator):
         rng = rng_seed
     else:
         rng = np.random.Generator(np.random.Philox(rng_seed))
-    n = int(round(density * region.area))
     positions = rng.uniform(
         low=(region.x_min, region.y_min),
         high=(region.x_max, region.y_max),
@@ -494,11 +595,11 @@ def deploy(
 def _wire(positions: np.ndarray, walls: tuple[Segment, ...]) -> np.ndarray:
     """Sorted (u, v), u < v, of every pair at distance <= 1 touching no wall."""
     n = len(positions)
-    pairs, linked = _pairs(positions)
-    linked &= ~_blocked(positions, pairs, walls)
+    pairs = _pairs(positions)
+    pairs = pairs[~_blocked(positions, pairs, walls)]
     # Canonical (u, v) ordering keeps serialization reproducible: one sort
     # of the keys u * n + v.
-    key = np.sort((pairs[:, 0] * n + pairs[:, 1])[linked])
+    key = np.sort(pairs[:, 0] * n + pairs[:, 1])
     u = key // n
     return np.column_stack([u, key - u * n])
 

@@ -23,7 +23,6 @@ from gricsim.routing import MessageState
 from gricsim.worldgen import (
     COMM_RADIUS,
     Region,
-    _adjacency,
     deploy,
     make_obstacle,
 )
@@ -225,30 +224,23 @@ class TestLtp:
 class TestFirstEdgeCw:
     def star(self):
         pts = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]
-        edges = np.array([(0, i) for i in range(1, 5)], dtype=np.int64)
-        return np.array(pts, dtype=float), _adjacency(5, edges)
+        return make_world(pts, [(0, i) for i in range(1, 5)], region=SMALL)
 
     def test_sweeps_clockwise_from_reference(self):
-        positions, links = self.star()
-        got = _first_edge_cw(positions, links, 0, math.pi / 4, None)
+        got = _first_edge_cw(self.star(), 0, math.pi / 4, None)
         assert got == 1  # east is the first spoke clockwise of northeast
 
     def test_exact_alignment_wins(self):
-        positions, links = self.star()
-        got = _first_edge_cw(positions, links, 0, math.pi, None)
+        got = _first_edge_cw(self.star(), 0, math.pi, None)
         assert got == 3
 
     def test_reverse_edge_deferred_to_full_turn(self):
-        positions, links = self.star()
-        got = _first_edge_cw(positions, links, 0, 0.0, 1)
+        got = _first_edge_cw(self.star(), 0, 0.0, 1)
         assert got == 4  # south, a quarter turn clockwise of east
 
     def test_dead_end_spur_doubles_back(self):
-        pts = [(0, 0), (1, 0)]
-        edges = np.array([[0, 1]], dtype=np.int64)
-        positions = np.array(pts, dtype=float)
-        links = _adjacency(2, edges)
-        got = _first_edge_cw(positions, links, 1, math.pi, 0)
+        world = make_world([(0, 0), (1, 0)], [(0, 1)], region=SMALL)
+        got = _first_edge_cw(world, 1, math.pi, 0)
         assert got == 0
 
 

@@ -1,11 +1,17 @@
 """Command line contract: flags, config files, formats, exit codes."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import gricsim
+from gricsim import worldgen
 from gricsim.cli import CSV_HEADER, SEED_ENV_VAR, main, parse_densities
 from gricsim.worldgen import parse_world_text
 
@@ -239,6 +245,61 @@ class TestNonFiniteDensities:
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
     def test_single_density(self, capsys, command, text):
         assert self.exit_code(capsys, command, "--density", text) == 2
+
+
+class TestTooManyNodes:
+    """A density that would drop more than MAX_NODES nodes is a usage
+    error, found before a position is drawn. The cap is lowered here, so a
+    missing check would allocate little."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(worldgen, "MAX_NODES", 1000)
+
+    def test_sweep(self, capsys, tmp_path):
+        # 1.2 on the 30 x 30 standard region is 1080 nodes.
+        argv = ("sweep", "--algo", "greedy", "--trials", "1")
+        code, _, err = run(capsys, *argv, "--densities", "1,1.2")
+        assert code == 2 and "at most 1000" in err
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("densities = 1.2\n")
+        assert run(capsys, *argv, "--config", str(cfg))[0] == 2
+        assert run(capsys, *argv, "--densities", "1.1")[0] == 0
+
+    @pytest.mark.parametrize("command", ["graphcheck", "trace"])
+    def test_single_density(self, capsys, command):
+        code, _, err = run(capsys, command, "--density", "1.2")
+        assert code == 2 and "at most 1000" in err and "Traceback" not in err
+        assert run(capsys, command, "--density", "1.1")[0] == 0
+
+
+# Runs a sweep and prints its exit code and every scipy module loaded.
+SCIPY_PROBE = """
+import os, sys
+from gricsim.cli import main
+code = main(sys.argv[1:] + ["--out", os.devnull])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--algo", "all", "--obstacle", "stripe", "--densities", "4,8", "--workers", "2"),
+        ("--algo", "all", "--obstacle", "stripe", "--densities", "4,8", "--workers", "1"),
+        ("--algo", "gric+", "--obstacle", "concave2", "--densities", "8,10", "--workers", "1"),
+    ],
+)
+def test_sweeps_never_import_scipy(argv):
+    # Only whole-graph Gabriel views need scipy; no sweep builds one.
+    env = dict(os.environ, PYTHONPATH=str(Path(gricsim.__file__).parents[1]))
+    env.pop(SEED_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, "sweep", *argv, "--trials", "2"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 class TestConfigAndEnvironment:

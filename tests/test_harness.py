@@ -230,24 +230,27 @@ class TestRunTrial:
         # leave the world as they found it.
         for trial, order in enumerate((list(Algorithm), list(reversed(Algorithm)))):
             world = build_trial_world(0, 4.0, trial, "concave1")
-            before = self.world_bytes(world)
+            positions = world.positions.tobytes()
             for algo in order:
                 cfg = self.config(
                     algo, obstacle="concave1", densities=(4.0,), record_path=True
                 )
                 shared = run_trial(cfg, 4.0, trial, world=world)
                 assert shared == run_trial(cfg, 4.0, trial), (algo, trial)
-            assert self.world_bytes(world) == before
-            assert world._gabriel_edges is not None  # the one cache write
-
-    @staticmethod
-    def world_bytes(world):
-        return (
-            world.positions.tobytes(),
-            world.edges.tobytes(),
-            world.indptr.tobytes(),
-            world.indices.tobytes(),
-        )
+            assert world.positions.tobytes() == positions
+            # The only cache writes: per-node neighbour and Gabriel lists,
+            # which equal the whole-graph views of a fresh world.
+            assert world._edges is None and world._gabriel_edges is None
+            fresh = build_trial_world(0, 4.0, trial, "concave1")
+            wired = [i for i in range(world.n) if world._neighbors[i] is not None]
+            planar = [i for i in range(world.n) if world._gabriel[i] is not None]
+            assert wired and planar
+            indptr, indices = fresh.csr
+            for i in wired:
+                assert world._neighbors[i] == indices[indptr[i]:indptr[i + 1]].tolist()
+            indptr, indices = fresh.gabriel_csr
+            for i in planar:
+                assert world._gabriel[i] == indices[indptr[i]:indptr[i + 1]].tolist()
 
     def test_epsilon_zero_collapses_randomized_variant(self):
         params = RoutingParams(epsilon=0.0)
@@ -486,6 +489,30 @@ class TestFloatRouters:
             )
             assert_same_outcome(got, want, k)
 
+    def test_face_budget_fallback(self):
+        # Face walks this six-node cluster for 22 hops before it ends
+        # stuck, more than three times its 5 Gabriel edges; twelve
+        # isolated nodes make n = 18 > 3E. The walk with ttl = n runs past
+        # the bound the Gabriel lists it read give, so face_route builds
+        # the whole Gabriel subgraph and walks again with the budget 3E.
+        cluster = [(1.2, 5.9), (2.1, 5.1), (1.8, 5.9), (1.9, 5.3), (1.8, 4.5), (2.8, 5.8)]
+        isolated = [(5.0 + 1.5 * (i % 4), 1.0 + 1.5 * (i // 4)) for i in range(12)]
+        positions = np.array(cluster + isolated)
+        region = Region(0.0, 10.0, 0.0, 10.0)
+        dest = Vec2(9.5, 5.0)
+        for edges in (worldgen._wire(positions, ()), None):
+            world = worldgen.World(region, make_obstacle("none"), positions, edges)
+            got = baselines.face_route(
+                world, 0, dest, world.n, enforce_oob=False, record_path=True
+            )
+            assert len(world.gabriel_edges()) == 5
+            assert (got.status, got.hops) == (TrialStatus.FAIL_TTL, 3 * 5 + 1)
+            want = vec2_routers.walk(
+                world, 0, dest, vec2_routers.face_step(world, 0, dest),
+                min(world.n, 3 * 5), enforce_oob=False, record_path=True,
+            )
+            assert_same_outcome(got, want, edges is None)
+
     def test_steps_at_the_destination_raise_like_the_vec2_steps(self):
         world = make_world([(20.0, 10.0), (20.5, 10.0)], [(0, 1)], region=STANDARD_REGION)
         for prev in (None, (19.5, 10.0)):
@@ -707,22 +734,28 @@ class TestRunSweeps:
     def test_empty_config_list(self):
         assert run_sweeps([]) == []
 
-    def test_face_worlds_are_wired_once(self, monkeypatch):
-        # Face routing builds a world's whole link set, so it runs first
-        # and every other router reads its neighbours from that; without
-        # face, routers wire only the nodes they visit.
-        wired = []
-        links = worldgen._LocalLinks.links
+    def test_sweeps_build_no_whole_graph_view(self, monkeypatch):
+        # Every router, face included, reads only the links and Gabriel
+        # links of the nodes it visits, and gets what it would get on a
+        # fresh world.
+        worlds, outcomes = [], []
+        build, trial = harness.build_trial_world, harness.run_trial
         monkeypatch.setattr(
-            worldgen._LocalLinks, "links",
-            lambda self, node: wired.append(node) or links(self, node),
+            harness, "build_trial_world", lambda *a: worlds.append(build(*a)) or worlds[-1]
         )
-        configs = self.configs("stripe")
-        assert configs[-1].algorithm is Algorithm.FACE
+        monkeypatch.setattr(
+            harness, "run_trial",
+            lambda cfg, d, t, **kw: outcomes.append((cfg, d, t, trial(cfg, d, t, **kw)))
+            or outcomes[-1][-1],
+        )
+        configs = self.configs("stripe", densities=(2.0, 4.0))
         run_sweeps(configs)
-        assert wired == []
-        run_sweeps(configs[:-1])
-        assert wired
+        assert len(worlds) == 4 and len(outcomes) == 4 * len(Algorithm)
+        for w in worlds:
+            assert w._edges is None and w._csr is None and w._gabriel_edges is None
+        assert any(g is not None for w in worlds for g in w._gabriel)
+        for cfg, d, t, out in outcomes:
+            assert out == trial(cfg, d, t), (cfg.algorithm, d, t)
 
     @pytest.mark.parametrize(
         "change",

@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from conftest import XS, YS, degenerate_worlds, make_world
@@ -23,20 +25,25 @@ from gricsim.harness import Algorithm, ExperimentConfig, build_trial_world, run_
 from gricsim.worldgen import (
     COMM_RADIUS,
     GABRIEL_EPS,
+    MAX_NODES,
     OBSTACLE_NAMES,
     Region,
     UnknownObstacle,
     World,
     _CELL_SCALE,
+    _REACH,
     _adjacency,
     _gabriel_filter,
+    _in_range,
     _links_blocked_by_wall,
+    _pairs,
     _wire,
     deploy,
     find_planarity_violation,
     interior_mean_degree,
     is_connected,
     make_obstacle,
+    node_count,
     parse_world_text,
     world_to_text,
 )
@@ -122,6 +129,20 @@ def unpruned_wire(positions, walls):
         )
         pairs = pairs[~blocked]
     return pairs.astype(np.int64, copy=False)
+
+
+def kd_tree_pairs(positions):
+    """Reference for _pairs: a kd-tree pair search within _REACH, a hair
+    beyond the radio range so that the tree's rounding drops no pair,
+    then the unit-disk rule. Sorted (u, v) rows, u < v."""
+    pairs = cKDTree(positions).query_pairs(_REACH, output_type="ndarray")
+    x, y = positions[:, 0], positions[:, 1]
+    pairs = pairs[_in_range(x[pairs[:, 0]] - x[pairs[:, 1]], y[pairs[:, 0]] - y[pairs[:, 1]])]
+    return sorted(map(tuple, pairs.tolist()))
+
+
+def sorted_pairs(positions):
+    return sorted(map(tuple, _pairs(positions).tolist()))
 
 
 def lexsort_adjacency(n, edges):
@@ -303,6 +324,20 @@ class TestDeploy:
     def test_non_finite_density_rejected(self, density):
         with pytest.raises(ValueError):
             deploy(density, SMALL, make_obstacle("none"), 0)
+
+    def test_node_count_is_capped(self):
+        assert node_count(MAX_NODES / SMALL.area, SMALL) == MAX_NODES
+        # 1e6 on the standard 30 x 30 region would be 9e8 nodes, 13.4 GiB
+        # of positions; node_count decides without allocating any.
+        for density in (1e6, 1e300, sys.float_info.max):
+            with pytest.raises(ValueError, match="at most"):
+                node_count(density, SMALL)
+
+    def test_deploy_rejects_too_many_nodes(self, monkeypatch):
+        monkeypatch.setattr(worldgen, "MAX_NODES", 150)
+        assert deploy(1.5, SMALL, make_obstacle("none"), 0).n == 150
+        with pytest.raises(ValueError, match="at most 150"):
+            deploy(1.51, SMALL, make_obstacle("none"), 0)
 
     def test_positions_inside_region(self):
         w = deploy(3.0, SMALL, make_obstacle("none"), 1)
@@ -688,7 +723,7 @@ class TestFastGabriel:
                 return d[:, 1], i[:, 1]
 
         assert SecondNearestFirst(positions).query(np.array([[0.35, 0.0]]))[1] == [3]
-        monkeypatch.setattr(worldgen, "cKDTree", SecondNearestFirst)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", SecondNearestFirst)
         got = _gabriel_filter(positions, e)
         assert_same_array(got, scalar_gabriel_filter(positions, e))
         assert len(got) == 0
@@ -718,7 +753,7 @@ class TestFastGabriel:
         tree = LowestIdFirst if endpoint_first else cKDTree
         if endpoint_first or offset > 0:
             assert tree(positions).query(mid)[1] in ([0], [1])
-        monkeypatch.setattr(worldgen, "cKDTree", tree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", tree)
         for e in (_edges([(0, 1)]), _all_pairs(4)):
             got = _gabriel_filter(positions, e)
             assert_same_array(got, scalar_gabriel_filter(positions, e))
@@ -842,6 +877,72 @@ class TestLinksOnDemand:
         assert [w.neighbors(0), w.neighbors(1)] == [[1], [0]]
 
 
+class TestGabrielOnDemand:
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_match_the_batch_subgraph(self, obstacle):
+        for density in (1.5, 4.0, 8.0):
+            w = build_trial_world(7, density, 0, obstacle)
+            got = [w.gabriel_neighbors(i) for i in range(w.n)]
+            assert w._edges is None and w._gabriel_edges is None, "wired on demand"
+            edges = _wire(w.positions, w.obstacle.walls)
+            assert got == csr_lists(w.n, _gabriel_filter(w.positions, edges))
+            assert w.gabriel_edge_floor() == len(_gabriel_filter(w.positions, edges))
+
+    def test_whole_graph_views_serve_the_rest(self):
+        w = deploy(3.0, SMALL, make_obstacle("concave2"), 4)
+        first = [w.gabriel_neighbors(i) for i in range(0, w.n, 2)]
+        assert w._edges is None and w._gabriel_edges is None
+        # Once the edges exist, the rest come from the Gabriel CSR arrays.
+        w.edges
+        rest = [w.gabriel_neighbors(i) for i in range(1, w.n, 2)]
+        assert w._gabriel_csr is not None
+        want = csr_lists(w.n, w.gabriel_edges())
+        assert first == want[0::2] and rest == want[1::2]
+
+    def test_explicit_edges_are_filtered_as_a_whole(self):
+        # The link 0-1 is 2 long, beyond any grid block: a world built from
+        # explicit edges takes its Gabriel lists from the batch filter,
+        # where node 2 on the link's midpoint removes it.
+        w = make_world([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)], [(0, 1), (0, 2)])
+        assert [w.gabriel_neighbors(i) for i in range(3)] == [[2], [], [0]]
+
+    def test_edge_floor_bounds_the_edge_count(self):
+        w = build_trial_world(3, 4.0, 0, "stripe")
+        total = len(_gabriel_filter(w.positions, _wire(w.positions, w.obstacle.walls)))
+        assert w.gabriel_edge_floor() == 0
+        seen = 0
+        for i in range(0, w.n, 7):
+            seen += len(w.gabriel_neighbors(i))
+            w.gabriel_neighbors(i)  # a cached list counts once
+            assert w.gabriel_edge_floor() == (seen + 1) // 2 <= total
+
+
+class TestGridPairs:
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_match_the_kd_tree(self, obstacle):
+        for density in (1.5, 4.0, 8.0):
+            w = build_trial_world(7, density, 0, obstacle)
+            assert sorted_pairs(w.positions) == kd_tree_pairs(w.positions)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [],
+            [(0.0, 0.0)],
+            [(0.0, 0.0), (0.0, 0.0)],
+            [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+            [(2.0, 0.5), (np.nextafter(1.0, 0.0), 0.5)],
+            [(-3.0, -7.5), (-2.0, -7.5), (-2.0, -6.5), (40.0, 3.0)],
+        ],
+    )
+    def test_small_sets(self, points):
+        positions = np.array(points, dtype=float).reshape(-1, 2)
+        got = _pairs(positions)
+        assert got.dtype == np.int64 and got.shape[1:] == (2,)
+        want = kd_tree_pairs(positions) if len(positions) > 1 else []
+        assert sorted_pairs(positions) == want
+
+
 # Coordinates on the boundaries of the on-demand wiring's grid cells, and
 # a hair below them, next to the degenerate lattice.
 CELL_XS = st.sampled_from(
@@ -878,6 +979,36 @@ def test_links_on_demand_on_degenerate_worlds(world):
         cfg = ExperimentConfig(algorithm=algo, densities=(2.0,), record_path=True)
         want = run_trial(cfg, 2.0, 0, world=wired)
         assert run_trial(cfg, 2.0, 0, world=unwired) == want, algo
+
+
+@st.composite
+def circle_worlds(draw):
+    """Unwired degenerate worlds with up to two nodes added on the
+    diameter circle of a pair of drawn nodes, a quarter turn from its
+    ends: exactly on it, as all coordinates are dyadic."""
+    w = draw(unwired_worlds())
+    extra = []
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, w.n - 1)), draw(st.integers(0, w.n - 1))
+        (px, py), (qx, qy) = w.positions[i], w.positions[j]
+        turn = draw(st.sampled_from([1.0, -1.0]))
+        extra.append(((px + qx) / 2 - turn * (qy - py) / 2, (py + qy) / 2 + turn * (qx - px) / 2))
+    positions = np.concatenate([w.positions, np.array(extra).reshape(-1, 2)])
+    return World(w.region, w.obstacle, positions)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(world=circle_worlds())
+def test_gabriel_on_demand_on_degenerate_worlds(world):
+    positions, walls = world.positions, world.obstacle.walls
+    got = [world.gabriel_neighbors(i) for i in range(world.n)]
+    assert world._edges is None
+    edges = _wire(positions, walls)
+    assert got == csr_lists(world.n, _gabriel_filter(positions, edges))
+    assert sorted(brute_force_gabriel(positions, edges.tolist())) == [
+        (u, v) for u in range(world.n) for v in got[u] if u < v
+    ]
+    assert sorted_pairs(positions) == kd_tree_pairs(positions)
 
 
 # sha256 of edges.tobytes(), of every out_links array concatenated (the
