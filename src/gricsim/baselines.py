@@ -39,7 +39,7 @@ def greedy_step(world: World, current: int, dest_pos: Vec2) -> int:
     nbrs = world.neighbors(current)
     if not nbrs:
         raise Stuck(f"node {current} has no out-links")
-    x, y = world.coords[current]
+    x, y = world.xs[current], world.ys[current]
     d_cur = math.hypot(x - dest_pos.x, y - dest_pos.y)
     # np.hypot and math.hypot differ in the last bit on some inputs, and
     # the pinned outcomes were recorded with np.hypot for the neighbours.
@@ -60,7 +60,7 @@ def inertia_only_step(
     the destination by at most beta * pi; the neighbor maximizing the
     scalar product with it wins. state.prev_pos advances to this node.
     """
-    x, y = world.coords[current]
+    x, y = world.xs[current], world.ys[current]
     vx, vy, alpha = travel_turn(state, x, y)
     gamma = clamp_turn(alpha, beta)
     cos_g, sin_g = math.cos(gamma), math.sin(gamma)
@@ -113,7 +113,7 @@ def ltp_step(
     if not state.stack or state.stack[-1] != current:
         raise ValueError("stack top must be the current node")
     nbrs = world.neighbors(current)
-    x, y = world.coords[current]
+    x, y = world.xs[current], world.ys[current]
     d_cur = math.hypot(x - dest_pos.x, y - dest_pos.y)
     tried = state.tried[-1]
     candidates: list[int] = []
@@ -148,11 +148,12 @@ def _first_edge_cw(world: World, at: int, ref_theta: float, reverse_of: int | No
     turn so the walk only doubles straight back on a dead-end spur. Angle
     ties break toward the smallest node id.
     """
-    coords = world.coords
+    xs, ys = world.xs, world.ys
+    x, y = xs[at], ys[at]
     best = -1
     best_delta = math.inf
     for w in world.gabriel_neighbors(at):
-        delta = (ref_theta - _bearing(coords[at], coords[w])) % TWO_PI
+        delta = (ref_theta - math.atan2(ys[w] - y, xs[w] - x)) % TWO_PI
         if w == reverse_of and delta == 0.0:
             delta = TWO_PI
         if delta < best_delta:
@@ -161,31 +162,28 @@ def _first_edge_cw(world: World, at: int, ref_theta: float, reverse_of: int | No
     return best
 
 
-def _bearing(p, q) -> float:
-    """Heading of q seen from p, for (x, y) pairs."""
-    return math.atan2(q[1] - p[1], q[0] - p[0])
-
-
-def _orient(a, b, c) -> int:
-    """geometry.orient on (x, y) pairs of plain floats."""
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _orient(ax, ay, bx, by, cx, cy) -> int:
+    """geometry.orient on the points (ax, ay), (bx, by), (cx, cy)."""
+    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (d > COLLINEAR_EPS) - (d < -COLLINEAR_EPS)
 
 
-def _proper_crossing(a, b, c, d) -> tuple[float, float] | None:
-    """Intersection point of segments a-b and c-d, given as (x, y) pairs,
-    interiors only.
+def _proper_crossing(ax, ay, bx, by, cx, cy, dx, dy) -> tuple[float, float] | None:
+    """Intersection point of segments a-b and c-d, interiors only.
 
     Returns None unless the two segments cross at a single interior
     point. Touching endpoints or collinear overlap do not count; faces
     are switched only on unambiguous crossings.
     """
-    if _orient(a, b, c) * _orient(a, b, d) >= 0 or _orient(c, d, a) * _orient(c, d, b) >= 0:
+    if (
+        _orient(ax, ay, bx, by, cx, cy) * _orient(ax, ay, bx, by, dx, dy) >= 0
+        or _orient(cx, cy, dx, dy, ax, ay) * _orient(cx, cy, dx, dy, bx, by) >= 0
+    ):
         return None
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    cdx, cdy = d[0] - c[0], d[1] - c[1]
-    t = ((c[0] - a[0]) * cdy - (c[1] - a[1]) * cdx) / (abx * cdy - aby * cdx)
-    return a[0] + t * abx, a[1] + t * aby
+    abx, aby = bx - ax, by - ay
+    cdx, cdy = dx - cx, dy - cy
+    t = ((cx - ax) * cdy - (cy - ay) * cdx) / (abx * cdy - aby * cdx)
+    return ax + t * abx, ay + t * aby
 
 
 def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]:
@@ -199,10 +197,10 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
     Completing a face loop with no crossing improvement means the
     destination is unreachable, and the step raises Stuck.
     """
-    coords = world.coords
-    s_pos = coords[source]
-    dest = (dest_pos.x, dest_pos.y)
-    anchor_d = math.hypot(s_pos[0] - dest[0], s_pos[1] - dest[1])
+    xs, ys = world.xs, world.ys
+    sx, sy = xs[source], ys[source]
+    tx, ty = dest_pos.x, dest_pos.y
+    anchor_d = math.hypot(sx - tx, sy - ty)
     edge = face_start = None
 
     def step(current: int) -> int:
@@ -210,18 +208,19 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
         if edge is None:
             if not world.gabriel_neighbors(source):
                 raise Stuck(f"node {source} has no Gabriel links")
-            first = _first_edge_cw(world, source, _bearing(s_pos, dest), None)
+            first = _first_edge_cw(world, source, math.atan2(ty - sy, tx - sx), None)
             edge = face_start = (source, first)
         else:
             # The message just traversed edge u -> v and sits on v.
             u, v = edge
-            edge = (v, _first_edge_cw(world, v, _bearing(coords[v], coords[u]), u))
+            ref = math.atan2(ys[u] - ys[v], xs[u] - xs[v])
+            edge = (v, _first_edge_cw(world, v, ref, u))
             if edge == face_start:
                 raise Stuck("completed a face without a closer way out")
         while True:
             u, v = edge
-            x = _proper_crossing(coords[u], coords[v], s_pos, dest)
-            x_d = math.inf if x is None else math.hypot(x[0] - dest[0], x[1] - dest[1])
+            x = _proper_crossing(xs[u], ys[u], xs[v], ys[v], sx, sy, tx, ty)
+            x_d = math.inf if x is None else math.hypot(x[0] - tx, x[1] - ty)
             if x_d >= anchor_d:
                 return v
             # Strict improvement: continue in the face holding the rest of
@@ -231,7 +230,7 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
             # switch strictly shrinks anchor_d, so this cannot recur
             # forever even in degenerate layouts.
             anchor_d = x_d
-            if _orient(coords[u], coords[v], dest) > 0:
+            if _orient(xs[u], ys[u], xs[v], ys[v], tx, ty) > 0:
                 # The line presses on through the face already being
                 # walked (it dipped into the adjacent face and came back):
                 # restart this face's walk at the crossing edge.
@@ -240,7 +239,7 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
             # The line leaves through the edge: enter the adjacent face.
             # The message stays on u; the next boundary edge is the
             # clockwise successor of the virtual arrival from v.
-            ref = _bearing(coords[u], coords[v])
+            ref = math.atan2(ys[v] - ys[u], xs[v] - xs[u])
             edge = face_start = (u, _first_edge_cw(world, u, ref, v))
 
     return step

@@ -51,6 +51,9 @@ ALGO_CHOICES = tuple(a.value for a in Algorithm)
 
 SEED_ENV_VAR = "GEOROUTE_SEED"
 
+# Most points a densities range may hold; more is a typo in the step.
+MAX_DENSITIES = 10_000
+
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
@@ -76,8 +79,13 @@ def parse_densities(text: str) -> tuple[float, ...]:
             raise ValueError(f"bad densities {text!r}: range step must be positive")
         if stop < start:
             raise ValueError(f"bad densities {text!r}: range stop must not precede start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
+        # The range has floor(steps) + 1 points; an infinite steps fails too.
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_DENSITIES:
+            raise ValueError(
+                f"bad densities {text!r}: a range may hold at most {MAX_DENSITIES} points"
+            )
+        return tuple(start + i * step for i in range(int(math.floor(steps)) + 1))
     if "," in text:
         return _finite_floats(text, [p for p in text.split(",") if p.strip()])
     return _finite_floats(text, [text])

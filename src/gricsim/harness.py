@@ -35,7 +35,7 @@ from .baselines import (
 )
 from .geometry import Vec2
 from .outcomes import TrialOutcome, TrialStatus, walk
-from .routing import MessageState, RoutingParams, gric_step
+from .routing import MessageState, RoutingParams, Uniforms, gric_step
 from .worldgen import Region, World, deploy, make_obstacle, node_count
 
 STANDARD_REGION = Region(-5.0, 25.0, -5.0, 25.0)
@@ -148,10 +148,11 @@ def source_node(world: World, point: Vec2 = SOURCE_POINT) -> int:
 # fast-forward: (current node, previous node id) for inertia, plus the
 # flag for gric-. The previous node's id is used rather than its
 # position, a finer key, so nodes sharing a position stay apart. gric+
-# and ltp draw from the rng, greedy cannot revisit a node, and face
-# routing keeps its own budget. Each factory looks its step function up
-# in this module at call time, so the module attributes stay the hook
-# points for wrapping them.
+# and ltp draw from the rng (gric+ through routing.Uniforms, which draws
+# its thinning uniforms in blocks), greedy cannot revisit a node, and
+# face routing keeps its own budget. Each factory looks its step
+# function up in this module at call time, so the module attributes stay
+# the hook points for wrapping them.
 def _greedy(world, source, params, rng):
     return (lambda cur: greedy_step(world, cur, DEST_POINT)), None
 
@@ -171,11 +172,12 @@ def _inertia(world, source, params, rng):
 def _gric(world, source, params, rng):
     state = MessageState(dest_pos=DEST_POINT)
     prev = None
+    draws = None if rng is None else Uniforms(rng)
 
     def step(cur):
         nonlocal prev
         prev = cur
-        return gric_step(world, cur, state, params, rng)
+        return gric_step(world, cur, state, params, draws)
 
     return step, (lambda cur: (cur, prev, state.flag)) if rng is None else None
 

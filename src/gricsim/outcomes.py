@@ -93,10 +93,10 @@ def walk(
     time in walking order, so the outcome equals that of the full walk
     bit for bit.
 
-    The loop reads node positions as plain floats from world.coords; the
-    path, when recorded, is the only Vec2 it builds.
+    The loop reads node positions as plain floats from world.xs and
+    world.ys; the path, when recorded, is the only Vec2 it builds.
     """
-    coords = world.coords
+    xs, ys = world.xs, world.ys
     r = world.region
     dx, dy = dest.x, dest.y
     cur = source
@@ -105,7 +105,7 @@ def walk(
     path = [world.pos(source)] if record_path else None
     seen: dict[Hashable, int] = {}
     legs: list[float] = []
-    x, y = coords[cur]
+    x, y = xs[cur], ys[cur]
     while True:
         if math.hypot(x - dx, y - dy) < COMM_RADIUS:
             return TrialOutcome(TrialStatus.SUCCESS, hops, dist, path)
@@ -129,7 +129,7 @@ def walk(
             cur = step(cur)
         except (Stuck, ZeroVector):
             return TrialOutcome(TrialStatus.FAIL_STUCK, hops, dist, path)
-        nx, ny = coords[cur]
+        nx, ny = xs[cur], ys[cur]
         leg = math.hypot(nx - x, ny - y)
         dist += leg
         hops += 1

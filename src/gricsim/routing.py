@@ -51,7 +51,7 @@ class RoutingParams:
     beta is the inertia-conservation parameter in [0, 1]: the fraction of
     the needed turn actually applied per hop. epsilon is the per-neighbor
     drop probability of the randomized variant; it only matters when the
-    router is handed an rng.
+    router is handed uniform draws (Uniforms).
     """
 
     beta: float = 1.0 / 6.0
@@ -154,37 +154,64 @@ def contour_turn(alpha: float, beta: float) -> float:
     return beta * sign * (TWO_PI - abs(alpha))
 
 
+class Uniforms:
+    """A Generator's uniform doubles, drawn BLOCK at a time.
+
+    take(k) returns the next k doubles of the sequence that calling
+    rng.random(k) hop by hop would give: the Generator makes each double
+    from one draw of its bit stream, so drawing ahead in blocks changes
+    no value and no order. The Generator ends up ahead of the doubles
+    taken, so nothing else may draw from it.
+    """
+
+    BLOCK = 1024
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.buf: list[float] = []
+        self.at = 0
+
+    def take(self, k: int) -> list[float]:
+        at, end = self.at, self.at + k
+        if end > len(self.buf):
+            rest = self.buf[at:]
+            self.buf = rest + self.rng.random(max(self.BLOCK, k - len(rest))).tolist()
+            at, end = 0, k
+        self.at = end
+        return self.buf[at:end]
+
+
 def next_hop(
     world: World,
     current: int,
     ix: float,
     iy: float,
     params: RoutingParams = RoutingParams(),
-    rng: np.random.Generator | None = None,
+    draws: Uniforms | None = None,
 ) -> int:
     """Neighbor whose offset has the largest scalar product with (ix, iy).
 
-    Given an rng (the randomized variant), it first thins the neighbor
+    Given draws (the randomized variant), it first thins the neighbor
     set, keeping each neighbor independently with probability
-    1 - epsilon, and falls back to the full set when the thinning empties
-    it. Ties on the scalar product go to the smallest node id.
+    1 - epsilon, one uniform per neighbor in id order, and falls back to
+    the full set when the thinning empties it. Ties on the scalar
+    product go to the smallest node id.
     """
     nbrs = world.neighbors(current)
     if not nbrs:
         raise Stuck(f"node {current} has no out-links")
-    if rng is not None and params.epsilon > 0.0:
+    if draws is not None and params.epsilon > 0.0:
         eps = params.epsilon
-        kept = [v for v, u in zip(nbrs, rng.random(len(nbrs)).tolist()) if u >= eps]
+        kept = [v for v, u in zip(nbrs, draws.take(len(nbrs))) if u >= eps]
         if kept:
             nbrs = kept
-    coords = world.coords
-    x, y = coords[current]
+    xs, ys = world.xs, world.ys
+    x, y = xs[current], ys[current]
     # The neighbours come in ascending id order and only a strictly
     # larger product replaces the best, so ties keep the smallest id.
     best = -math.inf
     for v in nbrs:
-        vx, vy = coords[v]
-        proj = (vx - x) * ix + (vy - y) * iy
+        proj = (xs[v] - x) * ix + (ys[v] - y) * iy
         if proj > best:
             best = proj
             pick = v
@@ -196,7 +223,7 @@ def gric_step(
     current: int,
     state: MessageState,
     params: RoutingParams,
-    rng: np.random.Generator | None = None,
+    draws: Uniforms | None = None,
 ) -> int:
     """One forwarding decision: returns the next node.
 
@@ -206,7 +233,7 @@ def gric_step(
     advanced to this node. Delivery, border and budget are the trial
     loop's.
     """
-    x, y = world.coords[current]
+    x, y = world.xs[current], world.ys[current]
     vx, vy, alpha = travel_turn(state, x, y)
     c = quadrant(alpha)
     flag = _FLAG_TABLE[state.flag][c]
@@ -216,7 +243,7 @@ def gric_step(
         gamma = clamp_turn(alpha, params.beta)
     cos_g, sin_g = math.cos(gamma), math.sin(gamma)
     nxt = next_hop(
-        world, current, cos_g * vx - sin_g * vy, sin_g * vx + cos_g * vy, params, rng
+        world, current, cos_g * vx - sin_g * vy, sin_g * vx + cos_g * vy, params, draws
     )
     state.prev_pos = (x, y)
     state.flag = flag

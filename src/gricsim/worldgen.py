@@ -172,6 +172,10 @@ def _links_blocked_by_wall(
     s4 = _sign_eps(cd[0] * (q[:, 1] - c.y) - cd[1] * (q[:, 0] - c.x))
 
     proper = (s1 * s2 < 0) & (s3 * s4 < 0)
+    # Contact needs a zero sign, which few links have: only their rows
+    # get the bounding-box tests.
+    k = np.flatnonzero((s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0))
+    p, q, s1, s2, s3, s4 = p[k], q[k], s1[k], s2[k], s3[k], s4[k]
 
     def within(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         lo = np.minimum(a, b) - COLLINEAR_EPS
@@ -188,7 +192,8 @@ def _links_blocked_by_wall(
         | ((s3 == 0) & within(cpt, dpt, p))
         | ((s4 == 0) & within(cpt, dpt, q))
     )
-    return proper | touch
+    proper[k] |= touch
+    return proper
 
 
 def _adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,11 +235,18 @@ def _grid(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     are order[starts[c]:starts[c + 1]]. The grid spans the nodes'
     bounding box.
     """
-    cells = np.floor(positions * _CELL_SCALE).astype(np.int64)
-    cells -= cells.min(axis=0) - 1
-    cols, rows = (cells.max(axis=0) + 2).tolist()
-    cell = cells[:, 0] * rows + cells[:, 1]
-    order = np.argsort(cell, kind="stable")
+    # Column by column: numpy reduces an (n, 2) array along its long
+    # axis several times slower than two columns.
+    cx = np.floor(positions[:, 0] * _CELL_SCALE).astype(np.int64)
+    cy = np.floor(positions[:, 1] * _CELL_SCALE).astype(np.int64)
+    cx -= cx.min() - 1
+    cy -= cy.min() - 1
+    cols, rows = int(cx.max()) + 2, int(cy.max()) + 2
+    cell = cx * rows + cy
+    # numpy's stable sort of 16-bit keys is a radix sort: the same order,
+    # several times faster than sorting the int64 ids.
+    key = cell.astype(np.uint16) if cols * rows <= 1 << 16 else cell
+    order = np.argsort(key, kind="stable")
     starts = np.zeros(cols * rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(cell, minlength=cols * rows), out=starts[1:])
     return cell, order, starts, rows
@@ -297,14 +309,19 @@ def _blocked(
 
 
 class _LocalLinks:
-    """What wiring one node on demand needs: the nodes bucketed by grid
-    cell (_grid), and the wall-blocked partners of each node."""
+    """What wiring one node of a world on demand needs: the nodes bucketed
+    by grid cell (_grid), and the wall-blocked links.
 
-    def __init__(self, positions: np.ndarray, walls: tuple[Segment, ...]) -> None:
-        self.positions = positions
-        cell, self.order, starts, self.rows = _grid(positions)
+    The coordinates are the world's own xs and ys lists, and the grid
+    order is an int list, so wiring a node runs on plain Python values.
+    """
+
+    def __init__(self, world: World) -> None:
+        positions, walls = world.positions, world.obstacle.walls
+        self.positions, self.xs, self.ys = positions, world.xs, world.ys
+        self.cell, order, starts, self.rows = _grid(positions)
+        self.order = order.tolist()
         self.starts = starts.tolist()
-        self.cell = cell.tolist()
         # A blocked link joins two nodes near a wall, so one pass over the
         # linked pairs of near-wall nodes finds them all.
         near = np.zeros(len(positions), dtype=bool)
@@ -312,33 +329,41 @@ class _LocalLinks:
             near |= _near(positions, wall)
         ids = np.flatnonzero(near)
         pairs = ids[_pairs(positions[ids])]
-        self.blocked: dict[int, set[int]] = {}
-        for u, v in pairs[_blocked(positions, pairs, walls)].tolist():
-            self.blocked.setdefault(u, set()).add(v)
-            self.blocked.setdefault(v, set()).add(u)
+        u, v = pairs[_blocked(positions, pairs, walls)].T
+        # Each blocked link as the keys u * n + v and v * n + u, and the
+        # nodes that have one: two sets, not one per node.
+        n = len(positions)
+        self.blocked = set(np.concatenate([u * n + v, v * n + u]).tolist())
+        self.walled = set(np.concatenate([u, v]).tolist())
 
-    def block(self, node: int) -> np.ndarray:
+    def block(self, node: int) -> list[int]:
         """The nodes in node's grid cell and the eight around it, node
         included."""
-        c, r, s, order = self.cell[node], self.rows, self.starts, self.order
-        return np.concatenate(
-            [
-                order[s[c - r - 1]:s[c - r + 2]],
-                order[s[c - 1]:s[c + 2]],
-                order[s[c + r - 1]:s[c + r + 2]],
-            ]
+        c, r, s, order = int(self.cell[node]), self.rows, self.starts, self.order
+        return (
+            order[s[c - r - 1]:s[c - r + 2]]
+            + order[s[c - 1]:s[c + 2]]
+            + order[s[c + r - 1]:s[c + r + 2]]
         )
 
     def links(self, node: int) -> list[int]:
         """The nodes linked to node, ascending by id."""
-        near = self.block(node)
-        d = self.positions[near] - self.positions[node]
-        near = near[_in_range(d[:, 0], d[:, 1])]
-        near.sort()
-        out = near.tolist()
+        xs, ys = self.xs, self.ys
+        x, y = xs[node], ys[node]
+        r2 = COMM_RADIUS * COMM_RADIUS
+        # _in_range's expression, written out: a call per candidate would
+        # cost more than the test.
+        out = [
+            v
+            for v in self.block(node)
+            if (dx := xs[v] - x) * dx + (dy := ys[v] - y) * dy <= r2
+        ]
+        out.sort()
         out.remove(node)
-        blocked = self.blocked.get(node)
-        return [v for v in out if v not in blocked] if blocked else out
+        if node in self.walled:
+            key, blocked = node * len(xs), self.blocked
+            return [v for v in out if key + v not in blocked]
+        return out
 
     def gabriel(self, node: int, links: list[int]) -> list[int]:
         """The links of node, given ascending, that _gabriel_filter keeps.
@@ -358,7 +383,7 @@ class _LocalLinks:
         diffs = pu - pv
         radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
         threshold = radii * radii - GABRIEL_EPS
-        w = self.block(node)
+        w = np.array(self.block(node))
         dx = p[w, 0] - mids[:, 0:1]
         dy = p[w, 1] - mids[:, 1:2]
         inside = (dx * dx + dy * dy < threshold[:, None]) & (w != node) & (w != other[:, None])
@@ -382,14 +407,17 @@ class World:
     Gabriel subgraph (_gabriel_filter). A world built from an explicit
     edge list, and a deployed world once its edges exist, serve both
     kinds of list from CSR slices; both ways give the same ascending-id
-    lists. coords holds the positions as Python floats for the per-hop
-    router loops.
+    lists. xs and ys hold the positions' two columns as flat lists of
+    Python floats, for the per-hop router loops and on-demand wiring:
+    two lists, not one per node, so a world adds next to nothing for
+    the garbage collector to track.
     """
 
     region: Region
     obstacle: Obstacle
     positions: np.ndarray
-    coords: list[list[float]] = field(repr=False)
+    xs: list[float] = field(repr=False)
+    ys: list[float] = field(repr=False)
     _edges: np.ndarray | None = field(default=None, repr=False)
     _csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _gabriel_edges: np.ndarray | None = field(default=None, repr=False)
@@ -411,7 +439,8 @@ class World:
         self.region = region
         self.obstacle = obstacle
         self.positions = positions
-        self.coords = positions.tolist()
+        self.xs = positions[:, 0].tolist()
+        self.ys = positions[:, 1].tolist()
         self._edges = edges
         self._csr = self._gabriel_edges = self._gabriel_csr = self._local = None
         self._neighbors = [None] * len(positions)
@@ -423,7 +452,7 @@ class World:
         return len(self.positions)
 
     def pos(self, node: int) -> Vec2:
-        return Vec2(*self.coords[node])
+        return Vec2(self.xs[node], self.ys[node])
 
     def neighbors(self, node: int) -> list[int]:
         """The nodes linked to node, ascending by id.
@@ -464,7 +493,7 @@ class World:
 
     def _local_links(self) -> _LocalLinks:
         if self._local is None:
-            self._local = _LocalLinks(self.positions, self.obstacle.walls)
+            self._local = _LocalLinks(self)
         return self._local
 
     @property

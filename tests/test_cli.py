@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gricsim
-from gricsim import worldgen
+from gricsim import cli, worldgen
 from gricsim.cli import CSV_HEADER, SEED_ENV_VAR, main, parse_densities
 from gricsim.worldgen import parse_world_text
 
@@ -245,6 +245,31 @@ class TestNonFiniteDensities:
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
     def test_single_density(self, capsys, command, text):
         assert self.exit_code(capsys, command, "--density", text) == 2
+
+
+class TestLongRanges:
+    """A densities range of more than MAX_DENSITIES points is a usage
+    error, found from its length before a point is made."""
+
+    def test_the_cap_counts_points(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_DENSITIES", 10)
+        assert len(parse_densities("1:10:1")) == 10
+        for text in ("1:11:1", "1:10:0.5"):
+            with pytest.raises(ValueError, match="at most 10 points"):
+                parse_densities(text)
+
+    # Without the check the first two die in math.floor with an
+    # OverflowError, and the last builds a million points.
+    @pytest.mark.parametrize("text", ["0:1e308:1e-308", "-1e308:1e308:1", "0:1e6:1"])
+    def test_huge_ranges(self, capsys, tmp_path, text):
+        with pytest.raises(ValueError, match="at most 10000 points"):
+            parse_densities(text)
+        argv = ("sweep", "--algo", "greedy", "--trials", "1")
+        assert TestNonFiniteDensities.exit_code(capsys, *argv, "--densities", text) == 2
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"densities = {text}\n")
+        code, _, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and "at most 10000 points" in err
 
 
 class TestTooManyNodes:

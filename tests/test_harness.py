@@ -1,6 +1,7 @@
 """Experiment harness: seeding discipline, trial rules, aggregation."""
 
 import dataclasses
+import gc
 import hashlib
 import math
 from dataclasses import replace
@@ -34,7 +35,7 @@ from gricsim.harness import (
 )
 from gricsim.geometry import Vec2, ZeroVector
 from gricsim.outcomes import TrialStatus, walk
-from gricsim.routing import MessageState, RoutingParams, gric_step, next_hop
+from gricsim.routing import MessageState, RoutingParams, Uniforms, gric_step, next_hop
 from gricsim.worldgen import (
     COMM_RADIUS,
     OBSTACLE_NAMES,
@@ -466,9 +467,9 @@ class TestFloatRouters:
                 assert_same_outcome(got, want, (name, enforce))
         world = make_world(*worlds["tie"], region=STANDARD_REGION)
         assert next_hop(world, 0, 1.0, 0.0) == 1
-        for rng in (None, np.random.default_rng(3)):
+        for draws in (None, Uniforms(np.random.default_rng(3))):
             state = MessageState(dest_pos=DEST_POINT)
-            assert gric_step(world, 0, state, RoutingParams(epsilon=1e-9), rng) == 1
+            assert gric_step(world, 0, state, RoutingParams(epsilon=1e-9), draws) == 1
 
     def test_face_on_sparse_worlds(self):
         # Sparse worlds where the destination is often cut off, so face
@@ -570,6 +571,22 @@ class TestTracerHooks:
         out = run_trial(cfg, 4.0, 0)
         assert out.hops > 5 and out.cycle_start is None
         assert calls == {"step": out.hops, "next_hop": out.hops}
+
+
+def test_a_trial_leaves_the_collector_little_to_track():
+    # A world keeps its coordinates in two flat lists of floats, which the
+    # garbage collector does not track: deploying a world and routing a
+    # gric+ trial on it adds a few objects per node the trial wired, not
+    # one per node of the world.
+    cfg = ExperimentConfig(algorithm=Algorithm.GRIC_PLUS, densities=(3.0,))
+    run_trial(cfg, 3.0, 1)  # first-call caches stay out of the count
+    gc.collect()
+    before = len(gc.get_objects())
+    world = build_trial_world(cfg.master_seed, 3.0, 0, "none")
+    out = run_trial(cfg, 3.0, 0, world=world)
+    added = len(gc.get_objects()) - before
+    assert out.hops > 10
+    assert added < world.n / 4, (added, world.n)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)

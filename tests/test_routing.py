@@ -19,6 +19,7 @@ from gricsim.routing import (
     MessageState,
     Mode,
     RoutingParams,
+    Uniforms,
     clamp_turn,
     contour_turn,
     gric_step,
@@ -239,28 +240,63 @@ class TestNextHop:
         # rule must still return a real neighbor every time.
         w = make_world([(0, 0), (1, 0), (0, 1)], [(0, 1), (0, 2)])
         params = RoutingParams(epsilon=0.999999)
-        rng = np.random.default_rng(25)
+        draws = Uniforms(np.random.default_rng(25))
         for _ in range(1000):
-            assert next_hop(w, 0, 1, 0, params, rng) in (1, 2)
+            assert next_hop(w, 0, 1, 0, params, draws) in (1, 2)
 
     def test_thinning_can_divert(self):
         # With a fair epsilon the second-best neighbor gets picked
         # whenever the best one is dropped.
         w = make_world([(0, 0), (1, 0), (0.9, 0.3)], [(0, 1), (0, 2)])
         params = RoutingParams(epsilon=0.4)
-        rng = np.random.default_rng(26)
-        picks = {next_hop(w, 0, 1, 0, params, rng) for _ in range(500)}
+        draws = Uniforms(np.random.default_rng(26))
+        picks = {next_hop(w, 0, 1, 0, params, draws) for _ in range(500)}
         assert picks == {1, 2}
-        # Without an rng (gric-) nothing is thinned, whatever epsilon says.
+        # Without draws (gric-) nothing is thinned, whatever epsilon says.
         assert {next_hop(w, 0, 1, 0, params) for _ in range(50)} == {1}
 
     def test_epsilon_zero_is_deterministic(self):
         w = make_world([(0, 0), (1, 0), (0.9, 0.3)], [(0, 1), (0, 2)])
         params = RoutingParams(epsilon=0.0)
-        rng = np.random.default_rng(27)
+        draws = Uniforms(np.random.default_rng(27))
         base = next_hop(w, 0, 1, 0, RoutingParams())
         for _ in range(100):
-            assert next_hop(w, 0, 1, 0, params, rng) == base
+            assert next_hop(w, 0, 1, 0, params, draws) == base
+
+
+class TestUniforms:
+    B = Uniforms.BLOCK
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            [0, 1, 0, 1],
+            [1] * 10,
+            [B],
+            [B, B, 0, B],
+            [B - 1, 2, 0, 1],  # the second chunk crosses the buffer's end
+            [7, B - 10, 5, B + 2, 3],
+            [2 * B + 3, 1],  # a chunk longer than a whole block
+        ],
+    )
+    def test_chunks_equal_one_draw(self, chunks):
+        draws = Uniforms(np.random.default_rng(5))
+        got = []
+        for k in chunks:
+            chunk = draws.take(k)
+            assert len(chunk) == k
+            got += chunk
+        assert got == np.random.default_rng(5).random(sum(chunks)).tolist()
+
+    def test_philox_trial_stream(self):
+        # The generator the harness hands gric+, drawn hop by hop as the
+        # vec2 oracle draws it.
+        def rng():
+            return np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
+
+        draws, ref = Uniforms(rng()), rng()
+        for k in [3, 0, 12, 1000, 40, 7, 5000, 2]:
+            assert draws.take(k) == ref.random(k).tolist()
 
 
 class TestGricStep:

@@ -27,6 +27,7 @@ from gricsim.worldgen import (
     GABRIEL_EPS,
     MAX_NODES,
     OBSTACLE_NAMES,
+    Obstacle,
     Region,
     UnknownObstacle,
     World,
@@ -34,6 +35,7 @@ from gricsim.worldgen import (
     _REACH,
     _adjacency,
     _gabriel_filter,
+    _grid,
     _in_range,
     _links_blocked_by_wall,
     _pairs,
@@ -844,7 +846,51 @@ class TestOneSortAdjacency:
                     assert_same_array(indices[indptr[i]:indptr[i + 1]], b)
 
 
+# Wall ends on a quarter lattice, so that a wall's midpoint is exact.
+QUARTER = st.integers(0, 16).map(lambda k: k / 4)
+
+
+@st.composite
+def snapped_worlds(draw):
+    """Unwired worlds of up to 40 random nodes in a 4 x 4 box and up to
+    two walls, plus copies of drawn nodes, partners 1 to their east or
+    north, the pair 2.0 and 1 - 2**-53 (linked, but two unit cells
+    apart), and nodes snapped onto the walls: on their ends, on their
+    midpoints and at drawn points along them."""
+    coord = st.floats(0.0, 4.0)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    walls = []
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = (draw(QUARTER), draw(QUARTER)), (draw(QUARTER), draw(QUARTER))
+        if a != b:
+            walls.append(Segment(Vec2(*a), Vec2(*b)))
+    extra = []
+    for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=4)):
+        x, y = points[i]
+        extra.append(draw(st.sampled_from([(x, y), (x + 1.0, y), (x, y + 1.0)])))
+    if draw(st.booleans()):
+        extra += [(2.0, 0.5), (float(np.nextafter(1.0, 0.0)), 0.5)]
+    along = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    for w in walls:
+        for t in draw(st.lists(along, max_size=3)):
+            extra.append((w.a.x + t * (w.b.x - w.a.x), w.a.y + t * (w.b.y - w.a.y)))
+    return World(
+        Region(-1.0, 6.0, -1.0, 6.0), Obstacle("drawn", tuple(walls)), np.array(points + extra)
+    )
+
+
 class TestLinksOnDemand:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(world=snapped_worlds())
+    def test_list_wiring_matches_the_csr_slices(self, world):
+        positions, walls = world.positions, world.obstacle.walls
+        got = [world.neighbors(i) for i in range(world.n)]
+        assert world._edges is None, "wired on demand"
+        assert got == csr_lists(world.n, _wire(positions, walls))
+        assert brute_force_edges(positions, walls) == [
+            (u, v) for u in range(world.n) for v in got[u] if u < v
+        ]
+
     @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
     def test_match_the_batch_wiring(self, obstacle):
         for density in (1.5, 4.0, 8.0):
@@ -915,6 +961,29 @@ class TestGabrielOnDemand:
             seen += len(w.gabriel_neighbors(i))
             w.gabriel_neighbors(i)  # a cached list counts once
             assert w.gabriel_edge_floor() == (seen + 1) // 2 <= total
+
+
+class TestGrid:
+    @pytest.mark.parametrize("obstacle", ["none", "concave2"])
+    def test_16_bit_order_equals_the_int64_sort(self, obstacle):
+        for density in (1.5, 4.0, 10.0):
+            w = build_trial_world(7, density, 0, obstacle)
+            cell, order, starts, _ = _grid(w.positions)
+            assert len(starts) - 1 <= 1 << 16, "the 16-bit keys are used"
+            assert_same_array(order, np.argsort(cell, kind="stable"))
+
+    @pytest.mark.parametrize("span, wide", [(253.9, False), (254.5, True)])
+    def test_wide_grids_sort_the_int64_ids(self, span, wide):
+        # 253.9 spans 256 x 256 cells, the most 16-bit keys number; 254.5
+        # spans 257 x 257. The far node's cell id then exceeds 2**16 - 1
+        # and would wrap below node 1's if it were cast.
+        positions = np.array([[span, span], [0.0, 0.0], [0.5, 0.2], [span, span - 0.5]])
+        cell, order, starts, _ = _grid(positions)
+        assert (len(starts) - 1 > 1 << 16) == wide
+        assert (cell[0] > 0xFFFF) == wide
+        assert_same_array(order, np.argsort(cell, kind="stable"))
+        w = World(Region(-1.0, 300.0, -1.0, 300.0), make_obstacle("none"), positions)
+        assert [w.neighbors(i) for i in range(4)] == [[3], [2], [1], [0]]
 
 
 class TestGridPairs:
