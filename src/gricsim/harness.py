@@ -282,7 +282,8 @@ def run_sweeps(
     master_seed, which fix the worlds; they may differ in algorithm,
     params, disable_out_of_bounds and record_path. One task is one
     (density, trial) world, built once for all configs. workers > 1 fans
-    the tasks out to one process pool; the reports are byte-identical
+    the tasks out to one process pool of at most one process per task,
+    and a pool of one runs in this process; the reports are byte-identical
     regardless, because every trial is self-seeded and results are
     folded in (config, density, trial_index) order.
     """
@@ -301,6 +302,8 @@ def run_sweeps(
         for di, d in enumerate(first.densities)
         for t in range(first.trials_per_point)
     ]
+    # More processes than worlds would only sit idle.
+    workers = min(workers, len(tasks))
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 8))
         with multiprocessing.Pool(processes=workers) as pool:

@@ -27,6 +27,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Callable, Hashable
+from itertools import cycle, islice
+
+import numpy as np
 
 from .geometry import Vec2, ZeroVector
 from .worldgen import COMM_RADIUS, World
@@ -90,8 +93,8 @@ def walk(
     on the cycle has already passed the delivery and border checks, so
     the trial must end fail_ttl at ttl + 1 hops. walk finishes it from
     the cycle's recorded hop lengths, added to the distance one at a
-    time in walking order, so the outcome equals that of the full walk
-    bit for bit.
+    time in walking order by one np.add.accumulate, so the outcome
+    equals that of the full walk bit for bit.
 
     The loop reads node positions as plain floats from world.xs and
     world.ys; the path, when recorded, is the only Vec2 it builds.
@@ -118,10 +121,13 @@ def walk(
             start = seen.setdefault(state_key(cur), hops)
             if start < hops:
                 period = hops - start
-                for h in range(hops, ttl + 1):
-                    dist += legs[start + (h - start) % period]
-                    if path is not None:
-                        path.append(path[-period])
+                count = ttl + 1 - hops
+                # np.add.accumulate adds strictly left to right, the
+                # order of the hop-by-hop walk; sum() would not.
+                tail = np.resize(np.array(legs[start:], dtype=float), count)
+                dist = float(np.add.accumulate(np.concatenate(([dist], tail)))[-1])
+                if path is not None:
+                    path += islice(cycle(path[-period:]), count)
                 return TrialOutcome(
                     TrialStatus.FAIL_TTL, ttl + 1, dist, path, start, period
                 )

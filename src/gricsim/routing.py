@@ -19,7 +19,7 @@ to the matching northern quadrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -73,11 +73,21 @@ class MessageState:
     then pretends the message arrived flying straight at the destination,
     which reads as compass NE with a zero turn. The step functions
     advance prev_pos and flag in place.
+
+    decisions is gric_step's memo. A message has one world, one
+    destination and one params, so gric_step's decision at a node is a
+    function of (current, prev_pos, flag) alone; decisions maps each such
+    state met so far to (new prev_pos, new flag, ix, iy, rank(world,
+    current, ix, iy)), where (ix, iy) is the bent travel direction. The
+    neighbour list in it is the world's cached one, so an entry holds no
+    list of its own. Hand a state only to steps on one world with one
+    params.
     """
 
     dest_pos: Vec2
     prev_pos: tuple[float, float] | None = None
     flag: Flag = Flag.DOWN
+    decisions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def travel_turn(state: MessageState, x: float, y: float) -> tuple[float, float, float]:
@@ -181,6 +191,23 @@ class Uniforms:
         return self.buf[at:end]
 
 
+def rank(world: World, current: int, ix: float, iy: float) -> tuple[list[int], int]:
+    """(nbrs, best): current's neighbours, ascending by id, and the index
+    in nbrs of the one whose offset has the largest scalar product with
+    (ix, iy). list.index finds the first maximum, so ties go to the
+    smallest node id.
+
+    Raises Stuck when current has no neighbour.
+    """
+    nbrs = world.neighbors(current)
+    if not nbrs:
+        raise Stuck(f"node {current} has no out-links")
+    xs, ys = world.xs, world.ys
+    x, y = xs[current], ys[current]
+    projs = [(xs[v] - x) * ix + (ys[v] - y) * iy for v in nbrs]
+    return nbrs, projs.index(max(projs))
+
+
 def next_hop(
     world: World,
     current: int,
@@ -188,34 +215,33 @@ def next_hop(
     iy: float,
     params: RoutingParams = RoutingParams(),
     draws: Uniforms | None = None,
+    ranked: tuple[list[int], int] | None = None,
 ) -> int:
     """Neighbor whose offset has the largest scalar product with (ix, iy).
+
+    ranked is rank(world, current, ix, iy), passed when the caller has
+    it already; without it next_hop ranks the neighbours itself. Ties
+    on the scalar product go to the smallest node id.
 
     Given draws (the randomized variant), it first thins the neighbor
     set, keeping each neighbor independently with probability
     1 - epsilon, one uniform per neighbor in id order, and falls back to
-    the full set when the thinning empties it. Ties on the scalar
-    product go to the smallest node id.
+    the full set when the thinning empties it. A kept best neighbour is
+    also the first maximum over the kept ones, so the products are taken
+    again, over the kept neighbours only, just when the best is dropped.
     """
-    nbrs = world.neighbors(current)
-    if not nbrs:
-        raise Stuck(f"node {current} has no out-links")
+    nbrs, best = ranked or rank(world, current, ix, iy)
     if draws is not None and params.epsilon > 0.0:
         eps = params.epsilon
-        kept = [v for v, u in zip(nbrs, draws.take(len(nbrs))) if u >= eps]
-        if kept:
-            nbrs = kept
-    xs, ys = world.xs, world.ys
-    x, y = xs[current], ys[current]
-    # The neighbours come in ascending id order and only a strictly
-    # larger product replaces the best, so ties keep the smallest id.
-    best = -math.inf
-    for v in nbrs:
-        proj = (xs[v] - x) * ix + (ys[v] - y) * iy
-        if proj > best:
-            best = proj
-            pick = v
-    return pick
+        us = draws.take(len(nbrs))
+        if us[best] < eps:
+            kept = [v for v, u in zip(nbrs, us) if u >= eps]
+            if kept:
+                xs, ys = world.xs, world.ys
+                x, y = xs[current], ys[current]
+                projs = [(xs[v] - x) * ix + (ys[v] - y) * iy for v in kept]
+                return kept[projs.index(max(projs))]
+    return nbrs[best]
 
 
 def gric_step(
@@ -228,23 +254,32 @@ def gric_step(
     """One forwarding decision: returns the next node.
 
     Order of business: read the compass, update the flag, select the
-    mode, bend the travel direction by the mode's turn, then hand the
-    bent direction to next_hop. state gets the new flag and prev_pos
-    advanced to this node. Delivery, border and budget are the trial
-    loop's.
+    mode, bend the travel direction by the mode's turn, then rank the
+    neighbours along the bent direction and hand them to next_hop. All
+    of that but next_hop's pick depends on (current, prev_pos, flag)
+    alone, so it is worked out once per state and kept in
+    state.decisions: a state met again reuses it, and only the pick,
+    with gric+'s thinning uniforms, runs each hop. state gets the new
+    flag and prev_pos advanced to this node. Delivery, border and budget
+    are the trial loop's.
     """
-    x, y = world.xs[current], world.ys[current]
-    vx, vy, alpha = travel_turn(state, x, y)
-    c = quadrant(alpha)
-    flag = _FLAG_TABLE[state.flag][c]
-    if _CONTOUR_TABLE[flag][c]:
-        gamma = contour_turn(alpha, params.beta)
-    else:
-        gamma = clamp_turn(alpha, params.beta)
-    cos_g, sin_g = math.cos(gamma), math.sin(gamma)
-    nxt = next_hop(
-        world, current, cos_g * vx - sin_g * vy, sin_g * vx + cos_g * vy, params, draws
-    )
-    state.prev_pos = (x, y)
+    key = (current, state.prev_pos, state.flag)
+    decision = state.decisions.get(key)
+    if decision is None:
+        x, y = world.xs[current], world.ys[current]
+        vx, vy, alpha = travel_turn(state, x, y)
+        c = quadrant(alpha)
+        flag = _FLAG_TABLE[state.flag][c]
+        if _CONTOUR_TABLE[flag][c]:
+            gamma = contour_turn(alpha, params.beta)
+        else:
+            gamma = clamp_turn(alpha, params.beta)
+        cos_g, sin_g = math.cos(gamma), math.sin(gamma)
+        ix, iy = cos_g * vx - sin_g * vy, sin_g * vx + cos_g * vy
+        decision = ((x, y), flag, ix, iy, rank(world, current, ix, iy))
+        state.decisions[key] = decision
+    pos, flag, ix, iy, ranked = decision
+    nxt = next_hop(world, current, ix, iy, params, draws, ranked)
+    state.prev_pos = pos
     state.flag = flag
     return nxt

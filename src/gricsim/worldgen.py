@@ -30,6 +30,11 @@ COMM_RADIUS = 1.0
 # far below any distance that matters.
 _REACH = COMM_RADIUS + 1e-6
 
+# Nodes more than this off a wall's line, and along it from its ends,
+# have their links across or beside it decided by their sides alone
+# (_LocalLinks).
+_SIDE_MARGIN = 1e-4
+
 # Most nodes deploy places. 10**7 positions take 160 MB; a density that
 # asks for more is a typo, and numpy would die trying to allocate it.
 MAX_NODES = 10**7
@@ -196,6 +201,50 @@ def _links_blocked_by_wall(
     return proper
 
 
+def _wall_terms(wall: Segment) -> tuple[float, float, float, float, float, float]:
+    """(cx, cy, cdx, cdy, ex, ey): the wall's start c, its offset cd to
+    the far end, and the far end e = c + cd, as _links_blocked_by_wall
+    computes them."""
+    cx, cy = float(wall.a.x), float(wall.a.y)
+    cdx, cdy = float(wall.b.x - wall.a.x), float(wall.b.y - wall.a.y)
+    return cx, cy, cdx, cdy, cx + cdx, cy + cdy
+
+
+def _link_blocked(
+    px: float, py: float, qx: float, qy: float, wall: tuple[float, ...]
+) -> bool:
+    """_links_blocked_by_wall for the one link p -> q, with its float
+    expressions; wall is _wall_terms(wall)."""
+    cx, cy, cdx, cdy, ex, ey = wall
+    pqx, pqy = qx - px, qy - py
+    eps = COLLINEAR_EPS
+    c1 = pqx * (cy - py) - pqy * (cx - px)
+    c2 = pqx * (ey - py) - pqy * (ex - px)
+    c3 = cdx * (py - cy) - cdy * (px - cx)
+    c4 = cdx * (qy - cy) - cdy * (qx - cx)
+    s1 = (c1 > eps) - (c1 < -eps)
+    s2 = (c2 > eps) - (c2 < -eps)
+    s3 = (c3 > eps) - (c3 < -eps)
+    s4 = (c4 > eps) - (c4 < -eps)
+    if s1 * s2 < 0 and s3 * s4 < 0:
+        return True
+    return (
+        (s1 == 0 and _within(px, py, qx, qy, cx, cy))
+        or (s2 == 0 and _within(px, py, qx, qy, ex, ey))
+        or (s3 == 0 and _within(cx, cy, ex, ey, px, py))
+        or (s4 == 0 and _within(cx, cy, ex, ey, qx, qy))
+    )
+
+
+def _within(ax: float, ay: float, bx: float, by: float, x: float, y: float) -> bool:
+    """Whether (x, y) lies in the box of a and b grown by COLLINEAR_EPS."""
+    eps = COLLINEAR_EPS
+    return (
+        min(ax, bx) - eps <= x <= max(ax, bx) + eps
+        and min(ay, by) - eps <= y <= max(ay, by) + eps
+    )
+
+
 def _adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR form (indptr, indices) of an undirected edge list.
 
@@ -310,7 +359,38 @@ def _blocked(
 
 class _LocalLinks:
     """What wiring one node of a world on demand needs: the nodes bucketed
-    by grid cell (_grid), and the wall-blocked links.
+    by grid cell (_grid), and per wall the side codes of the nodes near
+    it (_near). Walls are decided per wired node: no pass over the
+    world's links is made.
+
+    A node's code for a wall c -> d of length L comes from off, the
+    wall test's own cross product cd x (node - c), which is L times the
+    node's signed distance f from the wall's line. The code is 0 when
+    |off| <= m * max(L, 2m), with m = _SIDE_MARGIN, so a nonzero code
+    puts the node more than m off the line and makes |off| > 2m^2. It is
+    otherwise the sign of off, doubled when the node's foot on the line
+    also lies more than m inside both ends. links() settles a link to a
+    partner near the wall by the two codes a and b, writing p, q for the
+    link's ends and e = COLLINEAR_EPS:
+
+    * a * b > 0, both strictly on one side: not blocked. The wall test's
+      s3 and s4 are then one nonzero sign, so the link neither crosses
+      the wall nor ends on it. Contact at a wall end, c say, needs s1 = 0
+      and c in the link's box grown by e, which put c within
+      sqrt(2) * (e + sqrt(e)) of the segment pq. f exceeds m on that
+      segment and is 0 at c, and f changes no faster than distance.
+    * a * b = -4, on opposite sides with both feet inside the ends by m:
+      blocked. s3 * s4 < 0 as above. The link meets the wall's line at a
+      point X between the two feet, so more than m from either end. With
+      theta the angle between link and wall, |pq| sin(theta) =
+      |f(p)| + |f(q)| > 2m, so s1's cross product pq x (c - p) =
+      pq x (c - X) exceeds 2m^2 in size, and s2's has the other sign:
+      a proper crossing.
+    * Anything else gets the one-link test _link_blocked.
+
+    The cross products these rules rest on exceed 2m^2 = 2e-8, far above
+    e and any rounding, so they agree with _links_blocked_by_wall. A
+    partner outside the wall's near box is never blocked by it (_near).
 
     The coordinates are the world's own xs and ys lists, and the grid
     order is an int list, so wiring a node runs on plain Python values.
@@ -322,19 +402,22 @@ class _LocalLinks:
         self.cell, order, starts, self.rows = _grid(positions)
         self.order = order.tolist()
         self.starts = starts.tolist()
-        # A blocked link joins two nodes near a wall, so one pass over the
-        # linked pairs of near-wall nodes finds them all.
-        near = np.zeros(len(positions), dtype=bool)
+        # Per wall, ({near node: code}, the wall's terms for _link_blocked).
+        self.walls: list[tuple[dict[int, int], tuple[float, ...]]] = []
+        m = _SIDE_MARGIN
         for wall in walls:
-            near |= _near(positions, wall)
-        ids = np.flatnonzero(near)
-        pairs = ids[_pairs(positions[ids])]
-        u, v = pairs[_blocked(positions, pairs, walls)].T
-        # Each blocked link as the keys u * n + v and v * n + u, and the
-        # nodes that have one: two sets, not one per node.
-        n = len(positions)
-        self.blocked = set(np.concatenate([u * n + v, v * n + u]).tolist())
-        self.walled = set(np.concatenate([u, v]).tolist())
+            terms = _wall_terms(wall)
+            cx, cy, cdx, cdy = terms[:4]
+            ids = np.flatnonzero(_near(positions, wall))
+            dx, dy = positions[ids, 0] - cx, positions[ids, 1] - cy
+            off = cdx * dy - cdy * dx
+            along = cdx * dx + cdy * dy
+            length2 = cdx * cdx + cdy * cdy
+            length = math.sqrt(length2)
+            side = np.where(np.abs(off) > m * max(length, 2 * m), np.sign(off), 0.0)
+            inside = (along > m * length) & (along < length2 - m * length)
+            code = (side * (1 + inside)).astype(np.int64)
+            self.walls.append((dict(zip(ids.tolist(), code.tolist())), terms))
 
     def block(self, node: int) -> list[int]:
         """The nodes in node's grid cell and the eight around it, node
@@ -360,10 +443,25 @@ class _LocalLinks:
         ]
         out.sort()
         out.remove(node)
-        if node in self.walled:
-            key, blocked = node * len(xs), self.blocked
-            return [v for v in out if key + v not in blocked]
+        for codes, wall in self.walls:
+            a = codes.get(node)
+            if a is not None:
+                out = [
+                    v
+                    for v in out
+                    if (b := codes.get(v)) is None
+                    or a * b > 0
+                    or (a * b != -4 and not self._exact(node, v, wall))
+                ]
         return out
+
+    def _exact(self, u: int, v: int, wall: tuple[float, ...]) -> bool:
+        """_link_blocked for the link of u and v, oriented as _wire's
+        pairs are: the smaller id first."""
+        if v < u:
+            u, v = v, u
+        xs, ys = self.xs, self.ys
+        return _link_blocked(xs[u], ys[u], xs[v], ys[v], wall)
 
     def gabriel(self, node: int, links: list[int]) -> list[int]:
         """The links of node, given ascending, that _gabriel_filter keeps.
@@ -397,8 +495,11 @@ class World:
     A world made by deploy wires its links on demand. The first
     neighbors(i) call gathers the nodes in i's grid cell and the eight
     around it, keeps those the unit-disk rule links to i, drops i's
-    wall-blocked partners and caches the result; a router that visits a
-    few hundred nodes of thousands wires only those. Face routing's
+    wall-blocked partners, decided by the two ends' sides of each wall
+    near i and, where those do not settle it, by the wall test for that
+    one link, and caches the result; a router that visits a few hundred
+    nodes of thousands wires only those, and no wall is tested against
+    the links of the rest. Face routing's
     Gabriel links come the same way: the first gabriel_neighbors(i) call
     tests i's links against the nodes of the same nine cells. The
     whole-graph views are built on first use by the batch code: edges

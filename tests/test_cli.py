@@ -75,6 +75,17 @@ class TestSweep:
         names = [ln.split(",")[0] for ln in out.strip().splitlines()[1:]]
         assert names == ["greedy", "inertia", "gric-", "gric+", "ltp", "face"]
 
+    def test_one_world_starts_no_pool(self, capsys, monkeypatch):
+        # A pool that fails when built, so the check starts no process.
+        def no_pool(processes):
+            raise AssertionError(f"a pool of {processes} was started for one world")
+
+        monkeypatch.setattr(gricsim.harness.multiprocessing, "Pool", no_pool)
+        argv = ("sweep", "--algo", "all", "--densities", "5", "--trials", "1")
+        code, out, _ = run(capsys, *argv, "--workers", "5000")
+        assert code == 0
+        assert out == run(capsys, *argv)[1]
+
     def test_deterministic_output(self, capsys):
         argv = (
             "sweep", "--algo", "gric+", "--densities", "2", "--trials", "4",

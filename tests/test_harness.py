@@ -751,6 +751,41 @@ class TestRunSweeps:
     def test_empty_config_list(self):
         assert run_sweeps([]) == []
 
+    @pytest.mark.parametrize(
+        "trials, densities, workers, started",
+        [
+            (1, (5.0,), 5000, []),  # one world: no pool at all
+            (3, (2.0,), 5000, [3]),  # at most one process per world
+            (2, (2.0, 3.0), 3, [3]),
+            (2, (2.0, 3.0), 2, [2]),
+        ],
+    )
+    def test_pool_has_at_most_one_process_per_world(
+        self, trials, densities, workers, started, monkeypatch
+    ):
+        # A stand-in pool that records its size and maps in this process,
+        # so no real process is started however large workers is.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(harness.multiprocessing, "Pool", RecordingPool)
+        configs = self.configs(densities=densities, trials_per_point=trials)[:3]
+        got = run_sweeps(configs, workers=workers)
+        assert sizes == started
+        assert rows_text(got) == rows_text(map(sweep_from_trials, configs))
+
     def test_sweeps_build_no_whole_graph_view(self, monkeypatch):
         # Every router, face included, reads only the links and Gabriel
         # links of the nodes it visits, and gets what it would get on a

@@ -11,9 +11,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import vec2_routers
 from conftest import make_world
+from gricsim import harness, routing
 from gricsim.geometry import Angle, CompassValue, Vec2, ZeroVector, compass_of
-from gricsim.outcomes import Stuck
+from gricsim.harness import (
+    DEST_POINT,
+    STANDARD_REGION,
+    Algorithm,
+    ExperimentConfig,
+    build_trial_world,
+    run_trial,
+    source_node,
+)
+from gricsim.outcomes import Stuck, TrialStatus, walk
 from gricsim.routing import (
     Flag,
     MessageState,
@@ -28,7 +39,7 @@ from gricsim.routing import (
     travel_turn,
     update_flag,
 )
-from vec2_routers import inertia_ideal
+from vec2_routers import VecState, inertia_ideal
 
 N_RANDOM = 100_000
 
@@ -263,6 +274,20 @@ class TestNextHop:
         for _ in range(100):
             assert next_hop(w, 0, 1, 0, params, draws) == base
 
+    def test_thinned_best_falls_to_the_first_kept_maximum(self):
+        # Neighbours 2 and 3 tie behind 1; a draw equal to epsilon keeps
+        # its neighbour.
+        w = make_world([(0, 0), (1, 0), (0.5, 0.5), (0.5, -0.5)], [(0, 1), (0, 2), (0, 3)])
+        params = RoutingParams(epsilon=0.5)
+        for draws, want in [
+            ([0.1, 0.9, 0.9], 2),
+            ([0.1, 0.1, 0.9], 3),
+            ([0.5, 0.1, 0.1], 1),
+            ([0.1, 0.5, 0.5], 2),
+            ([0.1, 0.1, 0.1], 1),
+        ]:
+            assert next_hop(w, 0, 1, 0, params, Scripted(draws)) == want, draws
+
 
 class TestUniforms:
     B = Uniforms.BLOCK
@@ -403,3 +428,127 @@ class TestGricStep:
                 g = contour_turn(alpha, beta)
                 assert abs(g) <= 2 * math.pi * beta + 1e-12
                 assert g * alpha <= 0.0
+
+
+class Scripted:
+    """Uniform draws read from a script: take(k) for the float routers,
+    random(k) for the vec2 oracle."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def take(self, k):
+        out, self.values = self.values[:k], self.values[k:]
+        assert len(out) == k, "script ran out"
+        return out
+
+    def random(self, k):
+        return np.array(self.take(k))
+
+
+# Node 0 with twelve neighbours 0.9 away around it,
+# every 30 degrees from due east: each bent direction picks a different
+# one.
+STAR = (
+    [(10.0, 10.0)]
+    + [(10.0 + 0.9 * math.cos(k * math.pi / 6), 10.0 + 0.9 * math.sin(k * math.pi / 6))
+       for k in range(12)],
+    [(0, k) for k in range(1, 13)],
+)
+
+
+class TestDecisionMemo:
+    """gric_step decides each (current, prev_pos, flag) state once; the
+    memo against the vec2 routers and against fresh states."""
+
+    def test_long_walks_match_the_vec2_routers(self, monkeypatch):
+        # gric+ ends fail_ttl on this concave2 world after 7,201 hops
+        # circling in the cup. gric- is walked with no cycle
+        # fast-forward, so its states repeat from its first cycle on.
+        world = build_trial_world(13, 8.0, 1, "concave2")
+        ranked = []
+        rank = routing.rank
+        monkeypatch.setattr(routing, "rank", lambda *a: ranked.append(1) or rank(*a))
+        cfg = ExperimentConfig(
+            algorithm=Algorithm.GRIC_PLUS, obstacle="concave2", densities=(8.0,),
+            master_seed=13, record_path=True,
+        )
+        plus = run_trial(cfg, 8.0, 1, world=world)
+        assert (plus.status, plus.hops) == (TrialStatus.FAIL_TTL, world.n + 1)
+        assert len(ranked) < plus.hops / 4, "most states repeat"
+        source, params = source_node(world), RoutingParams()
+        step, _ = harness._STEPS[Algorithm.GRIC_MINUS](world, source, params, None)
+        ranked.clear()
+        minus = walk(world, source, DEST_POINT, step, world.n, record_path=True)
+        assert (minus.status, minus.hops) == (TrialStatus.FAIL_TTL, world.n + 1)
+        assert len(ranked) < 100, "every state after the first cycle repeats"
+        want = vec2_routers.trial(cfg, 8.0, 1, world)
+        assert plus == want and plus.distance.hex() == want.distance.hex()
+        vstep, _ = vec2_routers._gric(world, params, None)
+        want = vec2_routers.walk(world, source, DEST_POINT, vstep, world.n, record_path=True)
+        assert minus == want and minus.distance.hex() == want.distance.hex()
+
+    def test_thinned_hops_match_the_vec2_routers(self):
+        # One state met again and again, each time with other draws:
+        # every neighbour kept, the best dropped, every neighbour dropped,
+        # the best kept and every other dropped, and the best and both
+        # runners-up dropped.
+        world = make_world(*STAR, region=STANDARD_REGION)
+        params = RoutingParams(epsilon=0.5)
+        start = ((9.5, 10.0), Flag.DOWN)
+        nbrs = world.neighbors(0)
+        best = gric_step(world, 0, MessageState(Vec2(20.0, 12.0), *start), params)
+        near = {best, nbrs[nbrs.index(best) - 1], nbrs[(nbrs.index(best) + 1) % len(nbrs)]}
+        scripts = {
+            "all kept": [0.9 for v in nbrs],
+            "best dropped": [0.1 if v == best else 0.9 for v in nbrs],
+            "all dropped": [0.1 for v in nbrs],
+            "only the best kept": [0.9 if v == best else 0.1 for v in nbrs],
+            "three best dropped": [0.1 if v in near else 0.9 for v in nbrs],
+        }
+        state = MessageState(Vec2(20.0, 12.0))
+        picks = {}
+        for name, script in scripts.items():
+            state.prev_pos, state.flag = start
+            got = gric_step(world, 0, state, params, Scripted(script))
+            fresh = MessageState(Vec2(20.0, 12.0), *start)
+            assert gric_step(world, 0, fresh, params, Scripted(script)) == got, name
+            assert (state.prev_pos, state.flag) == (fresh.prev_pos, fresh.flag)
+            old = VecState(Vec2(20.0, 12.0), Vec2(*start[0]), start[1])
+            want, _ = vec2_routers.gric_step(world, 0, old, params, Scripted(script))
+            assert got == want, name
+            picks[name] = got
+        assert len(state.decisions) == 1, "one state, decided once"
+        assert picks["all kept"] == picks["all dropped"] == best
+        assert picks["only the best kept"] == best
+        assert picks["best dropped"] in near - {best}
+        assert picks["three best dropped"] not in near
+
+    def test_another_flag_or_prev_pos_is_decided_anew(self):
+        # One state visits node 0 under every (prev_pos, flag) pair, twice,
+        # so its memo fills as it goes; each decision must equal a fresh
+        # state's. Some pairs differ only in the flag, and some only in
+        # prev_pos, and decide differently: a key without either would
+        # hand back a stale decision.
+        world = make_world(*STAR, region=STANDARD_REGION)
+        params = RoutingParams()
+        prevs = [(11.0, 10.0), (10.0, 11.0), (9.0, 10.0), (10.5, 9.0)]
+        shared = MessageState(dest_pos=Vec2(20.0, 10.0))
+        got = {}
+        for _ in range(2):
+            for prev in prevs:
+                for flag in Flag:
+                    shared.prev_pos, shared.flag = prev, flag
+                    nxt = gric_step(world, 0, shared, params)
+                    fresh = MessageState(shared.dest_pos, prev, flag)
+                    assert gric_step(world, 0, fresh, params) == nxt, (prev, flag)
+                    assert (shared.prev_pos, shared.flag) == (fresh.prev_pos, fresh.flag)
+                    got[prev, flag] = (nxt, shared.flag)
+        assert len(shared.decisions) == len(prevs) * len(Flag)
+        assert max(len({got[prev, f] for f in Flag}) for prev in prevs) > 1
+        assert min(len({got[prev, f] for prev in prevs}) for f in Flag) > 1
+
+    def test_states_do_not_share_a_memo(self):
+        state = MessageState(dest_pos=Vec2(20.0, 10.0))
+        assert replace(state, flag=Flag.UP_E).decisions is not state.decisions
+        assert MessageState(state.dest_pos).decisions is not state.decisions

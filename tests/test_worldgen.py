@@ -33,12 +33,15 @@ from gricsim.worldgen import (
     World,
     _CELL_SCALE,
     _REACH,
+    _SIDE_MARGIN,
     _adjacency,
     _gabriel_filter,
     _grid,
     _in_range,
+    _link_blocked,
     _links_blocked_by_wall,
     _pairs,
+    _wall_terms,
     _wire,
     deploy,
     find_planarity_violation,
@@ -849,19 +852,41 @@ class TestOneSortAdjacency:
 # Wall ends on a quarter lattice, so that a wall's midpoint is exact.
 QUARTER = st.integers(0, 16).map(lambda k: k / 4)
 
+# Offsets off a wall's line and past its ends, in units of the side
+# margin m: on the line, inside and outside the margin, and on its edge.
+MARGINS = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+
+
+def near_wall(draw, wall, t):
+    """The point t of the way along wall, moved a drawn number of side
+    margins off its line and along it."""
+    (ax, ay), (bx, by) = (wall.a.x, wall.a.y), (wall.b.x, wall.b.y)
+    length = math.hypot(bx - ax, by - ay)
+    ux, uy = (bx - ax) / length, (by - ay) / length
+    off, along = draw(MARGINS) * _SIDE_MARGIN, draw(MARGINS) * _SIDE_MARGIN
+    return (
+        ax + t * (bx - ax) + along * ux - off * uy,
+        ay + t * (by - ay) + along * uy + off * ux,
+    )
+
 
 @st.composite
 def snapped_worlds(draw):
     """Unwired worlds of up to 40 random nodes in a 4 x 4 box and up to
-    two walls, plus copies of drawn nodes, partners 1 to their east or
+    two walls, the second often starting where the first ends (a
+    corner), plus copies of drawn nodes, partners 1 to their east or
     north, the pair 2.0 and 1 - 2**-53 (linked, but two unit cells
-    apart), and nodes snapped onto the walls: on their ends, on their
-    midpoints and at drawn points along them."""
+    apart), nodes snapped onto the walls (on their ends, on their
+    midpoints and at drawn points along them) and nodes near the walls:
+    up to 2 side margins off their lines and past or short of their
+    ends."""
     coord = st.floats(0.0, 4.0)
     points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
     walls = []
     for _ in range(draw(st.integers(0, 2))):
         a, b = (draw(QUARTER), draw(QUARTER)), (draw(QUARTER), draw(QUARTER))
+        if walls and draw(st.booleans()):
+            a = (walls[-1].b.x, walls[-1].b.y)
         if a != b:
             walls.append(Segment(Vec2(*a), Vec2(*b)))
     extra = []
@@ -874,9 +899,125 @@ def snapped_worlds(draw):
     for w in walls:
         for t in draw(st.lists(along, max_size=3)):
             extra.append((w.a.x + t * (w.b.x - w.a.x), w.a.y + t * (w.b.y - w.a.y)))
+        for t in draw(st.lists(along, max_size=6)):
+            extra.append(near_wall(draw, w, t))
     return World(
         Region(-1.0, 6.0, -1.0, 6.0), Obstacle("drawn", tuple(walls)), np.array(points + extra)
     )
+
+
+@st.composite
+def wall_links(draw):
+    """A wall on the quarter lattice and up to 30 links p -> q of any
+    length: ends drawn at random, on the wall, on its line past its ends
+    (collinear overlaps), at its ends, and within a few side margins of
+    its line and ends."""
+    a = (draw(QUARTER), draw(QUARTER))
+    b = draw(st.tuples(QUARTER, QUARTER).filter(lambda b: b != a))
+    wall = Segment(Vec2(*a), Vec2(*b))
+    coord = st.floats(-1.0, 5.0)
+    t = st.sampled_from([0.0, 1.0, 0.5, -0.5, 1.5]) | st.floats(-0.5, 1.5)
+    ends = []
+    for _ in range(2 * draw(st.integers(1, 15))):
+        kind = draw(st.sampled_from(["free", "line", "near"]))
+        if kind == "free":
+            ends.append((draw(coord), draw(coord)))
+        elif kind == "line":
+            k = draw(t)
+            ends.append((a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1])))
+        else:
+            ends.append(near_wall(draw, wall, draw(t)))
+    return wall, np.array(ends[0::2]), np.array(ends[1::2])
+
+
+class TestWallsPerNode:
+    """On-demand wiring decides walls per wired node: side codes settle
+    most links, _link_blocked the rest, against the batch wall test."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(case=wall_links())
+    def test_one_link_test_matches_the_batch_test(self, case):
+        wall, p, q = case
+        terms = _wall_terms(wall)
+        want = _links_blocked_by_wall(p, q, wall.a, wall.b).tolist()
+        got = [_link_blocked(*p[k].tolist(), *q[k].tolist(), terms) for k in range(len(p))]
+        assert got == want
+
+    def test_one_link_test_touch_cases(self):
+        # A link ending on the wall, one ending just off it, one collinear
+        # past its end, one collinear overlapping it and one touching its
+        # far end, which the batch test reaches as c + cd.
+        terms = _wall_terms(FLAT)
+        cases = [
+            ((1.0, 0.0), (1.0, 1.0), True),
+            ((1.0, 1e-9), (1.0, 1.0), False),
+            ((3.0, 0.0), (4.0, 0.0), False),
+            ((1.5, 0.0), (2.5, 0.0), True),
+            ((2.0, 0.0), (2.5, 0.5), True),
+        ]
+        for (p, q, blocked) in cases:
+            assert _link_blocked(*p, *q, terms) is blocked, (p, q)
+            want = _links_blocked_by_wall(np.array([p]), np.array([q]), FLAT.a, FLAT.b)
+            assert want.tolist() == [blocked]
+
+    # Pairs of nodes on either side of FLAT, (0, 0) -> (2, 0), in side
+    # margins m: across its middle 2m off the line (settled by the sides
+    # alone), across it inside the margin, across within m of an end
+    # (past it, and short of it), and on one side.
+    M = _SIDE_MARGIN
+
+    @pytest.mark.parametrize(
+        "p, q, blocked",
+        [
+            ((1.0, 2 * M), (1.0, -2 * M), True),
+            ((1.0, M / 2), (1.0, -2 * M), True),
+            ((1.0, 0.0), (1.0, 2 * M), True),
+            ((2.0 + M / 2, 2 * M), (2.0 + M / 2, -2 * M), False),
+            ((2.0 - M / 2, 2 * M), (2.0 - M / 2, -2 * M), True),
+            ((-M / 2, 0.5), (-M / 2, -0.5), False),
+            ((M / 2, 0.5), (M / 2, -0.5), True),
+            ((1.0, 2 * M), (1.5, 0.5), False),
+            ((1.2, 2 * M), (2.0 + M, 2 * M), False),
+        ],
+    )
+    def test_links_at_the_margins(self, p, q, blocked):
+        positions = np.array([p, q])
+        w = World(SMALL, Obstacle("flat", (FLAT,)), positions)
+        assert [w.neighbors(0), w.neighbors(1)] == ([[], []] if blocked else [[1], [0]])
+        assert len(_wire(positions, (FLAT,))) == (0 if blocked else 1)
+
+    # A link that passes a wall's start about COLLINEAR_EPS away, so that
+    # its wall test depends on which end is p (found by a random search).
+    SKEW = (
+        (-0.07438426581220985, 1.2061232758076972),
+        (0.3064730994833283, 1.5498556363305358),
+        Segment(Vec2(0.3010481474919775, 1.544959494828157),
+                Vec2(-0.633343759542721, 3.3132670936548037)),
+    )
+
+    def test_the_exact_test_takes_the_lower_id_first(self):
+        p, q, wall = self.SKEW
+        terms = _wall_terms(wall)
+        assert _link_blocked(*p, *q, terms) != _link_blocked(*q, *p, terms)
+        for points in ([p, q], [q, p]):
+            positions = np.array(points)
+            w = World(Region(-1.0, 6.0, -1.0, 6.0), Obstacle("skew", (wall,)), positions)
+            assert [w.neighbors(0), w.neighbors(1)] == csr_lists(2, _wire(positions, (wall,)))
+
+    def test_sides_settle_most_walled_links(self, monkeypatch):
+        # Every node of a concave2 world wired on demand, with the one-link
+        # tests counted: they are few next to the links beside a wall.
+        exact = []
+        monkeypatch.setattr(
+            worldgen, "_link_blocked", lambda *a: exact.append(1) or _link_blocked(*a)
+        )
+        w = build_trial_world(7, 8.0, 0, "concave2")
+        got = [w.neighbors(i) for i in range(w.n)]
+        assert got == csr_lists(w.n, _wire(w.positions, w.obstacle.walls))
+        beside = sum(
+            1 for codes, _ in w._local.walls for u in codes for v in got[u] if v in codes
+        )
+        assert 0 < len(exact) < beside / 10, (len(exact), beside)
 
 
 class TestLinksOnDemand:
