@@ -20,6 +20,7 @@ processes and still produce byte-identical reports.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
@@ -282,10 +283,11 @@ def run_sweeps(
     master_seed, which fix the worlds; they may differ in algorithm,
     params, disable_out_of_bounds and record_path. One task is one
     (density, trial) world, built once for all configs. workers > 1 fans
-    the tasks out to one process pool of at most one process per task,
-    and a pool of one runs in this process; the reports are byte-identical
-    regardless, because every trial is self-seeded and results are
-    folded in (config, density, trial_index) order.
+    the tasks out to one process pool of at most one process per task and
+    per CPU this process may run on, and a pool of one runs in this
+    process; the reports are byte-identical regardless, because every
+    trial is self-seeded and results are folded in (config, density,
+    trial_index) order.
     """
     configs = list(configs)
     if not configs:
@@ -302,8 +304,8 @@ def run_sweeps(
         for di, d in enumerate(first.densities)
         for t in range(first.trials_per_point)
     ]
-    # More processes than worlds would only sit idle.
-    workers = min(workers, len(tasks))
+    # More processes than worlds or CPUs would only sit idle.
+    workers = min(workers, len(tasks), _cpus())
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 8))
         with multiprocessing.Pool(processes=workers) as pool:
@@ -324,6 +326,12 @@ def run_sweeps(
         )
         for ci, config in enumerate(configs)
     ]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepReport:

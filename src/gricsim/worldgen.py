@@ -20,15 +20,14 @@ from .geometry import COLLINEAR_EPS, Segment, Vec2, segments_cross_interior
 # of the Gabriel rule; keeps boundary nodes from flickering in and out.
 GABRIEL_EPS = 1e-12
 
-# Squared-distance band above the Gabriel threshold inside which the
-# nearest-node test is not trusted and the whole disk is searched.
-_GABRIEL_TIE = 1e-9
-
 COMM_RADIUS = 1.0
 
-# Slack on the radio range for near-wall boxes, far above rounding and
-# far below any distance that matters.
-_REACH = COMM_RADIUS + 1e-6
+# Slack on a distance for the boxes a search is confined to, far above
+# rounding and far below any distance that matters.
+_SLACK = 1e-6
+
+# The radio range with that slack: the reach of near-wall boxes.
+_REACH = COMM_RADIUS + _SLACK
 
 # Nodes more than this off a wall's line, and along it from its ends,
 # have their links across or beside it decided by their sides alone
@@ -147,64 +146,10 @@ def make_obstacle(name: str) -> Obstacle:
     return Obstacle(name=name, walls=walls)
 
 
-def _sign_eps(x: np.ndarray) -> np.ndarray:
-    """Orientation sign with the collinearity tolerance applied."""
-    s = np.zeros(x.shape, dtype=np.int8)
-    s[x > COLLINEAR_EPS] = 1
-    s[x < -COLLINEAR_EPS] = -1
-    return s
-
-
-def _links_blocked_by_wall(
-    p: np.ndarray, q: np.ndarray, c: Vec2, d: Vec2
-) -> np.ndarray:
-    """Vectorized closed-segment intersection of many links with one wall.
-
-    p and q are (m, 2) arrays of link endpoints. Mirrors the scalar
-    predicate in geometry.segments_properly_intersect, endpoint contact
-    and collinear overlap included.
-    """
-    cd = np.array([d.x - c.x, d.y - c.y])
-    cp = np.array([c.x, c.y])
-    pq = q - p
-
-    def cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
-
-    s1 = _sign_eps(cross(pq, cp - p))                    # wall start vs link
-    s2 = _sign_eps(cross(pq, (cp + cd) - p))             # wall end vs link
-    s3 = _sign_eps(cd[0] * (p[:, 1] - c.y) - cd[1] * (p[:, 0] - c.x))
-    s4 = _sign_eps(cd[0] * (q[:, 1] - c.y) - cd[1] * (q[:, 0] - c.x))
-
-    proper = (s1 * s2 < 0) & (s3 * s4 < 0)
-    # Contact needs a zero sign, which few links have: only their rows
-    # get the bounding-box tests.
-    k = np.flatnonzero((s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0))
-    p, q, s1, s2, s3, s4 = p[k], q[k], s1[k], s2[k], s3[k], s4[k]
-
-    def within(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        lo = np.minimum(a, b) - COLLINEAR_EPS
-        hi = np.maximum(a, b) + COLLINEAR_EPS
-        return (lo[:, 0] <= x[:, 0]) & (x[:, 0] <= hi[:, 0]) & (
-            lo[:, 1] <= x[:, 1]
-        ) & (x[:, 1] <= hi[:, 1])
-
-    cpt = np.broadcast_to(cp, p.shape)
-    dpt = np.broadcast_to(cp + cd, p.shape)
-    touch = (
-        ((s1 == 0) & within(p, q, cpt))
-        | ((s2 == 0) & within(p, q, dpt))
-        | ((s3 == 0) & within(cpt, dpt, p))
-        | ((s4 == 0) & within(cpt, dpt, q))
-    )
-    proper[k] |= touch
-    return proper
-
-
 def _wall_terms(wall: Segment) -> tuple[float, float, float, float, float, float]:
     """(cx, cy, cdx, cdy, ex, ey): the wall's start c, its offset cd to
-    the far end, and the far end e = c + cd, as _links_blocked_by_wall
-    computes them."""
+    the far end, and the far end e = c + cd, the floats _link_blocked
+    and _side_codes test against."""
     cx, cy = float(wall.a.x), float(wall.a.y)
     cdx, cdy = float(wall.b.x - wall.a.x), float(wall.b.y - wall.a.y)
     return cx, cy, cdx, cdy, cx + cdx, cy + cdy
@@ -213,8 +158,11 @@ def _wall_terms(wall: Segment) -> tuple[float, float, float, float, float, float
 def _link_blocked(
     px: float, py: float, qx: float, qy: float, wall: tuple[float, ...]
 ) -> bool:
-    """_links_blocked_by_wall for the one link p -> q, with its float
-    expressions; wall is _wall_terms(wall)."""
+    """Whether the closed link p -> q touches the wall whose terms are
+    _wall_terms(wall): geometry.segments_properly_intersect on floats,
+    endpoint contact and collinear overlap included. It is the one wall
+    test; a pair of nodes is tested lower id first, since within
+    COLLINEAR_EPS of a wall end the answer can depend on the order."""
     cx, cy, cdx, cdy, ex, ey = wall
     pqx, pqy = qx - px, qy - py
     eps = COLLINEAR_EPS
@@ -270,6 +218,29 @@ def _in_range(dx, dy):
     decided by this one expression, so the two can never disagree.
     """
     return dx * dx + dy * dy <= COMM_RADIUS * COMM_RADIUS
+
+
+def _gabriel_disks(
+    pu: np.ndarray, pv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mids, radii, thresholds) of the diameter disks of the links
+    pu[k] - pv[k], for _in_disk; pu may be one point, the end all the
+    links share. Either end may come first: the floats are the same."""
+    mids = 0.5 * (pu + pv)
+    diffs = pu - pv
+    radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    return mids, radii, radii * radii - GABRIEL_EPS
+
+
+def _in_disk(dx, dy, threshold):
+    """The Gabriel rule's test of a node at (dx, dy) from a disk's centre:
+    strictly inside, with the GABRIEL_EPS slack on squared distance, so a
+    node exactly on the circle does not count.
+
+    Every Gabriel edge, whether filtered for the whole world or for one
+    node, is decided by this expression on _gabriel_disks' floats.
+    """
+    return dx * dx + dy * dy < threshold
 
 
 def _grid(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -341,26 +312,26 @@ def _near(positions: np.ndarray, wall: Segment) -> np.ndarray:
     )
 
 
-def _blocked(
-    positions: np.ndarray, pairs: np.ndarray, walls: tuple[Segment, ...]
-) -> np.ndarray:
-    """Mask of the pairs (u, v) whose segment touches a wall.
-
-    Only the pairs whose u lies near a wall get that wall's exact test.
-    """
-    blocked = np.zeros(len(pairs), dtype=bool)
-    for wall in walls:
-        tested = np.flatnonzero(_near(positions, wall)[pairs[:, 0]] & ~blocked)
-        blocked[tested] = _links_blocked_by_wall(
-            positions[pairs[tested, 0]], positions[pairs[tested, 1]], wall.a, wall.b
-        )
-    return blocked
+def _side_codes(positions: np.ndarray, wall: Segment) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, codes): the nodes near the wall (_near), ascending, and
+    their side codes for it, as _LocalLinks defines them."""
+    m = _SIDE_MARGIN
+    cx, cy, cdx, cdy = _wall_terms(wall)[:4]
+    ids = np.flatnonzero(_near(positions, wall))
+    dx, dy = positions[ids, 0] - cx, positions[ids, 1] - cy
+    off = cdx * dy - cdy * dx
+    along = cdx * dx + cdy * dy
+    length2 = cdx * cdx + cdy * cdy
+    length = math.sqrt(length2)
+    side = np.where(np.abs(off) > m * max(length, 2 * m), np.sign(off), 0.0)
+    inside = (along > m * length) & (along < length2 - m * length)
+    return ids, (side * (1 + inside)).astype(np.int64)
 
 
 class _LocalLinks:
     """What wiring one node of a world on demand needs: the nodes bucketed
     by grid cell (_grid), and per wall the side codes of the nodes near
-    it (_near). Walls are decided per wired node: no pass over the
+    it (_side_codes). Walls are decided per wired node: no pass over the
     world's links is made.
 
     A node's code for a wall c -> d of length L comes from off, the
@@ -369,9 +340,9 @@ class _LocalLinks:
     |off| <= m * max(L, 2m), with m = _SIDE_MARGIN, so a nonzero code
     puts the node more than m off the line and makes |off| > 2m^2. It is
     otherwise the sign of off, doubled when the node's foot on the line
-    also lies more than m inside both ends. links() settles a link to a
-    partner near the wall by the two codes a and b, writing p, q for the
-    link's ends and e = COLLINEAR_EPS:
+    also lies more than m inside both ends. A link between two nodes near
+    the wall is settled by their codes a and b, in links() and in _wire
+    alike, writing p, q for the link's ends and e = COLLINEAR_EPS:
 
     * a * b > 0, both strictly on one side: not blocked. The wall test's
       s3 and s4 are then one nonzero sign, so the link neither crosses
@@ -389,8 +360,8 @@ class _LocalLinks:
     * Anything else gets the one-link test _link_blocked.
 
     The cross products these rules rest on exceed 2m^2 = 2e-8, far above
-    e and any rounding, so they agree with _links_blocked_by_wall. A
-    partner outside the wall's near box is never blocked by it (_near).
+    e and any rounding, so they agree with _link_blocked. A partner
+    outside the wall's near box is never blocked by it (_near).
 
     The coordinates are the world's own xs and ys lists, and the grid
     order is an int list, so wiring a node runs on plain Python values.
@@ -404,20 +375,9 @@ class _LocalLinks:
         self.starts = starts.tolist()
         # Per wall, ({near node: code}, the wall's terms for _link_blocked).
         self.walls: list[tuple[dict[int, int], tuple[float, ...]]] = []
-        m = _SIDE_MARGIN
         for wall in walls:
-            terms = _wall_terms(wall)
-            cx, cy, cdx, cdy = terms[:4]
-            ids = np.flatnonzero(_near(positions, wall))
-            dx, dy = positions[ids, 0] - cx, positions[ids, 1] - cy
-            off = cdx * dy - cdy * dx
-            along = cdx * dx + cdy * dy
-            length2 = cdx * cdx + cdy * cdy
-            length = math.sqrt(length2)
-            side = np.where(np.abs(off) > m * max(length, 2 * m), np.sign(off), 0.0)
-            inside = (along > m * length) & (along < length2 - m * length)
-            code = (side * (1 + inside)).astype(np.int64)
-            self.walls.append((dict(zip(ids.tolist(), code.tolist())), terms))
+            ids, codes = _side_codes(positions, wall)
+            self.walls.append((dict(zip(ids.tolist(), codes.tolist())), _wall_terms(wall)))
 
     def block(self, node: int) -> list[int]:
         """The nodes in node's grid cell and the eight around it, node
@@ -466,25 +426,23 @@ class _LocalLinks:
     def gabriel(self, node: int, links: list[int]) -> list[int]:
         """The links of node, given ascending, that _gabriel_filter keeps.
 
-        Walls are ignored, and each link is tested with the filter's own
-        float expressions against every node of node's block. A node
-        inside a link's diameter disk is nearer to both ends than they are
-        to each other, so within radio range of node: the block holds
-        every node that can disqualify the link.
+        Walls are ignored, and each link's disk (_gabriel_disks) is tested
+        with _in_disk against every node of node's block. A node inside a
+        link's diameter disk is nearer to both ends than they are to each
+        other, so within radio range of node: the block holds every node
+        that can disqualify the link.
         """
         if not links:
             return []
         p = self.positions
         other = np.array(links)
-        pu, pv = p[np.minimum(other, node)], p[np.maximum(other, node)]
-        mids = 0.5 * (pu + pv)
-        diffs = pu - pv
-        radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        threshold = radii * radii - GABRIEL_EPS
+        mids, _, threshold = _gabriel_disks(p[node], p[other])
         w = np.array(self.block(node))
-        dx = p[w, 0] - mids[:, 0:1]
-        dy = p[w, 1] - mids[:, 1:2]
-        inside = (dx * dx + dy * dy < threshold[:, None]) & (w != node) & (w != other[:, None])
+        inside = (
+            _in_disk(p[w, 0] - mids[:, 0:1], p[w, 1] - mids[:, 1:2], threshold[:, None])
+            & (w != node)
+            & (w != other[:, None])
+        )
         return [v for v, hit in zip(links, inside.any(axis=1).tolist()) if not hit]
 
 
@@ -499,19 +457,21 @@ class World:
     near i and, where those do not settle it, by the wall test for that
     one link, and caches the result; a router that visits a few hundred
     nodes of thousands wires only those, and no wall is tested against
-    the links of the rest. Face routing's
-    Gabriel links come the same way: the first gabriel_neighbors(i) call
-    tests i's links against the nodes of the same nine cells. The
-    whole-graph views are built on first use by the batch code: edges
-    (_wire), the CSR arrays indptr and indices (_adjacency), where the
-    neighbours of node i are indices[indptr[i]:indptr[i + 1]], and the
-    Gabriel subgraph (_gabriel_filter). A world built from an explicit
-    edge list, and a deployed world once its edges exist, serve both
-    kinds of list from CSR slices; both ways give the same ascending-id
-    lists. xs and ys hold the positions' two columns as flat lists of
-    Python floats, for the per-hop router loops and on-demand wiring:
-    two lists, not one per node, so a world adds next to nothing for
-    the garbage collector to track.
+    the links of the rest. Face routing's Gabriel links come the same
+    way: the first gabriel_neighbors(i) call tests i's links against the
+    nodes of the same nine cells. The whole-graph views are built on
+    first use with the same rules: edges (_wire: the unit-disk rule on
+    the grid's pairs, then the side codes and the wall test), the CSR
+    arrays indptr and indices (_adjacency), where the neighbours of node
+    i are indices[indptr[i]:indptr[i + 1]], and the Gabriel subgraph
+    (_gabriel_filter: the disk test against the grid cells that meet
+    each disk). A world built from an explicit edge list, and a deployed
+    world once its edges exist, serve both kinds of list from CSR slices;
+    both ways give the same ascending-id lists. xs and ys hold the
+    positions' two columns as flat lists of Python floats, for the
+    per-hop router loops and on-demand wiring: two lists, not one per
+    node, so a world adds next to nothing for the garbage collector to
+    track.
     """
 
     region: Region
@@ -633,49 +593,52 @@ class World:
 
 
 def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Keep the edges whose diameter disk contains no third node.
+    """Keep the edges whose diameter disk contains no third node (_in_disk).
 
-    "Contains" is strict interior with the GABRIEL_EPS slack on squared
-    distance, so a node sitting exactly on the circle does not disqualify
-    the edge. Any node inside the disk counts, neighbor or not, and the
-    disk holds one exactly when it holds the node nearest its center that
-    is neither endpoint, so one kd-tree query per edge decides it. When
-    the node nearest the center is an endpoint, every third node lies at
-    least the radius away up to rounding, far below GABRIEL_EPS, and the
-    edge is kept. Otherwise that node is tested: one found inside settles
-    the edge. One found less than _GABRIEL_TIE outside does not: a
-    kd-tree whose distances round differently from this test may have
-    ranked a node inside behind it, so every node in the disk is tested.
+    Any node inside the disk counts, neighbour or not. Each edge is tested
+    against the nodes of the grid cells (_grid) that meet its disk's
+    bounding box grown by _SLACK, clamped to the grid, which holds every
+    node: at most 2 x 2 cells for a link no longer than the radio range,
+    and more for the longer links of a world built from explicit edges.
+    The (edge, node) tests are made about _PAIR_CHUNK at a time.
     """
-    from scipy.spatial import cKDTree  # only whole-graph views need scipy
-
-    if len(edges) == 0:
+    m = len(edges)
+    if m == 0:
         return edges.copy()
-    tree = cKDTree(positions)
-    pu = positions[edges[:, 0]]
-    pv = positions[edges[:, 1]]
-    mids = 0.5 * (pu + pv)
-    diffs = pu - pv
-    radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    _, w = tree.query(mids, k=1)
-    third = (w != edges[:, 0]) & (w != edges[:, 1])
-    dx = positions[w, 0] - mids[:, 0]
-    dy = positions[w, 1] - mids[:, 1]
-    d2 = dx * dx + dy * dy
-    threshold = radii * radii - GABRIEL_EPS
-    keep = ~(third & (d2 < threshold))
-    tie = np.flatnonzero(third & keep & (d2 - threshold < _GABRIEL_TIE))
-    for k, candidates in zip(tie, tree.query_ball_point(mids[tie], radii[tie])):
-        u, v = edges[k]
-        r2 = radii[k] * radii[k]
-        for w in candidates:
-            if w == u or w == v:
-                continue
-            dx = positions[w, 0] - mids[k, 0]
-            dy = positions[w, 1] - mids[k, 1]
-            if dx * dx + dy * dy < r2 - GABRIEL_EPS:
-                keep[k] = False
-                break
+    _, order, starts, rows = _grid(positions)
+    # _grid's cell numbers start one cell below and left of the lowest.
+    origin = np.floor(positions.min(axis=0) * _CELL_SCALE) - 1
+    mids, radii, threshold = _gabriel_disks(positions[edges[:, 0]], positions[edges[:, 1]])
+    reach = (radii + _SLACK)[:, None]
+    lo = np.maximum(np.floor((mids - reach) * _CELL_SCALE) - origin, 0).astype(np.int64)
+    hi = np.floor((mids + reach) * _CELL_SCALE) - origin
+    hi = np.minimum(hi, [(len(starts) - 1) // rows - 1, rows - 1]).astype(np.int64)
+    # One run of the grid order per column of each box: its edge, first
+    # place and length, and the edge's disk.
+    span = hi[:, 0] - lo[:, 0] + 1
+    edge = np.repeat(np.arange(m), span)
+    col = lo[edge, 0] + np.arange(len(edge)) - np.repeat(np.cumsum(span) - span, span)
+    first = starts[col * rows + lo[edge, 1]]
+    count = starts[col * rows + hi[edge, 1] + 1] - first
+    mx, my, limit = mids[edge, 0], mids[edge, 1], threshold[edge]
+    # Test t, counted over all runs, of run k is of the node at place
+    # t + shift[k] of the grid order; positions in that order put each
+    # run's nodes side by side.
+    done = np.cumsum(count)
+    shift = first - (done - count)
+    p = positions[order]
+    x, y = p[:, 0], p[:, 1]
+    keep = np.ones(m, dtype=bool)
+    a = 0
+    while a < len(count):
+        b = max(a + 1, int(np.searchsorted(done, done[a] - count[a] + _PAIR_CHUNK, side="right")))
+        r = np.repeat(np.arange(a, b), count[a:b])
+        at = np.arange(done[a] - count[a], done[b - 1]) + shift[r]
+        inside = np.flatnonzero(_in_disk(x[at] - mx[r], y[at] - my[r], limit[r]))
+        # Only a node inside the disk can be an endpoint to skip.
+        e, w = edge[r[inside]], order[at[inside]]
+        keep[e[(w != edges[e, 0]) & (w != edges[e, 1])]] = False
+        a = b
     return edges[keep]
 
 
@@ -723,10 +686,29 @@ def deploy(
 
 
 def _wire(positions: np.ndarray, walls: tuple[Segment, ...]) -> np.ndarray:
-    """Sorted (u, v), u < v, of every pair at distance <= 1 touching no wall."""
+    """Sorted (u, v), u < v, of every pair at distance <= 1 touching no wall.
+
+    Walls are decided as on-demand wiring decides them (_LocalLinks): a
+    pair of nodes both near a wall is settled by their side codes where
+    those settle it, and by _link_blocked otherwise.
+    """
     n = len(positions)
     pairs = _pairs(positions)
-    pairs = pairs[~_blocked(positions, pairs, walls)]
+    keep = np.ones(len(pairs), dtype=bool)
+    code = np.zeros(n, dtype=np.int64)
+    for wall in walls:
+        ids, codes = _side_codes(positions, wall)
+        near = np.zeros(n, dtype=bool)
+        near[ids] = True
+        code[ids] = codes
+        k = np.flatnonzero(keep & near[pairs[:, 0]] & near[pairs[:, 1]])
+        ab = code[pairs[k, 0]] * code[pairs[k, 1]]
+        keep[k[ab == -4]] = False
+        exact = k[(ab <= 0) & (ab != -4)]
+        ends = np.column_stack([positions[pairs[exact, 0]], positions[pairs[exact, 1]]])
+        terms = _wall_terms(wall)
+        keep[exact] = [not _link_blocked(*e, terms) for e in ends.tolist()]
+    pairs = pairs[keep]
     # Canonical (u, v) ordering keeps serialization reproducible: one sort
     # of the keys u * n + v.
     key = np.sort(pairs[:, 0] * n + pairs[:, 1])
@@ -771,7 +753,8 @@ def _orient_signs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """geometry.orient over rows: sign of (b - a) x (c - a), with its
     collinearity tolerance."""
     bx, by = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-    return _sign_eps(bx * (c[:, 1] - a[:, 1]) - by * (c[:, 0] - a[:, 0]))
+    cross = bx * (c[:, 1] - a[:, 1]) - by * (c[:, 0] - a[:, 0])
+    return (cross > COLLINEAR_EPS).astype(np.int8) - (cross < -COLLINEAR_EPS)
 
 
 def _cross_interior(

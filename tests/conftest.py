@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from gricsim import harness
 from gricsim.geometry import Segment, Vec2
 from gricsim.harness import STANDARD_REGION
 from gricsim.worldgen import COMM_RADIUS, Obstacle, Region, World, _wire, make_obstacle
@@ -88,3 +89,26 @@ def pytest_configure(config):
     home = tempfile.mkdtemp(prefix="hypothesis-")
     set_hypothesis_home_dir(home)
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+
+
+def record_pools(monkeypatch):
+    """Swap in a stand-in multiprocessing.Pool that records its size and
+    maps in this process, so no real process is started however large
+    workers is. Returns the list of recorded sizes."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", RecordingPool)
+    return sizes

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gricsim
+from conftest import record_pools
 from gricsim import cli, worldgen
 from gricsim.cli import CSV_HEADER, SEED_ENV_VAR, main, parse_densities
 from gricsim.worldgen import parse_world_text
@@ -84,6 +85,15 @@ class TestSweep:
         argv = ("sweep", "--algo", "all", "--densities", "5", "--trials", "1")
         code, out, _ = run(capsys, *argv, "--workers", "5000")
         assert code == 0
+        assert out == run(capsys, *argv)[1]
+
+    def test_many_workers_are_capped_at_the_cpus(self, capsys, monkeypatch):
+        # The stand-in pool starts no process whatever workers asks for.
+        sizes = record_pools(monkeypatch)
+        monkeypatch.setattr(gricsim.harness, "_cpus", lambda: 2)
+        argv = ("sweep", "--algo", "gric+", "--densities", "2", "--trials", "8")
+        code, out, _ = run(capsys, *argv, "--workers", "5000")
+        assert code == 0 and sizes == [2]
         assert out == run(capsys, *argv)[1]
 
     def test_deterministic_output(self, capsys):
@@ -309,13 +319,36 @@ class TestTooManyNodes:
         assert run(capsys, command, "--density", "1.1")[0] == 0
 
 
-# Runs a sweep and prints its exit code and every scipy module loaded.
+# Runs the command line with any scipy import made to fail, and prints
+# its exit code and every scipy module loaded.
 SCIPY_PROBE = """
-import os, sys
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
 from gricsim.cli import main
-code = main(sys.argv[1:] + ["--out", os.devnull])
+code = main(sys.argv[1:])
 print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
+
+
+def run_without_scipy(*argv):
+    """Exit code and scipy modules loaded, as printed by SCIPY_PROBE."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gricsim.__file__).parents[1]))
+    env.pop(SEED_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -327,15 +360,27 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     ],
 )
 def test_sweeps_never_import_scipy(argv):
-    # Only whole-graph Gabriel views need scipy; no sweep builds one.
-    env = dict(os.environ, PYTHONPATH=str(Path(gricsim.__file__).parents[1]))
-    env.pop(SEED_ENV_VAR, None)
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, "sweep", *argv, "--trials", "2"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
+    # The package needs only numpy; no sweep even tries to load scipy.
+    assert run_without_scipy("sweep", *argv, "--trials", "2", "--out", os.devnull) == "0 []"
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (("graphcheck", "--obstacle", "stripe", "--density", "8"), None),
+        (("graphcheck", "--obstacle", "concave2", "--density", "4", "--dump"), "w.txt"),
+        (("trace", "--algo", "face", "--obstacle", "ushape", "--density", "8",
+          "--format", "svg", "--out"), "t.svg"),
+        (("trace", "--algo", "gric+", "--obstacle", "concave2", "--density", "6",
+          "--format", "csv", "--out"), "t.csv"),
+    ],
+)
+def test_graphcheck_and_trace_run_without_scipy(argv, written, tmp_path):
+    # graphcheck builds every whole-graph view, the Gabriel subgraph
+    # included, and face traces read Gabriel links: none needs scipy.
+    out = tmp_path / (written or "unused")
+    assert run_without_scipy(*argv, *([str(out)] if written else [])) == "0 []"
+    assert written is None or out.stat().st_size > 0
 
 
 class TestConfigAndEnvironment:

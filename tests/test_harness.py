@@ -4,11 +4,12 @@ import dataclasses
 import gc
 import hashlib
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import degenerate_worlds, make_world
+from conftest import degenerate_worlds, make_world, record_pools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -763,28 +764,33 @@ class TestRunSweeps:
     def test_pool_has_at_most_one_process_per_world(
         self, trials, densities, workers, started, monkeypatch
     ):
-        # A stand-in pool that records its size and maps in this process,
-        # so no real process is started however large workers is.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(harness.multiprocessing, "Pool", RecordingPool)
+        # More CPUs than any case asks for, so only the worlds cap the pool.
+        monkeypatch.setattr(harness, "_cpus", lambda: 64)
+        sizes = record_pools(monkeypatch)
         configs = self.configs(densities=densities, trials_per_point=trials)[:3]
         got = run_sweeps(configs, workers=workers)
         assert sizes == started
         assert rows_text(got) == rows_text(map(sweep_from_trials, configs))
+
+    @pytest.mark.parametrize(
+        "cpus, workers, started",
+        [
+            (2, 5000, [2]),  # 6 worlds, 2 CPUs
+            (4, 5000, [4]),
+            (4, 3, [3]),
+            (1, 5000, []),  # one CPU: no pool at all
+        ],
+    )
+    def test_pool_has_at_most_one_process_per_cpu(self, cpus, workers, started, monkeypatch):
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        sizes = record_pools(monkeypatch)
+        configs = self.configs(densities=(2.0, 3.0), trials_per_point=3)[:3]
+        got = run_sweeps(configs, workers=workers)
+        assert sizes == started
+        assert rows_text(got) == rows_text(map(sweep_from_trials, configs))
+
+    def test_cpus_lie_between_one_and_the_machine_count(self):
+        assert 1 <= harness._cpus() <= (os.cpu_count() or 1)
 
     def test_sweeps_build_no_whole_graph_view(self, monkeypatch):
         # Every router, face included, reads only the links and Gabriel

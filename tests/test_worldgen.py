@@ -15,6 +15,7 @@ from scipy.spatial import cKDTree
 from conftest import XS, YS, degenerate_worlds, make_world
 from gricsim import worldgen
 from gricsim.geometry import (
+    COLLINEAR_EPS,
     Segment,
     Vec2,
     orient,
@@ -35,11 +36,13 @@ from gricsim.worldgen import (
     _REACH,
     _SIDE_MARGIN,
     _adjacency,
+    _gabriel_disks,
     _gabriel_filter,
     _grid,
+    _in_disk,
     _in_range,
     _link_blocked,
-    _links_blocked_by_wall,
+    _near,
     _pairs,
     _wall_terms,
     _wire,
@@ -96,6 +99,57 @@ def brute_force_gabriel(positions, edges):
     return kept
 
 
+# Squared-distance band above the Gabriel threshold inside which
+# kd_tree_gabriel_filter does not trust its nearest-node test and searches
+# the whole disk.
+GABRIEL_TIE = 1e-9
+
+
+def kd_tree_gabriel_filter(positions, edges):
+    """Reference for _gabriel_filter: one kd-tree query per edge.
+
+    The disk holds a third node exactly when it holds the node nearest
+    its center that is neither endpoint. When the node nearest the
+    center is an endpoint, every third node lies at least the radius
+    away up to rounding, far below GABRIEL_EPS, and the edge is kept.
+    Otherwise that node is tested: one found inside settles the edge.
+    One found less than GABRIEL_TIE outside does not: a kd-tree whose
+    distances round differently from this test may have ranked a node
+    inside behind it, so every node in the disk is tested. The tree is
+    looked up in scipy.spatial on each call, so a test can swap it.
+    """
+    from scipy.spatial import cKDTree
+
+    if len(edges) == 0:
+        return edges.copy()
+    tree = cKDTree(positions)
+    pu = positions[edges[:, 0]]
+    pv = positions[edges[:, 1]]
+    mids = 0.5 * (pu + pv)
+    diffs = pu - pv
+    radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    _, w = tree.query(mids, k=1)
+    third = (w != edges[:, 0]) & (w != edges[:, 1])
+    dx = positions[w, 0] - mids[:, 0]
+    dy = positions[w, 1] - mids[:, 1]
+    d2 = dx * dx + dy * dy
+    threshold = radii * radii - GABRIEL_EPS
+    keep = ~(third & (d2 < threshold))
+    tie = np.flatnonzero(third & keep & (d2 - threshold < GABRIEL_TIE))
+    for k, candidates in zip(tie, tree.query_ball_point(mids[tie], radii[tie])):
+        u, v = edges[k]
+        r2 = radii[k] * radii[k]
+        for w in candidates:
+            if w == u or w == v:
+                continue
+            dx = positions[w, 0] - mids[k, 0]
+            dy = positions[w, 1] - mids[k, 1]
+            if dx * dx + dy * dy < r2 - GABRIEL_EPS:
+                keep[k] = False
+                break
+    return edges[keep]
+
+
 def scalar_gabriel_filter(positions, edges):
     """Reference for _gabriel_filter: a ball query and a loop per edge."""
     if len(edges) == 0:
@@ -122,6 +176,75 @@ def scalar_gabriel_filter(positions, edges):
     return edges[keep]
 
 
+def sign_eps(x):
+    """Orientation sign with the collinearity tolerance applied."""
+    s = np.zeros(x.shape, dtype=np.int8)
+    s[x > COLLINEAR_EPS] = 1
+    s[x < -COLLINEAR_EPS] = -1
+    return s
+
+
+def links_blocked_by_wall(p, q, c, d):
+    """Reference for _link_blocked: the closed-segment intersection of
+    many links with one wall c -> d, over arrays.
+
+    p and q are (m, 2) arrays of link endpoints. Mirrors the scalar
+    predicate in geometry.segments_properly_intersect, endpoint contact
+    and collinear overlap included.
+    """
+    cd = np.array([d.x - c.x, d.y - c.y])
+    cp = np.array([c.x, c.y])
+    pq = q - p
+
+    def cross(v, w):
+        return v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
+
+    s1 = sign_eps(cross(pq, cp - p))                    # wall start vs link
+    s2 = sign_eps(cross(pq, (cp + cd) - p))             # wall end vs link
+    s3 = sign_eps(cd[0] * (p[:, 1] - c.y) - cd[1] * (p[:, 0] - c.x))
+    s4 = sign_eps(cd[0] * (q[:, 1] - c.y) - cd[1] * (q[:, 0] - c.x))
+
+    proper = (s1 * s2 < 0) & (s3 * s4 < 0)
+    # Contact needs a zero sign, which few links have: only their rows
+    # get the bounding-box tests.
+    k = np.flatnonzero((s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0))
+    p, q, s1, s2, s3, s4 = p[k], q[k], s1[k], s2[k], s3[k], s4[k]
+
+    def within(a, b, x):
+        lo = np.minimum(a, b) - COLLINEAR_EPS
+        hi = np.maximum(a, b) + COLLINEAR_EPS
+        return (lo[:, 0] <= x[:, 0]) & (x[:, 0] <= hi[:, 0]) & (
+            lo[:, 1] <= x[:, 1]
+        ) & (x[:, 1] <= hi[:, 1])
+
+    cpt = np.broadcast_to(cp, p.shape)
+    dpt = np.broadcast_to(cp + cd, p.shape)
+    touch = (
+        ((s1 == 0) & within(p, q, cpt))
+        | ((s2 == 0) & within(p, q, dpt))
+        | ((s3 == 0) & within(cpt, dpt, p))
+        | ((s4 == 0) & within(cpt, dpt, q))
+    )
+    proper[k] |= touch
+    return proper
+
+
+def batch_wire(positions, walls):
+    """Reference for _wire: the grid's unit-disk pairs, each pair whose
+    lower id lies near a wall tested with links_blocked_by_wall."""
+    n = len(positions)
+    pairs = _pairs(positions)
+    blocked = np.zeros(len(pairs), dtype=bool)
+    for wall in walls:
+        tested = np.flatnonzero(_near(positions, wall)[pairs[:, 0]] & ~blocked)
+        blocked[tested] = links_blocked_by_wall(
+            positions[pairs[tested, 0]], positions[pairs[tested, 1]], wall.a, wall.b
+        )
+    pairs = pairs[~blocked]
+    key = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    return np.column_stack([key // n, key % n])
+
+
 def unpruned_wire(positions, walls):
     """Reference for _wire: the exact wall test on every unit-disk pair."""
     if len(positions) < 2:
@@ -129,11 +252,35 @@ def unpruned_wire(positions, walls):
     pairs = cKDTree(positions).query_pairs(COMM_RADIUS, output_type="ndarray")
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     for wall in walls:
-        blocked = _links_blocked_by_wall(
+        blocked = links_blocked_by_wall(
             positions[pairs[:, 0]], positions[pairs[:, 1]], wall.a, wall.b
         )
         pairs = pairs[~blocked]
     return pairs.astype(np.int64, copy=False)
+
+
+def scalar_wall_edges(positions, walls):
+    """Reference link set for worlds too large for brute_force_edges: the
+    kd-tree's unit-disk pairs, less those that the scalar predicate
+    geometry.segments_properly_intersect finds touching a wall. Only a
+    link whose box meets the wall's, both grown far beyond the predicate's
+    COLLINEAR_EPS, can touch it. (u, v) tuples, u < v, ascending."""
+    pairs = kd_tree_pairs(positions)
+    p = positions[[u for u, _ in pairs]]
+    q = positions[[v for _, v in pairs]]
+    lo, hi = np.minimum(p, q) - 1e-9, np.maximum(p, q) + 1e-9
+    blocked = set()
+    for wall in walls:
+        a, b = (wall.a.x, wall.a.y), (wall.b.x, wall.b.y)
+        meet = (
+            (lo[:, 0] <= max(a[0], b[0])) & (hi[:, 0] >= min(a[0], b[0]))
+            & (lo[:, 1] <= max(a[1], b[1])) & (hi[:, 1] >= min(a[1], b[1]))
+        )
+        for k in np.flatnonzero(meet).tolist():
+            link = SimpleNamespace(a=Vec2(*p[k].tolist()), b=Vec2(*q[k].tolist()))
+            if segments_properly_intersect(link, wall):
+                blocked.add(k)
+    return [pair for k, pair in enumerate(pairs) if k not in blocked]
 
 
 def kd_tree_pairs(positions):
@@ -408,12 +555,16 @@ class TestDeploy:
 
 
 class TestVectorizedBlocking:
+    """The batch wall oracle, and the package's one-link test, against the
+    scalar predicate."""
+
     def test_matches_scalar_predicate(self):
         rng = np.random.default_rng(31)
         wall = Segment(Vec2(4.0, 3.0), Vec2(6.0, 7.0))
+        terms = _wall_terms(wall)
         p = rng.uniform(0, 10, (4000, 2))
         q = p + rng.uniform(-1, 1, (4000, 2))
-        got = _links_blocked_by_wall(p, q, wall.a, wall.b)
+        got = links_blocked_by_wall(p, q, wall.a, wall.b)
         for k in range(len(p)):
             a = Vec2(*p[k].tolist())
             b = Vec2(*q[k].tolist())
@@ -421,12 +572,13 @@ class TestVectorizedBlocking:
                 continue
             want = segments_properly_intersect(Segment(a, b), wall)
             assert bool(got[k]) == want, (p[k], q[k])
+            assert _link_blocked(a.x, a.y, b.x, b.y, terms) == want, (p[k], q[k])
 
     def test_touch_cases(self):
         wall = Segment(Vec2(0.0, 0.0), Vec2(2.0, 0.0))
         p = np.array([[1.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
         q = np.array([[1.0, 1.0], [1.0, 2.0], [4.0, 0.0]])
-        got = _links_blocked_by_wall(p, q, wall.a, wall.b)
+        got = links_blocked_by_wall(p, q, wall.a, wall.b)
         assert got.tolist() == [True, False, False]
 
 
@@ -654,15 +806,60 @@ def _on_threshold(offset):
     return np.array([[0.0, 0.0], [0.7, 0.0], [0.35, y]])
 
 
+def gabriel_checked(positions, edges):
+    """_gabriel_filter's output, after checking it against the kd-tree
+    and the ball-query oracles, byte for byte."""
+    got = _gabriel_filter(positions, edges)
+    assert_same_array(got, scalar_gabriel_filter(positions, edges))
+    assert_same_array(got, kd_tree_gabriel_filter(positions, edges))
+    return got
+
+
+def past_the_grid(positions, edges):
+    """Mask of the edges whose diameter disk has a bounding box reaching
+    cells past the grid of _grid(positions)."""
+    _, _, starts, rows = _grid(positions)
+    shape = np.array([(len(starts) - 1) // rows, rows])
+    origin = np.floor(positions.min(axis=0) * _CELL_SCALE) - 1
+    pu, pv = positions[edges[:, 0]], positions[edges[:, 1]]
+    mids = 0.5 * (pu + pv)
+    r = 0.5 * np.hypot(*(pu - pv).T)[:, None]
+    lo = np.floor((mids - r) * _CELL_SCALE) - origin
+    hi = np.floor((mids + r) * _CELL_SCALE) - origin
+    return ((lo < 0) | (hi >= shape)).any(axis=1)
+
+
+def long_edge_sets(seed, cases):
+    """(positions, edges) pairs of explicit edge sets with edges up to 6
+    long, in boxes of 0.5 to 5 on a side: their diameter disks span many
+    grid cells, and many reach past the grid's outer cells. Nodes sit on
+    a lattice, so some lie exactly on a disk's circle, in every other
+    case."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        n = int(rng.integers(2, 25))
+        size = rng.uniform(0.5, 5.0, 2)
+        if case % 2 == 0:
+            positions = rng.integers(0, (4 * size).astype(int) + 1, (n, 2)) * 0.25
+        else:
+            positions = rng.uniform(0.0, 1.0, (n, 2)) * size
+        u, v = np.triu_indices(n, 1)
+        d = np.hypot(*(positions[u] - positions[v]).T)
+        pick = (rng.random(len(u)) < 0.5) & (d <= 6.0)
+        edges = np.column_stack([u[pick], v[pick]]).astype(np.int64)
+        yield positions, edges[rng.permutation(len(edges))]
+
+
 class TestFastGabriel:
+    """The grid filter against the kd-tree and ball-query oracles, and the
+    kd-tree oracle's tie band against kd-trees that rank near ties
+    wrongly, so that the oracle stays trustworthy."""
+
     @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
     def test_matches_scalar_loop_on_random_worlds(self, obstacle):
         for density in (2.0, 5.0, 8.0):
             w = build_trial_world(5, density, 0, obstacle)
-            assert_same_array(
-                _gabriel_filter(w.positions, w.edges),
-                scalar_gabriel_filter(w.positions, w.edges),
-            )
+            gabriel_checked(w.positions, w.edges)
 
     @pytest.mark.parametrize(
         "points,edges",
@@ -677,9 +874,7 @@ class TestFastGabriel:
     def test_tiny_worlds(self, points, edges):
         positions = np.array(points, dtype=float).reshape(-1, 2)
         e = _edges(edges)
-        got = _gabriel_filter(positions, e)
-        assert_same_array(got, scalar_gabriel_filter(positions, e))
-        assert_same_array(got, e)
+        assert_same_array(gabriel_checked(positions, e), e)
 
     @pytest.mark.parametrize(
         "points",
@@ -696,17 +891,11 @@ class TestFastGabriel:
     )
     def test_coincident_nodes(self, points):
         positions = np.array(points, dtype=float)
-        e = _all_pairs(len(positions))
-        assert_same_array(
-            _gabriel_filter(positions, e), scalar_gabriel_filter(positions, e)
-        )
+        gabriel_checked(positions, _all_pairs(len(positions)))
 
     @pytest.mark.parametrize("offset", [-1e-8, -1e-11, -1e-13, 1e-13, 1e-11, 1e-8])
     def test_node_next_to_the_threshold(self, offset):
-        positions = _on_threshold(offset)
-        e = _all_pairs(3)
-        got = _gabriel_filter(positions, e)
-        assert_same_array(got, scalar_gabriel_filter(positions, e))
+        got = gabriel_checked(_on_threshold(offset), _all_pairs(3))
         # Far enough from the threshold, the offset alone decides.
         if abs(offset) > 1e-12:
             assert ((0, 1) in set(map(tuple, got.tolist()))) == (offset > 0)
@@ -729,8 +918,7 @@ class TestFastGabriel:
 
         assert SecondNearestFirst(positions).query(np.array([[0.35, 0.0]]))[1] == [3]
         monkeypatch.setattr(scipy.spatial, "cKDTree", SecondNearestFirst)
-        got = _gabriel_filter(positions, e)
-        assert_same_array(got, scalar_gabriel_filter(positions, e))
+        got = gabriel_checked(positions, e)
         assert len(got) == 0
 
     @pytest.mark.parametrize("offset", [-1e-13, 0.0, 1e-13, 1e-8])
@@ -739,10 +927,11 @@ class TestFastGabriel:
         # Node 2 lies offset from the circle of edge (0, 1), in squared
         # distance from its midpoint, so an endpoint is the midpoint's
         # nearest node or within rounding of it. Such an edge is kept
-        # without the band. endpoint_first swaps in a kd-tree that rounds
-        # far worse than a real one: it ranks first the lowest id within
-        # 1e-12 of the nearest, in squared distance, which is an endpoint
-        # here even when node 2 lies 1e-13 inside the circle.
+        # without the kd-tree oracle's band. endpoint_first swaps in a
+        # kd-tree that rounds far worse than a real one: it ranks first
+        # the lowest id within 1e-12 of the nearest, in squared distance,
+        # which is an endpoint here even when node 2 lies 1e-13 inside the
+        # circle.
         r2 = 0.35 * 0.35
         positions = np.array(
             [[0.0, 0.0], [0.7, 0.0], [0.35, math.sqrt(r2 + offset)], [0.35, -0.5]]
@@ -760,16 +949,56 @@ class TestFastGabriel:
             assert tree(positions).query(mid)[1] in ([0], [1])
         monkeypatch.setattr(scipy.spatial, "cKDTree", tree)
         for e in (_edges([(0, 1)]), _all_pairs(4)):
-            got = _gabriel_filter(positions, e)
-            assert_same_array(got, scalar_gabriel_filter(positions, e))
+            got = gabriel_checked(positions, e)
             assert (0, 1) in set(map(tuple, got.tolist()))
 
     def test_cocircular_square_keeps_both_diagonals(self):
-        positions = np.array([[0.0, 0.0], [0.6, 0.0], [0.6, 0.6], [0.0, 0.6]])
         e = _all_pairs(4)
-        got = _gabriel_filter(positions, e)
-        assert_same_array(got, scalar_gabriel_filter(positions, e))
-        assert_same_array(got, e)
+        positions = np.array([[0.0, 0.0], [0.6, 0.0], [0.6, 0.6], [0.0, 0.6]])
+        assert_same_array(gabriel_checked(positions, e), e)
+
+    def test_long_explicit_edges(self):
+        # Disks up to 3 in radius, some of them reaching past the grid.
+        removed = past = 0
+        for positions, edges in long_edge_sets(47, 60):
+            got = gabriel_checked(positions, edges)
+            assert sorted(map(tuple, got.tolist())) == sorted(
+                brute_force_gabriel(positions, edges.tolist())
+            )
+            removed += len(edges) - len(got)
+            past += int(past_the_grid(positions, edges).sum())
+        assert removed > 100 and past > 50, (removed, past)
+
+    def test_far_from_the_origin(self):
+        # Near 1e8 a coordinate's ulp is 1.5e-8, so an endpoint of a link
+        # rounds strictly inside the link's own circle, by more than
+        # GABRIEL_EPS, as often as not: the filter must skip endpoints.
+        rng = np.random.default_rng(3)
+        inside = 0
+        for _ in range(5):
+            positions = 1e8 + rng.uniform(0.0, 3.0, (30, 2))
+            u, v = np.triu_indices(30, 1)
+            near = np.hypot(*(positions[u] - positions[v]).T) <= 1.0
+            e = np.column_stack([u[near], v[near]]).astype(np.int64)
+            gabriel_checked(positions, e)
+            mids, _, threshold = _gabriel_disks(positions[e[:, 0]], positions[e[:, 1]])
+            ends = positions[e[:, 0]] - mids
+            inside += int(_in_disk(ends[:, 0], ends[:, 1], threshold).sum())
+        assert inside > 50, inside
+
+    def test_disks_past_the_outer_cells(self):
+        # The four sides of a 2.9 x 2.9 square: their disks, of radius
+        # 1.45, reach past the grid, which holds the square and one cell
+        # around it. A node inside near the bottom and one near the right
+        # side remove those two sides. The diagonal's disk stays in the
+        # grid.
+        positions = np.array(
+            [[0.0, 0.0], [2.9, 0.0], [2.9, 2.9], [0.0, 2.9], [1.45, 0.3], [2.6, 1.45]]
+        )
+        e = _edges([(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+        assert past_the_grid(positions, e).tolist() == [True] * 4 + [False]
+        got = gabriel_checked(positions, e)
+        assert got.tolist() == [[2, 3], [0, 3]]
 
 
 # Walls of the pruning checks: a horizontal one (degenerate bounding box)
@@ -930,6 +1159,30 @@ def wall_links(draw):
     return wall, np.array(ends[0::2]), np.array(ends[1::2])
 
 
+class TestWireOracles:
+    """_wire, which decides walls by side codes and _link_blocked, against
+    the batch oracles and the scalar predicate."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(world=snapped_worlds())
+    def test_matches_on_snapped_worlds(self, world):
+        positions, walls = world.positions, world.obstacle.walls
+        got = _wire(positions, walls)
+        assert_same_array(got, unpruned_wire(positions, walls))
+        assert_same_array(got, batch_wire(positions, walls))
+        assert list(map(tuple, got.tolist())) == brute_force_edges(positions, walls)
+
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_matches_on_catalogue_worlds(self, obstacle):
+        for density in (1.5, 4.0, 10.0):
+            w = build_trial_world(7, density, 0, obstacle)
+            got = _wire(w.positions, w.obstacle.walls)
+            assert_same_array(got, unpruned_wire(w.positions, w.obstacle.walls))
+            assert_same_array(got, batch_wire(w.positions, w.obstacle.walls))
+            want = scalar_wall_edges(w.positions, w.obstacle.walls)
+            assert list(map(tuple, got.tolist())) == want
+
+
 class TestWallsPerNode:
     """On-demand wiring decides walls per wired node: side codes settle
     most links, _link_blocked the rest, against the batch wall test."""
@@ -939,7 +1192,7 @@ class TestWallsPerNode:
     def test_one_link_test_matches_the_batch_test(self, case):
         wall, p, q = case
         terms = _wall_terms(wall)
-        want = _links_blocked_by_wall(p, q, wall.a, wall.b).tolist()
+        want = links_blocked_by_wall(p, q, wall.a, wall.b).tolist()
         got = [_link_blocked(*p[k].tolist(), *q[k].tolist(), terms) for k in range(len(p))]
         assert got == want
 
@@ -957,7 +1210,7 @@ class TestWallsPerNode:
         ]
         for (p, q, blocked) in cases:
             assert _link_blocked(*p, *q, terms) is blocked, (p, q)
-            want = _links_blocked_by_wall(np.array([p]), np.array([q]), FLAT.a, FLAT.b)
+            want = links_blocked_by_wall(np.array([p]), np.array([q]), FLAT.a, FLAT.b)
             assert want.tolist() == [blocked]
 
     # Pairs of nodes on either side of FLAT, (0, 0) -> (2, 0), in side
@@ -1005,19 +1258,23 @@ class TestWallsPerNode:
             assert [w.neighbors(0), w.neighbors(1)] == csr_lists(2, _wire(positions, (wall,)))
 
     def test_sides_settle_most_walled_links(self, monkeypatch):
-        # Every node of a concave2 world wired on demand, with the one-link
-        # tests counted: they are few next to the links beside a wall.
+        # Every node of a concave2 world wired on demand, then the whole
+        # world by _wire, with the one-link tests of each counted: they
+        # are few next to the links beside a wall.
         exact = []
         monkeypatch.setattr(
             worldgen, "_link_blocked", lambda *a: exact.append(1) or _link_blocked(*a)
         )
         w = build_trial_world(7, 8.0, 0, "concave2")
         got = [w.neighbors(i) for i in range(w.n)]
+        on_demand = len(exact)
         assert got == csr_lists(w.n, _wire(w.positions, w.obstacle.walls))
+        whole = len(exact) - on_demand
         beside = sum(
             1 for codes, _ in w._local.walls for u in codes for v in got[u] if v in codes
         )
-        assert 0 < len(exact) < beside / 10, (len(exact), beside)
+        assert 0 < on_demand < beside / 10, (on_demand, beside)
+        assert 0 < whole < beside / 10, (whole, beside)
 
 
 class TestLinksOnDemand:
