@@ -17,14 +17,12 @@ DEST = Vec2(9.5, 5.0)
 
 
 def component_reaches(world, source) -> bool:
-    indptr, indices = world.gabriel_csr
     seen = {source}
     frontier = [source]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                v = int(v)
+            for v in world.gabriel_neighbors(u):
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)

@@ -8,14 +8,8 @@ way around.
 
 import math
 
-from gricsim.geometry import Angle, CompassValue, compass_of
-from gricsim.routing import (
-    Flag,
-    clamp_turn,
-    contour_turn,
-    mode_selector,
-    update_flag,
-)
+from gricsim.geometry import COMPASS, quadrant
+from gricsim.routing import CONTOUR_TABLE, FLAG_TABLE, Flag, clamp_turn, contour_turn
 
 BETA = 1.0 / 6.0
 
@@ -24,25 +18,21 @@ def main() -> None:
     print("compass partition (alpha = bearing of destination relative")
     print("to the current travel direction):")
     for alpha in (-math.pi, -2.0, -1.0, -0.2, 0.0, 0.7, 1.6, 3.0):
-        c = compass_of(Angle(alpha))
+        c = COMPASS[quadrant(alpha)]
         print(f"  alpha {alpha:+.2f} rad -> {c.value}")
 
     print("\nflag transitions (rows: flag before, columns: compass):")
-    quadrants = [CompassValue.NE, CompassValue.NW, CompassValue.SE,
-                 CompassValue.SW]
-    header = "        " + "".join(f"{q.value:>8s}" for q in quadrants)
+    header = "        " + "".join(f"{c.value:>8s}" for c in COMPASS)
     print(header)
     for flag in Flag:
-        cells = "".join(
-            f"{update_flag(flag, q).name.lower():>8s}" for q in quadrants
-        )
+        cells = "".join(f"{f.name.lower():>8s}" for f in FLAG_TABLE[flag])
         print(f"  {flag.name.lower():<6s}{cells}")
 
     print("\nmode selection (same axes):")
     print(header)
     for flag in Flag:
         cells = "".join(
-            f"{mode_selector(flag, q).value:>8s}" for q in quadrants
+            f"{'contour' if contour else 'inertia':>8s}" for contour in CONTOUR_TABLE[flag]
         )
         print(f"  {flag.name.lower():<6s}{cells}")
 

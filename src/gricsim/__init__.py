@@ -3,7 +3,8 @@
 Simulates stateless-ish geographic routing on random unit-disk sensor
 networks with communication-blocking wall obstacles. The package provides:
 
-* ``geometry``  -- planar vector/angle primitives and segment predicates
+* ``geometry``  -- points, angle wrapping, compass quadrants, walls and the
+                 crossing test of planarity checks
 * ``worldgen``  -- random node deployment, link pruning, Gabriel subgraph
 * ``routing``   -- the compass/flag router with inertia and contour modes
 * ``baselines`` -- greedy, inertia-only, limited-backtrack, and face routing

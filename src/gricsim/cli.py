@@ -373,12 +373,12 @@ def cmd_graphcheck(ns: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
 
     world = build_trial_world(seed, density, 0, obstacle)
-    degrees_sum = int(world.indptr[-1])
+    degrees_sum = 2 * len(world.edges)
     mean_degree = degrees_sum / world.n if world.n else float("nan")
     interior = interior_mean_degree(world)
     gabriel = world.gabriel_edges()
     violation = find_planarity_violation(world.positions, gabriel)
-    connected = is_connected(world.n, world.csr)
+    connected = is_connected(world)
 
     print(f"nodes: {world.n}")
     print(f"links: {len(world.edges)}")

@@ -1,5 +1,9 @@
-"""Planar primitives: vectors, wrapped angles, rotations, compass quadrants,
-and segment intersection tests.
+"""Planar primitives: points, wrapped angles, compass quadrants, wall
+segments and the orientation test that planarity checks rest on.
+
+The routers and the wiring work on plain floats; Vec2 carries the fixed
+points of an experiment (source, destination, wall ends) and the trial
+loop's recorded path.
 
 Everything here works in plain float64. Coordinates in this package stay
 within a few tens of units, so double precision leaves a wide margin and the
@@ -53,18 +57,6 @@ class Vec2:
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def is_zero(self) -> bool:
-        return self.x == 0.0 and self.y == 0.0
-
-    def heading(self) -> float:
-        """Angle of this vector from the +x axis, in (-pi, pi].
-
-        Raises ZeroVector for the zero vector, which has no direction.
-        """
-        if self.is_zero():
-            raise ZeroVector("zero vector has no heading")
-        return math.atan2(self.y, self.x)
-
 
 def wrap_angle(radians: float) -> float:
     """Wrap an angle to the half-open interval [-pi, pi)."""
@@ -74,30 +66,6 @@ def wrap_angle(radians: float) -> float:
     if r >= math.pi:
         r = -math.pi
     return r
-
-
-@dataclass(frozen=True)
-class Angle:
-    """An angle normalized to [-pi, pi) on construction and arithmetic."""
-
-    radians: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.radians):
-            raise ValueError(f"non-finite angle: {self.radians!r}")
-        object.__setattr__(self, "radians", wrap_angle(float(self.radians)))
-
-    def __add__(self, other: "Angle") -> "Angle":
-        return Angle(self.radians + other.radians)
-
-    def __sub__(self, other: "Angle") -> "Angle":
-        return Angle(self.radians - other.radians)
-
-    def __neg__(self) -> "Angle":
-        return Angle(-self.radians)
-
-    def __float__(self) -> float:
-        return self.radians
 
 
 @dataclass(frozen=True)
@@ -131,24 +99,6 @@ class CompassValue(Enum):
 COMPASS = tuple(CompassValue)
 
 
-def angle_from_to(v_from: Vec2, v_to: Vec2) -> Angle:
-    """Signed turn carrying the direction of v_from onto v_to.
-
-    Positive angles are counterclockwise. Both vectors must be nonzero.
-    """
-    if v_from.is_zero() or v_to.is_zero():
-        raise ZeroVector("cannot measure a turn involving a zero vector")
-    return Angle(math.atan2(v_to.y, v_to.x) - math.atan2(v_from.y, v_from.x))
-
-
-def rotate(v: Vec2, gamma: Angle | float) -> Vec2:
-    """Rotate v counterclockwise by gamma. Preserves the norm."""
-    g = float(gamma)
-    c = math.cos(g)
-    s = math.sin(g)
-    return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
-
-
 def quadrant(r: float) -> int:
     """Index in COMPASS of the quadrant of a wrapped turn angle r.
 
@@ -165,20 +115,6 @@ def quadrant(r: float) -> int:
     return 2
 
 
-def compass_of(alpha: Angle) -> CompassValue:
-    """Classify a turn angle into its compass quadrant (see quadrant)."""
-    return COMPASS[quadrant(alpha.radians)]
-
-
-def compass(p: Vec2, p_prev: Vec2, p_dest: Vec2) -> CompassValue:
-    """Compass reading at p for a message that arrived from p_prev.
-
-    Measures the turn from the arrival direction (p - p_prev) to the
-    destination direction (p_dest - p) and classifies its quadrant.
-    """
-    return compass_of(angle_from_to(p - p_prev, p_dest - p))
-
-
 def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
     """Sign of the (a, b, c) triangle orientation: +1 ccw, -1 cw, 0 flat."""
     d = (b - a).cross(c - a)
@@ -189,47 +125,12 @@ def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
     return 0
 
 
-def _on_segment(a: Vec2, b: Vec2, p: Vec2) -> bool:
-    """Whether p, already known collinear with a-b, lies within the box."""
-    return (
-        min(a.x, b.x) - COLLINEAR_EPS <= p.x <= max(a.x, b.x) + COLLINEAR_EPS
-        and min(a.y, b.y) - COLLINEAR_EPS <= p.y <= max(a.y, b.y) + COLLINEAR_EPS
-    )
-
-
-def segments_properly_intersect(s1: Segment, s2: Segment) -> bool:
-    """Whether two closed segments share at least one point.
-
-    Endpoint contact and collinear overlap both count. This is the
-    conservative reading used for radio obstruction: a link that so much
-    as grazes a wall is considered blocked.
-    """
-    a, b = s1.a, s1.b
-    c, d = s2.a, s2.b
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    if o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        return True
-    # Degenerate branches: some triple is collinear.
-    if o1 == 0 and _on_segment(a, b, c):
-        return True
-    if o2 == 0 and _on_segment(a, b, d):
-        return True
-    if o3 == 0 and _on_segment(c, d, a):
-        return True
-    if o4 == 0 and _on_segment(c, d, b):
-        return True
-    return False
-
-
 def segments_cross_interior(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> bool:
     """Whether open segments a-b and c-d cross or overlap.
 
-    Unlike segments_properly_intersect, contact at a shared endpoint does
-    not count. Used for planarity checking, where edges of an embedded
-    graph are allowed to meet at common vertices.
+    Contact at a shared endpoint does not count. Used for planarity
+    checking, where edges of an embedded graph are allowed to meet at
+    common vertices.
     """
     o1 = orient(a, b, c)
     o2 = orient(a, b, d)

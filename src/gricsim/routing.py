@@ -13,7 +13,8 @@ toward the destination) and a one-bit-plus-tag flag carried on the
 message. The flag goes up when the compass points south (the message is
 moving away from its goal, hence presumably circumnavigating), tagged W
 or E by which side it turned; it comes down once the compass swings back
-to the matching northern quadrant.
+to the matching northern quadrant. Both rules are tables indexed by the
+flag and geometry.quadrant's reading: FLAG_TABLE and CONTOUR_TABLE.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .geometry import COMPASS, TWO_PI, CompassValue, Vec2, ZeroVector, quadrant, wrap_angle
+from .geometry import TWO_PI, Vec2, ZeroVector, quadrant, wrap_angle
 from .outcomes import Stuck
 from .worldgen import World
 
@@ -37,11 +38,6 @@ class Flag(IntEnum):
     UP_W = 2
 
     __str__ = Enum.__str__  # prints as Flag.DOWN, as before it was an int
-
-
-class Mode(Enum):
-    INERTIA = "inertia"
-    CONTOUR = "contour"
 
 
 @dataclass(frozen=True)
@@ -74,14 +70,15 @@ class MessageState:
     which reads as compass NE with a zero turn. The step functions
     advance prev_pos and flag in place.
 
-    decisions is gric_step's memo. A message has one world, one
-    destination and one params, so gric_step's decision at a node is a
-    function of (current, prev_pos, flag) alone; decisions maps each such
-    state met so far to (new prev_pos, new flag, ix, iy, rank(world,
-    current, ix, iy)), where (ix, iy) is the bent travel direction. The
+    decisions is gric_step's memo for the randomized variant. A message
+    has one world, one destination and one params, so gric_step's
+    decision at a node is a function of (current, prev_pos, flag) alone;
+    decisions maps each such state met so far to _decide's tuple. The
     neighbour list in it is the world's cached one, so an entry holds no
     list of its own. Hand a state only to steps on one world with one
-    params.
+    params. Without draws the memo stays empty: such a walk is a
+    function of its state, and the trial loop ends it at its first
+    repeated state, so no decision would be read back.
     """
 
     dest_pos: Vec2
@@ -112,7 +109,7 @@ def travel_turn(state: MessageState, x: float, y: float) -> tuple[float, float, 
 # Flag after the compass reading, indexed [flag][quadrant]: up (tagged by
 # side) on a southern reading while down, down again on the northern
 # reading of the flag's own side, otherwise unchanged.
-_FLAG_TABLE = (
+FLAG_TABLE = (
     # NE         NW         SE         SW
     (Flag.DOWN, Flag.DOWN, Flag.UP_E, Flag.UP_W),  # DOWN
     (Flag.DOWN, Flag.UP_E, Flag.UP_E, Flag.UP_E),  # UP_E
@@ -122,22 +119,12 @@ _FLAG_TABLE = (
 # Contour mode, indexed [flag][quadrant], engages only when the raised
 # flag's tag and the compass disagree east/west; that is the signature
 # of a message partway around an obstacle. Everything else is inertia.
-_CONTOUR_TABLE = (
+CONTOUR_TABLE = (
     # NE     NW     SE     SW
     (False, False, False, False),  # DOWN
     (False, True, False, True),  # UP_E
     (True, False, True, False),  # UP_W
 )
-
-
-def update_flag(flag: Flag, c: CompassValue) -> Flag:
-    """The flag after reading compass c."""
-    return _FLAG_TABLE[flag][COMPASS.index(c)]
-
-
-def mode_selector(flag: Flag, c: CompassValue) -> Mode:
-    """The forwarding mood for a (flag, compass) pair."""
-    return Mode.CONTOUR if _CONTOUR_TABLE[flag][COMPASS.index(c)] else Mode.INERTIA
 
 
 def clamp_turn(alpha: float, beta: float) -> float:
@@ -244,6 +231,25 @@ def next_hop(
     return nbrs[best]
 
 
+def _decide(
+    world: World, current: int, state: MessageState, params: RoutingParams
+) -> tuple:
+    """gric_step's decision at current for state's prev_pos and flag:
+    (current's position, the new flag, ix, iy, rank(world, current, ix,
+    iy)), where (ix, iy) is the bent travel direction."""
+    x, y = world.xs[current], world.ys[current]
+    vx, vy, alpha = travel_turn(state, x, y)
+    c = quadrant(alpha)
+    flag = FLAG_TABLE[state.flag][c]
+    if CONTOUR_TABLE[flag][c]:
+        gamma = contour_turn(alpha, params.beta)
+    else:
+        gamma = clamp_turn(alpha, params.beta)
+    cos_g, sin_g = math.cos(gamma), math.sin(gamma)
+    ix, iy = cos_g * vx - sin_g * vy, sin_g * vx + cos_g * vy
+    return (x, y), flag, ix, iy, rank(world, current, ix, iy)
+
+
 def gric_step(
     world: World,
     current: int,
@@ -255,29 +261,21 @@ def gric_step(
 
     Order of business: read the compass, update the flag, select the
     mode, bend the travel direction by the mode's turn, then rank the
-    neighbours along the bent direction and hand them to next_hop. All
-    of that but next_hop's pick depends on (current, prev_pos, flag)
-    alone, so it is worked out once per state and kept in
-    state.decisions: a state met again reuses it, and only the pick,
-    with gric+'s thinning uniforms, runs each hop. state gets the new
-    flag and prev_pos advanced to this node. Delivery, border and budget
-    are the trial loop's.
+    neighbours along the bent direction (_decide) and hand them to
+    next_hop. All of that but next_hop's pick depends on (current,
+    prev_pos, flag) alone. Given draws, it is worked out once per state
+    and kept in state.decisions: a state met again reuses it, and only
+    the pick, with gric+'s thinning uniforms, runs each hop. state gets
+    the new flag and prev_pos advanced to this node. Delivery, border
+    and budget are the trial loop's.
     """
-    key = (current, state.prev_pos, state.flag)
-    decision = state.decisions.get(key)
-    if decision is None:
-        x, y = world.xs[current], world.ys[current]
-        vx, vy, alpha = travel_turn(state, x, y)
-        c = quadrant(alpha)
-        flag = _FLAG_TABLE[state.flag][c]
-        if _CONTOUR_TABLE[flag][c]:
-            gamma = contour_turn(alpha, params.beta)
-        else:
-            gamma = clamp_turn(alpha, params.beta)
-        cos_g, sin_g = math.cos(gamma), math.sin(gamma)
-        ix, iy = cos_g * vx - sin_g * vy, sin_g * vx + cos_g * vy
-        decision = ((x, y), flag, ix, iy, rank(world, current, ix, iy))
-        state.decisions[key] = decision
+    if draws is None:
+        decision = _decide(world, current, state, params)
+    else:
+        key = (current, state.prev_pos, state.flag)
+        decision = state.decisions.get(key)
+        if decision is None:
+            decision = state.decisions[key] = _decide(world, current, state, params)
     pos, flag, ix, iy, ranked = decision
     nxt = next_hop(world, current, ix, iy, params, draws, ranked)
     state.prev_pos = pos

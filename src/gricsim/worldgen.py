@@ -5,6 +5,11 @@ wired with the unit-disk rule (nodes at distance at most 1 hear each
 other), and then un-wired wherever a link would pass through a wall.
 Walls are pure radio obstructions: nodes may sit anywhere, links may not
 touch a wall segment.
+
+A world keeps its links as per-node lists, each wired when a router
+first asks for it; the whole edge list and the Gabriel subgraph are
+built only for whole-graph checks, dumps and face routing's rare long
+walks.
 """
 
 from __future__ import annotations
@@ -159,10 +164,12 @@ def _link_blocked(
     px: float, py: float, qx: float, qy: float, wall: tuple[float, ...]
 ) -> bool:
     """Whether the closed link p -> q touches the wall whose terms are
-    _wall_terms(wall): geometry.segments_properly_intersect on floats,
-    endpoint contact and collinear overlap included. It is the one wall
-    test; a pair of nodes is tested lower id first, since within
-    COLLINEAR_EPS of a wall end the answer can depend on the order."""
+    _wall_terms(wall): a proper crossing by the four orientation signs
+    (geometry.orient's tolerance), or a collinear endpoint of either
+    segment inside the other's box grown by COLLINEAR_EPS, so endpoint
+    contact and collinear overlap block. It is the one wall test; a pair
+    of nodes is tested lower id first, since within COLLINEAR_EPS of a
+    wall end the answer can depend on the order."""
     cx, cy, cdx, cdy, ex, ey = wall
     pqx, pqy = qx - px, qy - py
     eps = COLLINEAR_EPS
@@ -191,24 +198,6 @@ def _within(ax: float, ay: float, bx: float, by: float, x: float, y: float) -> b
         min(ax, bx) - eps <= x <= max(ax, bx) + eps
         and min(ay, by) - eps <= y <= max(ay, by) + eps
     )
-
-
-def _adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR form (indptr, indices) of an undirected edge list.
-
-    The neighbours of node i are indices[indptr[i]:indptr[i + 1]], in
-    ascending id order.
-    """
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    # One sort of the keys src * n + dst orders the directed links by
-    # source, then destination; each key less its source's share is the
-    # destination.
-    degree = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    indices = np.sort(src * n + dst) - np.repeat(np.arange(n, dtype=np.int64) * n, degree)
-    return indptr, indices
 
 
 def _in_range(dx, dy):
@@ -243,17 +232,16 @@ def _in_disk(dx, dy, threshold):
     return dx * dx + dy * dy < threshold
 
 
-def _grid(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The nodes bucketed by grid cell: (cell, order, starts, rows).
+def _cells(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The nodes' grid cells: (cell, order, cols, rows).
 
     Cells are a hair wider than the radio range (_CELL_SCALE) and a
     margin of empty cells surrounds the occupied ones, so a node's linked
     nodes all lie in its own cell and the eight around it, and those nine
-    cells always exist. cell[i] = column * rows + row is node i's cell, so
-    each column's cells are one run of the grid order; order lists the
-    nodes by cell, ascending by id within one, and the nodes of cell c
-    are order[starts[c]:starts[c + 1]]. The grid spans the nodes'
-    bounding box.
+    cells always exist. The grid spans the nodes' bounding box, cols by
+    rows cells. cell[i] = column * rows + row is node i's cell, so each
+    column's cells are one run of the grid order; order lists the nodes
+    by cell, ascending by id within one.
     """
     # Column by column: numpy reduces an (n, 2) array along its long
     # axis several times slower than two columns.
@@ -266,7 +254,16 @@ def _grid(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     # numpy's stable sort of 16-bit keys is a radix sort: the same order,
     # several times faster than sorting the int64 ids.
     key = cell.astype(np.uint16) if cols * rows <= 1 << 16 else cell
-    order = np.argsort(key, kind="stable")
+    return cell, np.argsort(key, kind="stable"), cols, rows
+
+
+def _grid(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """_cells' grid with each cell's place in the grid order: (cell,
+    order, starts, rows), where the nodes of cell c are
+    order[starts[c]:starts[c + 1]]. starts has an entry per cell of the
+    bounding box, so it suits deployed worlds, whose nodes fill a region.
+    """
+    cell, order, cols, rows = _cells(positions)
     starts = np.zeros(cols * rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(cell, minlength=cols * rows), out=starts[1:])
     return cell, order, starts, rows
@@ -450,28 +447,27 @@ class _LocalLinks:
 class World:
     """One deployed network: node positions plus usable links.
 
-    A world made by deploy wires its links on demand. The first
-    neighbors(i) call gathers the nodes in i's grid cell and the eight
-    around it, keeps those the unit-disk rule links to i, drops i's
-    wall-blocked partners, decided by the two ends' sides of each wall
-    near i and, where those do not settle it, by the wall test for that
-    one link, and caches the result; a router that visits a few hundred
-    nodes of thousands wires only those, and no wall is tested against
-    the links of the rest. Face routing's Gabriel links come the same
-    way: the first gabriel_neighbors(i) call tests i's links against the
-    nodes of the same nine cells. The whole-graph views are built on
-    first use with the same rules: edges (_wire: the unit-disk rule on
-    the grid's pairs, then the side codes and the wall test), the CSR
-    arrays indptr and indices (_adjacency), where the neighbours of node
-    i are indices[indptr[i]:indptr[i + 1]], and the Gabriel subgraph
-    (_gabriel_filter: the disk test against the grid cells that meet
-    each disk). A world built from an explicit edge list, and a deployed
-    world once its edges exist, serve both kinds of list from CSR slices;
-    both ways give the same ascending-id lists. xs and ys hold the
-    positions' two columns as flat lists of Python floats, for the
-    per-hop router loops and on-demand wiring: two lists, not one per
-    node, so a world adds next to nothing for the garbage collector to
-    track.
+    Per-node lists, ascending by id, are the world's one adjacency form.
+    A world made by deploy wires them on demand. The first neighbors(i)
+    call gathers the nodes in i's grid cell and the eight around it,
+    keeps those the unit-disk rule links to i, drops i's wall-blocked
+    partners, decided by the two ends' sides of each wall near i and,
+    where those do not settle it, by the wall test for that one link,
+    and caches the result; a router that visits a few hundred nodes of
+    thousands wires only those, and no wall is tested against the links
+    of the rest. Face routing's Gabriel links come the same way: the
+    first gabriel_neighbors(i) call tests i's links against the nodes of
+    the same nine cells. The whole-graph views are built on first use
+    with the same rules: edges (_wire: the unit-disk rule on the grid's
+    pairs, then the side codes and the wall test) and the Gabriel
+    subgraph (_gabriel_filter: the disk test against the grid cells that
+    meet each disk); a deployed world's lists stay on demand once they
+    exist. A world built from an explicit edge list takes its neighbour
+    lists from those edges and its Gabriel lists from gabriel_edges().
+    xs and ys hold the positions' two columns as flat lists of Python
+    floats, for the per-hop router loops and on-demand wiring: two
+    lists, not one per node, so a world adds next to nothing for the
+    garbage collector to track.
     """
 
     region: Region
@@ -480,9 +476,8 @@ class World:
     xs: list[float] = field(repr=False)
     ys: list[float] = field(repr=False)
     _edges: np.ndarray | None = field(default=None, repr=False)
-    _csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _explicit: bool = field(default=False, repr=False)
     _gabriel_edges: np.ndarray | None = field(default=None, repr=False)
-    _gabriel_csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _local: _LocalLinks | None = field(default=None, repr=False)
     _neighbors: list[list[int] | None] = field(repr=False)
     _gabriel: list[list[int] | None] = field(repr=False)
@@ -496,16 +491,22 @@ class World:
         edges: np.ndarray | None = None,
     ) -> None:
         """edges, (u, v) rows, fixes the links; without it the world is
-        wired by the deployment rule: distance <= 1, touching no wall."""
+        wired by the deployment rule: distance <= 1, touching no wall.
+
+        Raises ValueError, naming the row, for an edge with a node id
+        outside 0..n-1, a self-loop or a link given twice.
+        """
+        n = len(positions)
         self.region = region
         self.obstacle = obstacle
         self.positions = positions
         self.xs = positions[:, 0].tolist()
         self.ys = positions[:, 1].tolist()
         self._edges = edges
-        self._csr = self._gabriel_edges = self._gabriel_csr = self._local = None
-        self._neighbors = [None] * len(positions)
-        self._gabriel = [None] * len(positions)
+        self._explicit = edges is not None
+        self._gabriel_edges = self._local = None
+        self._neighbors = [None] * n if edges is None else _lists(n, _checked(n, edges))
+        self._gabriel = [None] * n
         self._gabriel_degrees = 0
 
     @property
@@ -522,12 +523,7 @@ class World:
         """
         nbrs = self._neighbors[node]
         if nbrs is None:
-            if self._edges is None:
-                nbrs = self._local_links().links(node)
-            else:
-                indptr, indices = self.csr
-                nbrs = indices[indptr[node]:indptr[node + 1]].tolist()
-            self._neighbors[node] = nbrs
+            nbrs = self._neighbors[node] = self._local_links().links(node)
         return nbrs
 
     def gabriel_neighbors(self, node: int) -> list[int]:
@@ -536,13 +532,12 @@ class World:
         The list is cached and handed to every caller: do not change it.
         """
         nbrs = self._gabriel[node]
-        if nbrs is None:
-            if self._edges is None:
-                nbrs = self._local_links().gabriel(node, self.neighbors(node))
-            else:
-                indptr, indices = self.gabriel_csr
-                nbrs = indices[indptr[node]:indptr[node + 1]].tolist()
-            self._gabriel[node] = nbrs
+        if nbrs is None and self._explicit:
+            self._gabriel = _lists(self.n, self.gabriel_edges())
+            self._gabriel_degrees = 2 * len(self._gabriel_edges)
+            nbrs = self._gabriel[node]
+        elif nbrs is None:
+            nbrs = self._gabriel[node] = self._local_links().gabriel(node, self.neighbors(node))
             self._gabriel_degrees += len(nbrs)
         return nbrs
 
@@ -564,62 +559,74 @@ class World:
             self._edges = _wire(self.positions, self.obstacle.walls)
         return self._edges
 
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the whole graph."""
-        if self._csr is None:
-            self._csr = _adjacency(self.n, self.edges)
-        return self._csr
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.csr[0]
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.csr[1]
-
     def gabriel_edges(self) -> np.ndarray:
+        """The rows of edges that the Gabriel rule keeps."""
         if self._gabriel_edges is None:
             self._gabriel_edges = _gabriel_filter(self.positions, self.edges)
         return self._gabriel_edges
 
-    @property
-    def gabriel_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the Gabriel subgraph."""
-        if self._gabriel_csr is None:
-            self._gabriel_csr = _adjacency(self.n, self.gabriel_edges())
-        return self._gabriel_csr
+
+def _checked(n: int, edges: np.ndarray) -> np.ndarray:
+    """edges, after checking that each row links two distinct nodes of
+    0..n-1 and that no link is given twice, in either order.
+
+    Raises ValueError naming the first bad row.
+    """
+    seen: dict[tuple[int, int], int] = {}
+    for k, (u, v) in enumerate(edges.tolist()):
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge row {k} ({u}, {v}): node ids must lie in 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"edge row {k} ({u}, {v}): a node cannot link to itself")
+        first = seen.setdefault((min(u, v), max(u, v)), k)
+        if first != k:
+            raise ValueError(f"edge row {k} ({u}, {v}): repeats the link of row {first}")
+    return edges
+
+
+def _lists(n: int, edges: np.ndarray) -> list[list[int]]:
+    """Per-node lists of an undirected edge list, each ascending by id."""
+    lists: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges.tolist():
+        lists[u].append(v)
+        lists[v].append(u)
+    for nbrs in lists:
+        nbrs.sort()
+    return lists
 
 
 def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Keep the edges whose diameter disk contains no third node (_in_disk).
 
     Any node inside the disk counts, neighbour or not. Each edge is tested
-    against the nodes of the grid cells (_grid) that meet its disk's
+    against the nodes of the grid cells (_cells) that meet its disk's
     bounding box grown by _SLACK, clamped to the grid, which holds every
     node: at most 2 x 2 cells for a link no longer than the radio range,
     and more for the longer links of a world built from explicit edges.
-    The (edge, node) tests are made about _PAIR_CHUNK at a time.
+    Each run's ends in the grid order are found in the nodes' sorted cell
+    keys, so memory grows with the node and edge counts, not with the
+    area the nodes span. The (edge, node) tests are made about
+    _PAIR_CHUNK at a time.
     """
     m = len(edges)
     if m == 0:
         return edges.copy()
-    _, order, starts, rows = _grid(positions)
-    # _grid's cell numbers start one cell below and left of the lowest.
+    cell, order, cols, rows = _cells(positions)
+    keys = cell[order]
+    # _cells' cell numbers start one cell below and left of the lowest.
     origin = np.floor(positions.min(axis=0) * _CELL_SCALE) - 1
     mids, radii, threshold = _gabriel_disks(positions[edges[:, 0]], positions[edges[:, 1]])
     reach = (radii + _SLACK)[:, None]
     lo = np.maximum(np.floor((mids - reach) * _CELL_SCALE) - origin, 0).astype(np.int64)
     hi = np.floor((mids + reach) * _CELL_SCALE) - origin
-    hi = np.minimum(hi, [(len(starts) - 1) // rows - 1, rows - 1]).astype(np.int64)
+    hi = np.minimum(hi, [cols - 1, rows - 1]).astype(np.int64)
     # One run of the grid order per column of each box: its edge, first
     # place and length, and the edge's disk.
     span = hi[:, 0] - lo[:, 0] + 1
     edge = np.repeat(np.arange(m), span)
     col = lo[edge, 0] + np.arange(len(edge)) - np.repeat(np.cumsum(span) - span, span)
-    first = starts[col * rows + lo[edge, 1]]
-    count = starts[col * rows + hi[edge, 1] + 1] - first
+    first = np.searchsorted(keys, col * rows + lo[edge, 1])
+    count = np.searchsorted(keys, col * rows + hi[edge, 1], side="right") - first
     mx, my, limit = mids[edge, 0], mids[edge, 1], threshold[edge]
     # Test t, counted over all runs, of run k is of the node at place
     # t + shift[k] of the grid order; positions in that order put each
@@ -725,28 +732,27 @@ def interior_mean_degree(world: World) -> float:
     """
     r, x, y = world.region, world.positions[:, 0], world.positions[:, 1]
     border = np.minimum.reduce([x - r.x_min, r.x_max - x, y - r.y_min, r.y_max - y])
-    interior = np.diff(world.indptr)[border >= COMM_RADIUS]
+    degree = np.bincount(world.edges.ravel(), minlength=world.n)
+    interior = degree[border >= COMM_RADIUS]
     if len(interior) == 0:
         return float("nan")
     return float(np.mean(interior))
 
 
-def is_connected(n: int, csr: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Whether the graph with CSR adjacency (indptr, indices) has a single
-    component."""
-    if n == 0:
+def is_connected(world: World) -> bool:
+    """Whether the world's graph has a single component: a search from
+    node 0 over the neighbour lists reaches every node."""
+    if world.n == 0:
         return True
-    indptr, indices = csr
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
+    seen = [False] * world.n
     seen[0] = True
+    stack = [0]
     while stack:
-        u = stack.pop()
-        nbrs = indices[indptr[u]:indptr[u + 1]]
-        nbrs = nbrs[~seen[nbrs]]
-        seen[nbrs] = True
-        stack.extend(nbrs.tolist())
-    return bool(seen.all())
+        for v in world.neighbors(stack.pop()):
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return all(seen)
 
 
 def _orient_signs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -841,7 +847,11 @@ def world_to_text(world: World) -> str:
 
 
 def parse_world_text(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a 'worldv1' dump back into (positions, edges) arrays."""
+    """Read a 'worldv1' dump back into (positions, edges) arrays.
+
+    Raises ValueError for a malformed dump, and, naming the row, for a
+    link with a node id outside 0..n-1, a self-loop or a link given twice.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "worldv1":
         raise ValueError("not a worldv1 dump: missing header")
@@ -862,4 +872,4 @@ def parse_world_text(text: str) -> tuple[np.ndarray, np.ndarray]:
         len(node_rows), 2
     )
     edges = np.array(edge_rows, dtype=np.int64).reshape(len(edge_rows), 2)
-    return positions, edges
+    return positions, _checked(len(positions), edges)

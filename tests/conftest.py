@@ -14,12 +14,26 @@ from gricsim.harness import STANDARD_REGION
 from gricsim.worldgen import COMM_RADIUS, Obstacle, Region, World, _wire, make_obstacle
 
 
+def lexsort_adjacency(n, edges):
+    """Neighbour arrays of node 0..n-1 from an undirected edge list: a
+    lexsort of both directions of each link. The test-side grouping that
+    a world's lists are checked against."""
+    if len(edges) == 0:
+        return [np.empty(0, dtype=np.int64) for _ in range(n)]
+    both = np.concatenate([edges, edges[:, ::-1]])
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    counts = np.bincount(both[:, 0], minlength=n)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return [both[offsets[i]:offsets[i + 1], 1] for i in range(n)]
+
+
 def make_world(points, edge_list, region=None, obstacle_name="none"):
     """Hand-built World for unit tests.
 
     points is a sequence of (x, y) pairs, edge_list a sequence of
     undirected (u, v) node id pairs. No geometry checks are applied, so
-    tests can build configurations deploy() would never produce. The
+    tests can build configurations deploy() would never produce; World
+    still refuses ids out of range, self-loops and repeated links. The
     world serves its neighbour lists from these edges.
     """
     positions = np.asarray(points, dtype=float).reshape(-1, 2)

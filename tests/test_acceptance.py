@@ -19,7 +19,8 @@ import pytest
 
 from gricsim.baselines import face_route
 from gricsim.cli import csv_line
-from gricsim.geometry import Angle, CompassValue, Vec2, compass_of, rotate
+from conftest import lexsort_adjacency
+from gricsim.geometry import CompassValue, Vec2
 from gricsim.harness import (
     DEST_POINT,
     STANDARD_REGION,
@@ -33,12 +34,9 @@ from gricsim.harness import (
 from gricsim.outcomes import TrialStatus
 from gricsim.routing import (
     Flag,
-    Mode,
     RoutingParams,
     clamp_turn,
     contour_turn,
-    mode_selector,
-    update_flag,
 )
 from gricsim.worldgen import (
     COMM_RADIUS,
@@ -47,6 +45,7 @@ from gricsim.worldgen import (
     interior_mean_degree,
     make_obstacle,
 )
+from vec2_geometry import Angle, Mode, compass_of, mode_selector, rotate, update_flag
 
 ACCEPTANCE_SEED = 3
 TRIALS = 200
@@ -353,14 +352,13 @@ def test_criterion_06_face_routing_is_exact():
         out = face_route(
             world, source, dest, ttl=10**9, enforce_oob=False
         )
-        indptr, indices = world.gabriel_csr
+        links = lexsort_adjacency(world.n, world.gabriel_edges())
         seen = {source}
         frontier = [source]
         while frontier:
             nxt = []
             for u in frontier:
-                for v in indices[indptr[u]:indptr[u + 1]]:
-                    v = int(v)
+                for v in links[u].tolist():
                     if v not in seen:
                         seen.add(v)
                         nxt.append(v)

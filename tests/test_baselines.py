@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_world
+from conftest import lexsort_adjacency, make_world
 from gricsim.baselines import (
     DEFAULT_LTP_BUDGET,
     LtpState,
@@ -33,14 +33,13 @@ SMALL = Region(0.0, 10.0, 0.0, 10.0)
 def bfs_can_deliver(world, source, dest_pos):
     """Reachability oracle: does the source's Gabriel component contain a
     node within one radio radius of the destination point?"""
-    indptr, indices = world.gabriel_csr
+    links = lexsort_adjacency(world.n, world.gabriel_edges())
     seen = {source}
     frontier = [source]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                v = int(v)
+            for v in links[u].tolist():
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)

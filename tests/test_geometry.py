@@ -6,19 +6,25 @@ import numpy as np
 import pytest
 
 from gricsim.geometry import (
-    Angle,
+    COMPASS,
     CompassValue,
     Segment,
     Vec2,
     ZeroVector,
-    angle_from_to,
-    compass,
-    compass_of,
     orient,
-    rotate,
+    quadrant,
     segments_cross_interior,
-    segments_properly_intersect,
     wrap_angle,
+)
+from gricsim.routing import MessageState, travel_turn
+from vec2_geometry import (
+    Angle,
+    angle_from_to,
+    compass_of,
+    heading,
+    is_zero,
+    rotate,
+    segments_properly_intersect,
 )
 
 N_RANDOM = 100_000
@@ -40,11 +46,13 @@ class TestVec2:
         assert v.norm() == 5.0
 
     def test_zero_checks(self):
-        assert Vec2(0.0, 0.0).is_zero()
-        assert not Vec2(1e-9, 0.0).is_zero()
+        assert is_zero(Vec2(0.0, 0.0))
+        assert not is_zero(Vec2(1e-9, 0.0))
 
     def test_heading(self):
-        assert Vec2(1.0, 1.0).heading() == pytest.approx(math.pi / 4)
+        assert heading(Vec2(1.0, 1.0)) == pytest.approx(math.pi / 4)
+        with pytest.raises(ZeroVector):
+            heading(Vec2(0.0, 0.0))
 
 
 class TestWrapAngle:
@@ -103,7 +111,7 @@ class TestAngleFromTo:
         for _ in range(2000):
             v = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
             w = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if v.is_zero() or w.is_zero():
+            if is_zero(v) or is_zero(w):
                 continue
             a1 = angle_from_to(v, w).radians
             a2 = angle_from_to(v * 3.0, w * 0.25).radians
@@ -161,17 +169,20 @@ class TestCompass:
         assert compass_of(Angle(-math.pi)) is CompassValue.SW
         assert compass_of(Angle(math.pi)) is CompassValue.SW  # pi wraps to -pi
 
+    # The router's own reading: the quadrant of travel_turn's alpha.
     def test_oracle_positions(self):
         # Arrived at (1,0) from the origin, destination at (1,-1): the
         # destination sits a quarter turn to the right, reading NW.
-        c = compass(Vec2(1, 0), Vec2(0, 0), Vec2(1, -1))
-        assert c is CompassValue.NW
+        _, _, alpha = travel_turn(MessageState(Vec2(1, -1), (0.0, 0.0)), 1.0, 0.0)
+        assert COMPASS[quadrant(alpha)] is CompassValue.NW
 
     def test_source_convention_reads_ne(self):
         # A message with v_prev equal to the destination bearing has
-        # alpha 0, which the half-open partition files under NE.
-        c = compass(Vec2(5, 5), Vec2(0, 0), Vec2(10, 10))
-        assert c is CompassValue.NE
+        # alpha 0, which the half-open partition files under NE; so does
+        # a message still on its source.
+        for prev in ((0.0, 0.0), None):
+            _, _, alpha = travel_turn(MessageState(Vec2(10, 10), prev), 5.0, 5.0)
+            assert COMPASS[quadrant(alpha)] is CompassValue.NE
 
     def test_partition_bulk(self):
         # Every angle lands in exactly one quadrant and the quadrant
@@ -269,7 +280,7 @@ class TestCrossInterior:
             pts = rng.uniform(0, 4, 8)
             a, b = Vec2(pts[0], pts[1]), Vec2(pts[2], pts[3])
             c, d = Vec2(pts[4], pts[5]), Vec2(pts[6], pts[7])
-            if (a - b).is_zero() or (c - d).is_zero():
+            if is_zero(a - b) or is_zero(c - d):
                 continue
             if segments_cross_interior(a, b, c, d):
                 assert segments_properly_intersect(

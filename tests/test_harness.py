@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import degenerate_worlds, make_world, record_pools
+from conftest import degenerate_worlds, lexsort_adjacency, make_world, record_pools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,12 +247,12 @@ class TestRunTrial:
             wired = [i for i in range(world.n) if world._neighbors[i] is not None]
             planar = [i for i in range(world.n) if world._gabriel[i] is not None]
             assert wired and planar
-            indptr, indices = fresh.csr
+            links = lexsort_adjacency(fresh.n, fresh.edges)
             for i in wired:
-                assert world._neighbors[i] == indices[indptr[i]:indptr[i + 1]].tolist()
-            indptr, indices = fresh.gabriel_csr
+                assert world._neighbors[i] == links[i].tolist()
+            links = lexsort_adjacency(fresh.n, fresh.gabriel_edges())
             for i in planar:
-                assert world._gabriel[i] == indices[indptr[i]:indptr[i + 1]].tolist()
+                assert world._gabriel[i] == links[i].tolist()
 
     def test_epsilon_zero_collapses_randomized_variant(self):
         params = RoutingParams(epsilon=0.0)
@@ -810,7 +810,7 @@ class TestRunSweeps:
         run_sweeps(configs)
         assert len(worlds) == 4 and len(outcomes) == 4 * len(Algorithm)
         for w in worlds:
-            assert w._edges is None and w._csr is None and w._gabriel_edges is None
+            assert w._edges is None and w._gabriel_edges is None
         assert any(g is not None for w in worlds for g in w._gabriel)
         for cfg, d, t, out in outcomes:
             assert out == trial(cfg, d, t), (cfg.algorithm, d, t)

@@ -14,7 +14,7 @@ import pytest
 import vec2_routers
 from conftest import make_world
 from gricsim import harness, routing
-from gricsim.geometry import Angle, CompassValue, Vec2, ZeroVector, compass_of
+from gricsim.geometry import CompassValue, Vec2, ZeroVector
 from gricsim.harness import (
     DEST_POINT,
     STANDARD_REGION,
@@ -28,17 +28,15 @@ from gricsim.outcomes import Stuck, TrialStatus, walk
 from gricsim.routing import (
     Flag,
     MessageState,
-    Mode,
     RoutingParams,
     Uniforms,
     clamp_turn,
     contour_turn,
     gric_step,
-    mode_selector,
     next_hop,
     travel_turn,
-    update_flag,
 )
+from vec2_geometry import Angle, Mode, compass_of, heading, is_zero, mode_selector, update_flag
 from vec2_routers import VecState, inertia_ideal
 
 N_RANDOM = 100_000
@@ -192,7 +190,7 @@ class TestIdealDirections:
         for _ in range(5000):
             v = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
             d = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if v.is_zero() or d.is_zero():
+            if is_zero(v) or is_zero(d):
                 continue
             ideal = inertia_ideal(v, d, 1.0)
             assert ideal.cross(d) == pytest.approx(0.0, abs=1e-8)
@@ -377,7 +375,7 @@ class TestGricStep:
             w = make_world([tuple(p) for p in pts], edges)
             dest = Vec2(float(rng.uniform(4, 8)), float(rng.uniform(0, 4)))
             prev = Vec2(float(rng.uniform(-4, 0)), float(rng.uniform(0, 4)))
-            if (w.pos(0) - prev).is_zero() or (dest - w.pos(0)).is_zero():
+            if is_zero(w.pos(0) - prev) or is_zero(dest - w.pos(0)):
                 continue
             state = MessageState(dest_pos=dest, prev_pos=(prev.x, prev.y))
             for flag in (Flag.DOWN, Flag.UP_E, Flag.UP_W):
@@ -401,14 +399,14 @@ class TestGricStep:
         for _ in range(2000):
             prev = Vec2(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
             dest = Vec2(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-            if prev.is_zero() or dest.is_zero():
+            if is_zero(prev) or is_zero(dest):
                 continue
             flag = rng.choice(list(Flag))
             state = MessageState(dest_pos=dest, prev_pos=(prev.x, prev.y), flag=flag)
             gric_step(w, 0, state, params)
             assert state.flag is update_flag(
-                flag, compass_of(Angle((dest - w.pos(0)).heading()
-                                       - (w.pos(0) - prev).heading()))
+                flag, compass_of(Angle(heading(dest - w.pos(0))
+                                       - heading(w.pos(0) - prev)))
             )
 
     def test_ideal_direction_never_rotates_past_bound(self):
@@ -457,9 +455,36 @@ STAR = (
 )
 
 
+class KeepAll:
+    """Uniform draws that keep every neighbour: gric+ then picks what
+    gric- picks, through the memo."""
+
+    def take(self, k):
+        return [1.0] * k
+
+
 class TestDecisionMemo:
-    """gric_step decides each (current, prev_pos, flag) state once; the
-    memo against the vec2 routers and against fresh states."""
+    """gric_step decides each (current, prev_pos, flag) state of gric+
+    once; the memo against the vec2 routers and against fresh states.
+    gric- keeps none."""
+
+    def test_gric_minus_keeps_no_memo(self, monkeypatch):
+        # The trial loop ends a gric- walk at its first repeated state, so
+        # a memo would never be read back.
+        states = []
+        monkeypatch.setattr(
+            harness, "MessageState", lambda **kw: states.append(MessageState(**kw)) or states[-1]
+        )
+        world = build_trial_world(13, 8.0, 1, "concave2")
+        cfg = ExperimentConfig(
+            algorithm=Algorithm.GRIC_MINUS, obstacle="concave2", densities=(8.0,),
+            master_seed=13, record_path=True,
+        )
+        got = run_trial(cfg, 8.0, 1, world=world)
+        assert got.hops > 0 and len(states) == 1
+        assert states[0].decisions == {}
+        want = vec2_routers.trial(cfg, 8.0, 1, world)
+        assert got == want and got.distance.hex() == want.distance.hex()
 
     def test_long_walks_match_the_vec2_routers(self, monkeypatch):
         # gric+ ends fail_ttl on this concave2 world after 7,201 hops
@@ -481,7 +506,7 @@ class TestDecisionMemo:
         ranked.clear()
         minus = walk(world, source, DEST_POINT, step, world.n, record_path=True)
         assert (minus.status, minus.hops) == (TrialStatus.FAIL_TTL, world.n + 1)
-        assert len(ranked) < 100, "every state after the first cycle repeats"
+        assert len(ranked) == minus.hops, "gric- keeps no memo"
         want = vec2_routers.trial(cfg, 8.0, 1, world)
         assert plus == want and plus.distance.hex() == want.distance.hex()
         vstep, _ = vec2_routers._gric(world, params, None)
@@ -525,10 +550,10 @@ class TestDecisionMemo:
         assert picks["three best dropped"] not in near
 
     def test_another_flag_or_prev_pos_is_decided_anew(self):
-        # One state visits node 0 under every (prev_pos, flag) pair, twice,
-        # so its memo fills as it goes; each decision must equal a fresh
-        # state's. Some pairs differ only in the flag, and some only in
-        # prev_pos, and decide differently: a key without either would
+        # One gric+ state visits node 0 under every (prev_pos, flag) pair,
+        # twice, so its memo fills as it goes; each decision must equal a
+        # fresh state's. Some pairs differ only in the flag, and some only
+        # in prev_pos, and decide differently: a key without either would
         # hand back a stale decision.
         world = make_world(*STAR, region=STANDARD_REGION)
         params = RoutingParams()
@@ -539,9 +564,10 @@ class TestDecisionMemo:
             for prev in prevs:
                 for flag in Flag:
                     shared.prev_pos, shared.flag = prev, flag
-                    nxt = gric_step(world, 0, shared, params)
+                    nxt = gric_step(world, 0, shared, params, KeepAll())
                     fresh = MessageState(shared.dest_pos, prev, flag)
                     assert gric_step(world, 0, fresh, params) == nxt, (prev, flag)
+                    assert not fresh.decisions
                     assert (shared.prev_pos, shared.flag) == (fresh.prev_pos, fresh.flag)
                     got[prev, flag] = (nxt, shared.flag)
         assert len(shared.decisions) == len(prevs) * len(Flag)

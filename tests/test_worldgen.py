@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,16 +13,9 @@ from hypothesis import strategies as st
 import scipy.spatial
 from scipy.spatial import cKDTree
 
-from conftest import XS, YS, degenerate_worlds, make_world
+from conftest import XS, YS, degenerate_worlds, lexsort_adjacency, make_world
 from gricsim import worldgen
-from gricsim.geometry import (
-    COLLINEAR_EPS,
-    Segment,
-    Vec2,
-    orient,
-    segments_cross_interior,
-    segments_properly_intersect,
-)
+from gricsim.geometry import COLLINEAR_EPS, Segment, Vec2, orient, segments_cross_interior
 from gricsim.harness import Algorithm, ExperimentConfig, build_trial_world, run_trial
 from gricsim.worldgen import (
     COMM_RADIUS,
@@ -35,7 +29,6 @@ from gricsim.worldgen import (
     _CELL_SCALE,
     _REACH,
     _SIDE_MARGIN,
-    _adjacency,
     _gabriel_disks,
     _gabriel_filter,
     _grid,
@@ -55,6 +48,7 @@ from gricsim.worldgen import (
     parse_world_text,
     world_to_text,
 )
+from vec2_geometry import is_zero, segments_properly_intersect
 
 SMALL = Region(0.0, 10.0, 0.0, 10.0)
 
@@ -297,18 +291,6 @@ def sorted_pairs(positions):
     return sorted(map(tuple, _pairs(positions).tolist()))
 
 
-def lexsort_adjacency(n, edges):
-    """Reference for _adjacency: lexsort of both directions of each link,
-    as one neighbour array per node."""
-    if len(edges) == 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(n)]
-    both = np.concatenate([edges, edges[:, ::-1]])
-    both = both[np.lexsort((both[:, 1], both[:, 0]))]
-    counts = np.bincount(both[:, 0], minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return [both[offsets[i]:offsets[i + 1], 1] for i in range(n)]
-
-
 def scalar_interior_mean_degree(world):
     """Reference for interior_mean_degree: one Vec2 per node."""
     links = lexsort_adjacency(world.n, world.edges)
@@ -393,10 +375,9 @@ def random_edge_sets(seed, cases):
         yield positions, edges[rng.permutation(len(edges))]
 
 
-def csr_lists(n, edges):
-    """Neighbour lists of node 0..n-1 from the batch adjacency."""
-    indptr, indices = _adjacency(n, edges)
-    return [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)]
+def edge_lists(n, edges):
+    """Neighbour lists of node 0..n-1 from the test-side grouping."""
+    return [b.tolist() for b in lexsort_adjacency(n, edges)]
 
 
 def assert_same_array(got, want):
@@ -542,16 +523,12 @@ class TestDeploy:
 
     def test_out_links_mirror_edges(self):
         w = deploy(2.0, SMALL, make_obstacle("none"), 10)
-        assert w.indptr[0] == 0
-        assert np.all(np.diff(w.indptr) >= 0)
-        assert w.indptr[-1] == len(w.indices) == 2 * len(w.edges)
-
-        def nbrs(i):
-            return w.indices[w.indptr[i]:w.indptr[i + 1]]
-
-        for u, v in w.edges[:200]:
-            assert int(v) in nbrs(int(u))
-            assert int(u) in nbrs(int(v))
+        lists = [w.neighbors(i) for i in range(w.n)]
+        assert all(nbrs == sorted(nbrs) for nbrs in lists)
+        assert sum(map(len, lists)) == 2 * len(w.edges)
+        for u, v in w.edges[:200].tolist():
+            assert v in lists[u]
+            assert u in lists[v]
 
 
 class TestVectorizedBlocking:
@@ -568,7 +545,7 @@ class TestVectorizedBlocking:
         for k in range(len(p)):
             a = Vec2(*p[k].tolist())
             b = Vec2(*q[k].tolist())
-            if (a - b).is_zero():
+            if is_zero(a - b):
                 continue
             want = segments_properly_intersect(Segment(a, b), wall)
             assert bool(got[k]) == want, (p[k], q[k])
@@ -620,8 +597,8 @@ class TestGabriel:
         # when there are no walls: any removed edge has a two-hop detour.
         for seed in range(3):
             w = deploy(4.0, SMALL, make_obstacle("none"), 200 + seed)
-            if is_connected(w.n, (w.indptr, w.indices)):
-                assert is_connected(w.n, w.gabriel_csr)
+            if is_connected(w):
+                assert is_connected(World(SMALL, w.obstacle, w.positions, w.gabriel_edges()))
 
 
 class TestPlanarityCheck:
@@ -712,19 +689,23 @@ class TestPlanarityCheck:
 
 
 class TestConnectivity:
+    SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
     def test_empty_graph(self):
-        assert is_connected(0, [])
+        assert is_connected(make_world([], []))
 
     def test_singleton(self):
-        assert is_connected(1, _adjacency(1, np.empty((0, 2), dtype=np.int64)))
+        assert is_connected(make_world([(0.0, 0.0)], []))
 
     def test_two_components(self):
-        edges = np.array([[0, 1], [2, 3]], dtype=np.int64)
-        assert not is_connected(4, _adjacency(4, edges))
+        assert not is_connected(make_world(self.SQUARE, [(0, 1), (2, 3)]))
+        # A deployed world searches its lists wired on demand.
+        assert not is_connected(deploy(0.5, SMALL, make_obstacle("none"), 1))
 
     def test_path_graph(self):
-        edges = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
-        assert is_connected(4, _adjacency(4, edges))
+        assert is_connected(make_world(self.SQUARE, [(0, 1), (2, 1), (3, 2)]))
+        w = deploy(6.0, Region(0, 3, 0, 3), make_obstacle("none"), 2)
+        assert is_connected(w) and w._edges is None
 
 
 class TestInteriorDegree:
@@ -783,6 +764,28 @@ class TestWorldText:
     def test_rejects_gapped_ids(self):
         with pytest.raises(ValueError):
             parse_world_text("worldv1\n0 1.0 2.0\n2 3.0 4.0\n")
+
+    # Three nodes and the link 0-1; each test adds one bad link row.
+    THREE = "worldv1\n0 0.0 0.0\n1 0.5 0.0\n2 1.0 0.0\n0 1\n"
+
+    def rejects(self, row, match):
+        with pytest.raises(ValueError, match=match):
+            parse_world_text(self.THREE + row + "\n")
+        positions, edges = parse_world_text(self.THREE)
+        bad = np.vstack([edges, [[int(v) for v in row.split()]]])
+        with pytest.raises(ValueError, match=match):
+            World(SMALL, make_obstacle("none"), positions, bad)
+
+    def test_rejects_an_id_out_of_range(self):
+        self.rejects("0 7", r"edge row 1 \(0, 7\): node ids must lie in 0\.\.2")
+        self.rejects("-1 2", r"edge row 1 \(-1, 2\): node ids must lie in 0\.\.2")
+
+    def test_rejects_a_self_loop(self):
+        self.rejects("1 1", r"edge row 1 \(1, 1\): a node cannot link to itself")
+
+    def test_rejects_a_repeated_link(self):
+        self.rejects("0 1", r"edge row 1 \(0, 1\): repeats the link of row 0")
+        self.rejects("1 0", r"edge row 1 \(1, 0\): repeats the link of row 0")
 
     def test_empty_world(self):
         positions, edges = parse_world_text("worldv1\n")
@@ -875,6 +878,20 @@ class TestFastGabriel:
         positions = np.array(points, dtype=float).reshape(-1, 2)
         e = _edges(edges)
         assert_same_array(gabriel_checked(positions, e), e)
+
+    def test_memory_follows_the_nodes_not_the_area(self):
+        # Three nodes spanning 3,000 units: a grid array over their
+        # bounding box would hold nine million cells, about 137 MB.
+        positions = np.array([[0.0, 0.0], [0.5, 0.0], [3000.0, 3000.0]])
+        edges = _edges([(0, 1), (1, 2)])
+        tracemalloc.start()
+        try:
+            kept = _gabriel_filter(positions, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
+        assert_same_array(kept, scalar_gabriel_filter(positions, edges))
 
     @pytest.mark.parametrize(
         "points",
@@ -1055,27 +1072,29 @@ class TestWallPruning:
 
 
 class TestOneSortAdjacency:
+    """A world's per-node lists against the lexsort grouping of its edges."""
+
     def test_matches_lexsort(self):
+        # Explicit edges in any order and either orientation.
         rng = np.random.default_rng(9)
         for n, m in [(1, 0), (5, 3), (50, 200), (400, 3000)]:
             pairs = rng.integers(0, n, size=(m, 2))
-            edges = pairs[pairs[:, 0] != pairs[:, 1]].astype(np.int64)
-            indptr, indices = _adjacency(n, edges)
-            want = lexsort_adjacency(n, edges)
-            assert len(indptr) == n + 1
-            assert indptr.dtype == indices.dtype == np.int64
-            for i, b in enumerate(want):
-                assert_same_array(indices[indptr[i]:indptr[i + 1]], b)
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            _, first = np.unique(np.sort(pairs, axis=1), axis=0, return_index=True)
+            edges = pairs[np.sort(first)].astype(np.int64)
+            w = make_world(rng.uniform(0, 10, (n, 2)), edges)
+            for i, b in enumerate(lexsort_adjacency(n, edges)):
+                assert_same_array(np.array(w.neighbors(i), dtype=np.int64), b)
 
     def test_matches_lexsort_on_worlds(self):
         for obstacle in OBSTACLE_NAMES:
             w = build_trial_world(5, 3.0, 1, obstacle)
-            for (indptr, indices), edges in (
-                ((w.indptr, w.indices), w.edges),
-                (w.gabriel_csr, w.gabriel_edges()),
+            for lists, edges in (
+                ([w.neighbors(i) for i in range(w.n)], w.edges),
+                ([w.gabriel_neighbors(i) for i in range(w.n)], w.gabriel_edges()),
             ):
                 for i, b in enumerate(lexsort_adjacency(w.n, edges)):
-                    assert_same_array(indices[indptr[i]:indptr[i + 1]], b)
+                    assert_same_array(np.array(lists[i], dtype=np.int64), b)
 
 
 # Wall ends on a quarter lattice, so that a wall's midpoint is exact.
@@ -1255,7 +1274,7 @@ class TestWallsPerNode:
         for points in ([p, q], [q, p]):
             positions = np.array(points)
             w = World(Region(-1.0, 6.0, -1.0, 6.0), Obstacle("skew", (wall,)), positions)
-            assert [w.neighbors(0), w.neighbors(1)] == csr_lists(2, _wire(positions, (wall,)))
+            assert [w.neighbors(0), w.neighbors(1)] == edge_lists(2, _wire(positions, (wall,)))
 
     def test_sides_settle_most_walled_links(self, monkeypatch):
         # Every node of a concave2 world wired on demand, then the whole
@@ -1268,7 +1287,7 @@ class TestWallsPerNode:
         w = build_trial_world(7, 8.0, 0, "concave2")
         got = [w.neighbors(i) for i in range(w.n)]
         on_demand = len(exact)
-        assert got == csr_lists(w.n, _wire(w.positions, w.obstacle.walls))
+        assert got == edge_lists(w.n, _wire(w.positions, w.obstacle.walls))
         whole = len(exact) - on_demand
         beside = sum(
             1 for codes, _ in w._local.walls for u in codes for v in got[u] if v in codes
@@ -1280,11 +1299,11 @@ class TestWallsPerNode:
 class TestLinksOnDemand:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(world=snapped_worlds())
-    def test_list_wiring_matches_the_csr_slices(self, world):
+    def test_list_wiring_matches_the_edge_grouping(self, world):
         positions, walls = world.positions, world.obstacle.walls
         got = [world.neighbors(i) for i in range(world.n)]
         assert world._edges is None, "wired on demand"
-        assert got == csr_lists(world.n, _wire(positions, walls))
+        assert got == edge_lists(world.n, _wire(positions, walls))
         assert brute_force_edges(positions, walls) == [
             (u, v) for u in range(world.n) for v in got[u] if u < v
         ]
@@ -1294,18 +1313,18 @@ class TestLinksOnDemand:
         for density in (1.5, 4.0, 8.0):
             w = build_trial_world(7, density, 0, obstacle)
             got = [w.neighbors(i) for i in range(w.n)]
-            assert w._edges is None and w._csr is None, "wired on demand"
-            assert got == csr_lists(w.n, _wire(w.positions, w.obstacle.walls))
+            assert w._edges is None, "wired on demand"
+            assert got == edge_lists(w.n, _wire(w.positions, w.obstacle.walls))
 
     def test_whole_graph_views_are_built_on_first_use(self):
         w = deploy(3.0, SMALL, make_obstacle("stripe"), 4)
         first = [w.neighbors(i) for i in range(0, w.n, 2)]
-        assert w._edges is None and w._csr is None
+        assert w._edges is None
         assert w.edges.tobytes() == _wire(w.positions, w.obstacle.walls).tobytes()
-        # Once the edges exist, the rest come from the CSR arrays.
+        # Once the edges exist, the rest are still wired on demand.
+        assert w._neighbors[1::2] == [None] * len(w._neighbors[1::2])
         rest = [w.neighbors(i) for i in range(1, w.n, 2)]
-        assert w._csr is not None
-        want = csr_lists(w.n, w.edges)
+        want = edge_lists(w.n, w.edges)
         assert first == want[0::2] and rest == want[1::2]
 
     def test_explicit_edges_are_served_as_given(self):
@@ -1329,18 +1348,18 @@ class TestGabrielOnDemand:
             got = [w.gabriel_neighbors(i) for i in range(w.n)]
             assert w._edges is None and w._gabriel_edges is None, "wired on demand"
             edges = _wire(w.positions, w.obstacle.walls)
-            assert got == csr_lists(w.n, _gabriel_filter(w.positions, edges))
+            assert got == edge_lists(w.n, _gabriel_filter(w.positions, edges))
             assert w.gabriel_edge_floor() == len(_gabriel_filter(w.positions, edges))
 
-    def test_whole_graph_views_serve_the_rest(self):
+    def test_whole_graph_views_leave_the_rest_on_demand(self):
         w = deploy(3.0, SMALL, make_obstacle("concave2"), 4)
         first = [w.gabriel_neighbors(i) for i in range(0, w.n, 2)]
         assert w._edges is None and w._gabriel_edges is None
-        # Once the edges exist, the rest come from the Gabriel CSR arrays.
-        w.edges
+        # Once the whole subgraph exists, the rest are still filtered on
+        # demand, and agree with it.
+        want = edge_lists(w.n, w.gabriel_edges())
+        assert w._gabriel[1::2] == [None] * len(w._gabriel[1::2])
         rest = [w.gabriel_neighbors(i) for i in range(1, w.n, 2)]
-        assert w._gabriel_csr is not None
-        want = csr_lists(w.n, w.gabriel_edges())
         assert first == want[0::2] and rest == want[1::2]
 
     def test_explicit_edges_are_filtered_as_a_whole(self):
@@ -1437,7 +1456,7 @@ def test_links_on_demand_on_degenerate_worlds(world):
     wired = World(world.region, world.obstacle, world.positions, _wire(world.positions, walls))
     got = [world.neighbors(i) for i in range(world.n)]
     assert world._edges is None
-    assert got == csr_lists(world.n, wired.edges)
+    assert got == edge_lists(world.n, wired.edges)
     assert sorted(brute_force_edges(world.positions, walls)) == [
         (u, v) for u in range(world.n) for v in got[u] if u < v
     ]
@@ -1471,15 +1490,16 @@ def test_gabriel_on_demand_on_degenerate_worlds(world):
     got = [world.gabriel_neighbors(i) for i in range(world.n)]
     assert world._edges is None
     edges = _wire(positions, walls)
-    assert got == csr_lists(world.n, _gabriel_filter(positions, edges))
+    assert got == edge_lists(world.n, _gabriel_filter(positions, edges))
     assert sorted(brute_force_gabriel(positions, edges.tolist())) == [
         (u, v) for u in range(world.n) for v in got[u] if u < v
     ]
     assert sorted_pairs(positions) == kd_tree_pairs(positions)
 
 
-# sha256 of edges.tobytes(), of every out_links array concatenated (the
-# bytes of the CSR indices array) and of gabriel_edges().tobytes() for
+# sha256 of edges.tobytes(), of every node's neighbour list concatenated
+# as int64 (what were the bytes of the CSR indices array) and of
+# gabriel_edges().tobytes() for
 # trial 0 of master seed 11, recorded with the per-edge Python Gabriel
 # loop, full-list wall pruning and the lexsort adjacency. A change here means some world's link set, neighbour arrays
 # or Gabriel subgraph moved by at least one byte.
@@ -1547,10 +1567,10 @@ class TestPinnedWorlds:
         for density in (4.0, 8.0):
             w = build_trial_world(11, density, 0, obstacle)
             assert w.edges.dtype == np.int64
-            assert w.indices.dtype == np.int64
+            lists = np.array([v for i in range(w.n) for v in w.neighbors(i)], dtype=np.int64)
             got = (
                 _sha(w.edges),
-                _sha(w.indices),
+                _sha(lists),
                 _sha(w.gabriel_edges()),
             )
             assert got == PINNED_WORLDS[(obstacle, density)], (obstacle, density)

@@ -1,11 +1,14 @@
 """Reference routers and trial loop written on Vec2 objects.
 
 These are the step functions, face traversal and trial loop as they
-were before the routers moved to plain floats over the CSR arrays of a
-World: every position is a Vec2, every direction a Vec2 difference and
-every turn an Angle. They are kept only as oracles for the float
-versions in gricsim; trial() runs one trial the way harness.run_trial
-does and must give the same TrialOutcome bit for bit, path included.
+were before the routers moved to plain floats over a World's per-node
+lists: every position is a Vec2, every direction a Vec2 difference and
+every turn an Angle (vec2_geometry). Neighbours are read as numpy arrays,
+and face traversal walks a grouping of the whole Gabriel subgraph rather
+than the world's on-demand lists. They are kept only as oracles for the
+float versions in gricsim; trial() runs one trial the way
+harness.run_trial does and must give the same TrialOutcome bit for bit,
+path included.
 """
 
 from __future__ import annotations
@@ -16,21 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from gricsim.geometry import (
-    TWO_PI,
-    CompassValue,
-    Vec2,
-    ZeroVector,
-    angle_from_to,
-    compass_of,
-    orient,
-    rotate,
-)
+from conftest import lexsort_adjacency
+from gricsim.geometry import TWO_PI, CompassValue, Vec2, ZeroVector, orient
 from gricsim.baselines import ltp_init
 from gricsim.harness import DEST_POINT, ROUTE_STREAM, Algorithm, source_node, trial_rng
 from gricsim.outcomes import Stuck, TrialOutcome, TrialStatus
 from gricsim.routing import Flag, RoutingParams, clamp_turn, contour_turn
 from gricsim.worldgen import COMM_RADIUS
+from vec2_geometry import angle_from_to, compass_of, heading, is_zero, rotate
 
 NE, NW, SE, SW = CompassValue.NE, CompassValue.NW, CompassValue.SE, CompassValue.SW
 
@@ -59,7 +55,7 @@ class VecState:
 
 
 def out_links(world, node):
-    return world.indices[world.indptr[node]:world.indptr[node + 1]]
+    return np.array(world.neighbors(node), dtype=np.int64)
 
 
 def effective_prev_direction(state, current: Vec2) -> Vec2:
@@ -68,7 +64,7 @@ def effective_prev_direction(state, current: Vec2) -> Vec2:
         v = state.dest_pos - current
     else:
         v = current - state.prev_pos
-    if v.is_zero():
+    if is_zero(v):
         raise ZeroVector("message has no usable travel direction")
     return v
 
@@ -98,7 +94,7 @@ def gric_step(world, current, state: VecState, params, rng=None):
     p = world.pos(current)
     v_prev = effective_prev_direction(state, p)
     v_dest = state.dest_pos - p
-    if v_dest.is_zero():
+    if is_zero(v_dest):
         raise ZeroVector("message is exactly at the destination point")
     alpha = angle_from_to(v_prev, v_dest)
     c = compass_of(alpha)
@@ -189,8 +185,7 @@ def proper_crossing(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> Vec2 | None:
 
 def face_step(world, source, dest_pos: Vec2) -> Callable[[int], int]:
     positions = world.positions
-    indptr, indices = world.gabriel_csr
-    links = [indices[indptr[i]:indptr[i + 1]] for i in range(world.n)]
+    links = lexsort_adjacency(world.n, world.gabriel_edges())
     s_pos = world.pos(source)
     anchor_d = (s_pos - dest_pos).norm()
     edge = face_start = None
@@ -200,7 +195,7 @@ def face_step(world, source, dest_pos: Vec2) -> Callable[[int], int]:
         if edge is None:
             if len(links[source]) == 0:
                 raise Stuck(f"node {source} has no Gabriel links")
-            first = first_edge_cw(positions, links, source, (dest_pos - s_pos).heading(), None)
+            first = first_edge_cw(positions, links, source, heading(dest_pos - s_pos), None)
             edge = face_start = (source, first)
         else:
             u, v = edge
