@@ -39,6 +39,11 @@ _REACH = COMM_RADIUS + _SLACK
 # (_LocalLinks).
 _SIDE_MARGIN = 1e-4
 
+# Worlds whose coordinates all lie within this of the origin take the
+# sorted Gabriel scan of _LocalLinks.gabriel, whose proof needs the
+# rounding of a midpoint far below GABRIEL_EPS.
+_SORTED_SCAN_SPAN = 2.0**10
+
 # Most nodes deploy places. 10**7 positions take 160 MB; a density that
 # asks for more is a typo, and numpy would die trying to allocate it.
 MAX_NODES = 10**7
@@ -213,11 +218,17 @@ def _gabriel_disks(
     pu: np.ndarray, pv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mids, radii, thresholds) of the diameter disks of the links
-    pu[k] - pv[k], for _in_disk; pu may be one point, the end all the
-    links share. Either end may come first: the floats are the same."""
+    pu[k] - pv[k], for _in_disk. Either end may come first: the floats
+    are the same.
+
+    Midpoint 0.5 * (u + v), radius 0.5 * sqrt(dx * dx + dy * dy) of the
+    difference u - v, threshold radius * radius - GABRIEL_EPS: the same
+    expressions _LocalLinks.gabriel writes out on plain floats, so the
+    whole-graph filter and the per-node test decide every link alike.
+    """
     mids = 0.5 * (pu + pv)
-    diffs = pu - pv
-    radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    dx, dy = (pu - pv).T
+    radii = 0.5 * np.sqrt(dx * dx + dy * dy)
     return mids, radii, radii * radii - GABRIEL_EPS
 
 
@@ -232,8 +243,8 @@ def _in_disk(dx, dy, threshold):
     return dx * dx + dy * dy < threshold
 
 
-def _cells(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """The nodes' grid cells: (cell, order, cols, rows).
+def _grid(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The nodes bucketed by grid cell: (cell, order, starts, rows).
 
     Cells are a hair wider than the radio range (_CELL_SCALE) and a
     margin of empty cells surrounds the occupied ones, so a node's linked
@@ -241,7 +252,9 @@ def _cells(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     cells always exist. The grid spans the nodes' bounding box, cols by
     rows cells. cell[i] = column * rows + row is node i's cell, so each
     column's cells are one run of the grid order; order lists the nodes
-    by cell, ascending by id within one.
+    by cell, ascending by id within one, and the nodes of cell c are
+    order[starts[c]:starts[c + 1]]. starts has an entry per cell of the
+    bounding box, so it suits deployed worlds, whose nodes fill a region.
     """
     # Column by column: numpy reduces an (n, 2) array along its long
     # axis several times slower than two columns.
@@ -254,16 +267,7 @@ def _cells(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     # numpy's stable sort of 16-bit keys is a radix sort: the same order,
     # several times faster than sorting the int64 ids.
     key = cell.astype(np.uint16) if cols * rows <= 1 << 16 else cell
-    return cell, np.argsort(key, kind="stable"), cols, rows
-
-
-def _grid(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """_cells' grid with each cell's place in the grid order: (cell,
-    order, starts, rows), where the nodes of cell c are
-    order[starts[c]:starts[c + 1]]. starts has an entry per cell of the
-    bounding box, so it suits deployed worlds, whose nodes fill a region.
-    """
-    cell, order, cols, rows = _cells(positions)
+    order = np.argsort(key, kind="stable")
     starts = np.zeros(cols * rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(cell, minlength=cols * rows), out=starts[1:])
     return cell, order, starts, rows
@@ -362,11 +366,13 @@ class _LocalLinks:
 
     The coordinates are the world's own xs and ys lists, and the grid
     order is an int list, so wiring a node runs on plain Python values.
+    The last node wired keeps its scan, the nodes in range with walls
+    ignored, for the Gabriel test that usually follows it.
     """
 
     def __init__(self, world: World) -> None:
         positions, walls = world.positions, world.obstacle.walls
-        self.positions, self.xs, self.ys = positions, world.xs, world.ys
+        self.xs, self.ys = world.xs, world.ys
         self.cell, order, starts, self.rows = _grid(positions)
         self.order = order.tolist()
         self.starts = starts.tolist()
@@ -375,6 +381,8 @@ class _LocalLinks:
         for wall in walls:
             ids, codes = _side_codes(positions, wall)
             self.walls.append((dict(zip(ids.tolist(), codes.tolist())), _wall_terms(wall)))
+        self.sorted_scan = float(np.abs(positions).max(initial=0.0)) <= _SORTED_SCAN_SPAN
+        self.last, self.last_near = -1, []
 
     def block(self, node: int) -> list[int]:
         """The nodes in node's grid cell and the eight around it, node
@@ -386,8 +394,11 @@ class _LocalLinks:
             + order[s[c + r - 1]:s[c + r + 2]]
         )
 
-    def links(self, node: int) -> list[int]:
-        """The nodes linked to node, ascending by id."""
+    def near(self, node: int) -> list[int]:
+        """The nodes in radio range of node, walls ignored, ascending by
+        id, node itself left out."""
+        if node == self.last:
+            return self.last_near
         xs, ys = self.xs, self.ys
         x, y = xs[node], ys[node]
         r2 = COMM_RADIUS * COMM_RADIUS
@@ -400,6 +411,12 @@ class _LocalLinks:
         ]
         out.sort()
         out.remove(node)
+        self.last, self.last_near = node, out
+        return out
+
+    def links(self, node: int) -> list[int]:
+        """The nodes linked to node, ascending by id."""
+        out = self.near(node)
         for codes, wall in self.walls:
             a = codes.get(node)
             if a is not None:
@@ -423,24 +440,55 @@ class _LocalLinks:
     def gabriel(self, node: int, links: list[int]) -> list[int]:
         """The links of node, given ascending, that _gabriel_filter keeps.
 
-        Walls are ignored, and each link's disk (_gabriel_disks) is tested
-        with _in_disk against every node of node's block. A node inside a
-        link's diameter disk is nearer to both ends than they are to each
-        other, so within radio range of node: the block holds every node
-        that can disqualify the link.
+        Walls are ignored. Each link node -> v is tested with _in_disk's
+        expression on _gabriel_disks' floats, written out, against the
+        nodes in range of node (near) in order of squared distance from
+        node, up to the first witness or the first node farther than v
+        by a relative margin of 1e-9.
+
+        No witness lies past that point. Write u for node, m and r for
+        the link's midpoint and radius, and D = 4r^2 = |uv|^2. For any
+        point w, |wu|^2 + |wv|^2 = 2|wm|^2 + 2r^2. A node strictly inside
+        the disk with the GABRIEL_EPS slack has |wm|^2 < r^2 - GABRIEL_EPS,
+        so |wu|^2 < D - 2 * GABRIEL_EPS: it is nearer to u than v is, by
+        2e-12 in squared distance. The floats stray from these exact
+        values by a few units in the last place of the coordinates, the
+        rounding of the midpoint 0.5 * (u + v) first: under 4e-13 for
+        coordinates within _SORTED_SCAN_SPAN of the origin, where the
+        slack still leaves a witness's computed squared distance below
+        v's. So every witness is in range of u (v is), and it is reached
+        before v. Worlds reaching farther out test every node of node's
+        block, which holds every node that can disqualify a link.
         """
         if not links:
             return []
-        p = self.positions
-        other = np.array(links)
-        mids, _, threshold = _gabriel_disks(p[node], p[other])
-        w = np.array(self.block(node))
-        inside = (
-            _in_disk(p[w, 0] - mids[:, 0:1], p[w, 1] - mids[:, 1:2], threshold[:, None])
-            & (w != node)
-            & (w != other[:, None])
-        )
-        return [v for v, hit in zip(links, inside.any(axis=1).tolist()) if not hit]
+        xs, ys = self.xs, self.ys
+        x, y = xs[node], ys[node]
+        sorted_scan = self.sorted_scan
+        if sorted_scan:
+            near = self.near(node)
+        else:
+            near = self.block(node)
+            near.remove(node)
+        ranked = sorted([((dx := xs[w] - x) * dx + (dy := ys[w] - y) * dy, w) for w in near])
+        out = []
+        for v in links:
+            vx, vy = xs[v], ys[v]
+            dx, dy = x - vx, y - vy
+            length2 = dx * dx + dy * dy
+            r = 0.5 * math.sqrt(length2)
+            threshold = r * r - GABRIEL_EPS
+            mx, my = 0.5 * (x + vx), 0.5 * (y + vy)
+            stop = length2 * (1.0 + 1e-9) if sorted_scan else math.inf
+            for d, w in ranked:
+                if d > stop:
+                    out.append(v)
+                    break
+                if (ex := xs[w] - mx) * ex + (ey := ys[w] - my) * ey < threshold and w != v:
+                    break
+            else:
+                out.append(v)
+        return out
 
 
 @dataclass(init=False)
@@ -598,39 +646,52 @@ def _lists(n: int, edges: np.ndarray) -> list[list[int]]:
 def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Keep the edges whose diameter disk contains no third node (_in_disk).
 
-    Any node inside the disk counts, neighbour or not. Each edge is tested
-    against the nodes of the grid cells (_cells) that meet its disk's
-    bounding box grown by _SLACK, clamped to the grid, which holds every
-    node: at most 2 x 2 cells for a link no longer than the radio range,
-    and more for the longer links of a world built from explicit edges.
-    Each run's ends in the grid order are found in the nodes' sorted cell
-    keys, so memory grows with the node and edge counts, not with the
-    area the nodes span. The (edge, node) tests are made about
+    Any node inside the disk counts, neighbour or not. The nodes are
+    sorted by column, columns as wide as grid cells (_grid), and by y
+    within one. Each edge is tested against the nodes of each column
+    that meets its disk's bounding box grown by _SLACK, clamped to the
+    nodes' columns, whose y lies in the box too: one run of that order
+    per column, found in keys of column and y rank. That holds every
+    node inside the disk: 1 or 2 columns for a link no longer than the
+    radio range, and more for the longer links of a world built from
+    explicit edges. Memory grows with the node and edge counts, not with
+    the area the nodes span. The (edge, node) tests are made about
     _PAIR_CHUNK at a time.
     """
-    m = len(edges)
+    m, n = len(edges), len(positions)
     if m == 0:
         return edges.copy()
-    cell, order, cols, rows = _cells(positions)
-    keys = cell[order]
-    # _cells' cell numbers start one cell below and left of the lowest.
-    origin = np.floor(positions.min(axis=0) * _CELL_SCALE) - 1
+    x, y = positions[:, 0], positions[:, 1]
     mids, radii, threshold = _gabriel_disks(positions[edges[:, 0]], positions[edges[:, 1]])
-    reach = (radii + _SLACK)[:, None]
-    lo = np.maximum(np.floor((mids - reach) * _CELL_SCALE) - origin, 0).astype(np.int64)
-    hi = np.floor((mids + reach) * _CELL_SCALE) - origin
-    hi = np.minimum(hi, [cols - 1, rows - 1]).astype(np.int64)
-    # One run of the grid order per column of each box: its edge, first
-    # place and length, and the edge's disk.
-    span = hi[:, 0] - lo[:, 0] + 1
+    reach = radii + _SLACK
+    # Node i's key is its column times n plus its rank by y.
+    origin = np.floor(x.min() * _CELL_SCALE)
+    col = (np.floor(x * _CELL_SCALE) - origin).astype(np.int64)
+    by_y = np.argsort(y)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_y] = np.arange(n)
+    key = col * n + rank
+    order = np.argsort(key)
+    keys = key[order]
+    # Each box's columns, and the y ranks of its bottom and top.
+    lo = np.floor((mids[:, 0] - reach) * _CELL_SCALE) - origin
+    hi = np.floor((mids[:, 0] + reach) * _CELL_SCALE) - origin
+    lo = np.maximum(lo, 0).astype(np.int64)
+    hi = np.minimum(hi, col.max()).astype(np.int64)
+    ys = y[by_y]
+    bottom = np.searchsorted(ys, mids[:, 1] - reach)
+    top = np.searchsorted(ys, mids[:, 1] + reach, side="right")
+    # One run of the order per column of each box: its edge, first place
+    # and length, and the edge's disk.
+    span = hi - lo + 1
     edge = np.repeat(np.arange(m), span)
-    col = lo[edge, 0] + np.arange(len(edge)) - np.repeat(np.cumsum(span) - span, span)
-    first = np.searchsorted(keys, col * rows + lo[edge, 1])
-    count = np.searchsorted(keys, col * rows + hi[edge, 1], side="right") - first
+    base = (lo[edge] + np.arange(len(edge)) - np.repeat(np.cumsum(span) - span, span)) * n
+    first = np.searchsorted(keys, base + bottom[edge])
+    count = np.searchsorted(keys, base + top[edge]) - first
     mx, my, limit = mids[edge, 0], mids[edge, 1], threshold[edge]
     # Test t, counted over all runs, of run k is of the node at place
-    # t + shift[k] of the grid order; positions in that order put each
-    # run's nodes side by side.
+    # t + shift[k] of the order; positions in that order put each run's
+    # nodes side by side.
     done = np.cumsum(count)
     shift = first - (done - count)
     p = positions[order]

@@ -383,6 +383,77 @@ def test_graphcheck_and_trace_run_without_scipy(argv, written, tmp_path):
     assert written is None or out.stat().st_size > 0
 
 
+# Runs the command line through its entry module, then prints the exit
+# code, OPENBLAS_NUM_THREADS as the process sees it, the thread count of
+# the process with numpy loaded ("-" off Linux), and whether the entry's
+# main is the CLI's.
+THREAD_PROBE = """
+import os
+import sys
+
+from gricsim.__main__ import main
+from gricsim import cli
+
+code = main(sys.argv[1:])
+import numpy
+
+threads = "-"
+if sys.platform == "linux":
+    with open("/proc/self/status") as status:
+        threads = next(ln.split()[1] for ln in status if ln.startswith("Threads:"))
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), threads, main is cli.main)
+"""
+
+
+def run_probe(probe, openblas_threads, *argv):
+    """The last line a probe prints, run with PYTHONPATH at this gricsim
+    and OPENBLAS_NUM_THREADS set to openblas_threads, or unset for None."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gricsim.__file__).parents[1]))
+    env.pop(SEED_ENV_VAR, None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1].split()
+
+
+class TestBlasThreadCap:
+    """The CLI entry caps OpenBLAS at one thread before numpy loads; the
+    library leaves the environment alone."""
+
+    GRAPHCHECK = ("graphcheck", "--density", "1", "--seed", "0")
+
+    def test_the_entry_runs_numpy_on_one_thread(self):
+        code, value, threads, same = run_probe(THREAD_PROBE, None, *self.GRAPHCHECK)
+        assert (code, value, same) == ("0", "1", "True")
+        if sys.platform != "linux":
+            pytest.skip("thread count read from /proc/self/status")
+        assert threads == "1"
+
+    def test_a_value_set_first_is_kept(self):
+        code, value, _, _ = run_probe(THREAD_PROBE, "2", *self.GRAPHCHECK)
+        assert (code, value) == ("0", "2")
+
+    def test_the_library_leaves_the_environment_alone(self):
+        probe = (
+            "import os, gricsim, gricsim.cli, gricsim.harness\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        assert run_probe(probe, None) == ["None"]
+
+    def test_the_script_runs_the_capped_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(gricsim.__file__).parents[2] / "pyproject.toml"
+        if not pyproject.is_file():
+            pytest.skip("not run from a source checkout")
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"gricsim": "gricsim.__main__:main"}
+
+
 class TestConfigAndEnvironment:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

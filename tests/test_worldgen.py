@@ -809,6 +809,27 @@ def _on_threshold(offset):
     return np.array([[0.0, 0.0], [0.7, 0.0], [0.35, y]])
 
 
+def _endpoint_nearest_the_midpoint(offset):
+    """Edge (0,1) of radius 0.35, node 2 offset from its circle in squared
+    distance from the midpoint, and node 3 outside."""
+    r2 = 0.35 * 0.35
+    return np.array([[0.0, 0.0], [0.7, 0.0], [0.35, math.sqrt(r2 + offset)], [0.35, -0.5]])
+
+
+COCIRCULAR_SQUARE = np.array([[0.0, 0.0], [0.6, 0.0], [0.6, 0.6], [0.0, 0.6]])
+
+COINCIDENT_LAYOUTS = [
+    # A third node on the midpoint of two coincident ones.
+    [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
+    # Coincident endpoints with a node beside them.
+    [(0.2, 0.2), (0.2, 0.2), (0.6, 0.2)],
+    # Two nodes stacked on the midpoint of a third pair.
+    [(0.0, 0.0), (0.8, 0.0), (0.4, 0.0), (0.4, 0.0)],
+    # A node stacked on an endpoint.
+    [(0.0, 0.0), (0.8, 0.0), (0.0, 0.0), (0.4, 0.5)],
+]
+
+
 def gabriel_checked(positions, edges):
     """_gabriel_filter's output, after checking it against the kd-tree
     and the ball-query oracles, byte for byte."""
@@ -893,19 +914,7 @@ class TestFastGabriel:
         assert peak < 5 * 2**20, peak
         assert_same_array(kept, scalar_gabriel_filter(positions, edges))
 
-    @pytest.mark.parametrize(
-        "points",
-        [
-            # A third node on the midpoint of two coincident ones.
-            [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
-            # Coincident endpoints with a node beside them.
-            [(0.2, 0.2), (0.2, 0.2), (0.6, 0.2)],
-            # Two nodes stacked on the midpoint of a third pair.
-            [(0.0, 0.0), (0.8, 0.0), (0.4, 0.0), (0.4, 0.0)],
-            # A node stacked on an endpoint.
-            [(0.0, 0.0), (0.8, 0.0), (0.0, 0.0), (0.4, 0.5)],
-        ],
-    )
+    @pytest.mark.parametrize("points", COINCIDENT_LAYOUTS)
     def test_coincident_nodes(self, points):
         positions = np.array(points, dtype=float)
         gabriel_checked(positions, _all_pairs(len(positions)))
@@ -949,10 +958,7 @@ class TestFastGabriel:
         # the lowest id within 1e-12 of the nearest, in squared distance,
         # which is an endpoint here even when node 2 lies 1e-13 inside the
         # circle.
-        r2 = 0.35 * 0.35
-        positions = np.array(
-            [[0.0, 0.0], [0.7, 0.0], [0.35, math.sqrt(r2 + offset)], [0.35, -0.5]]
-        )
+        positions = _endpoint_nearest_the_midpoint(offset)
 
         class LowestIdFirst(cKDTree):
             def query(self, x, k=1, **kwargs):
@@ -971,8 +977,7 @@ class TestFastGabriel:
 
     def test_cocircular_square_keeps_both_diagonals(self):
         e = _all_pairs(4)
-        positions = np.array([[0.0, 0.0], [0.6, 0.0], [0.6, 0.6], [0.0, 0.6]])
-        assert_same_array(gabriel_checked(positions, e), e)
+        assert_same_array(gabriel_checked(COCIRCULAR_SQUARE, e), e)
 
     def test_long_explicit_edges(self):
         # Disks up to 3 in radius, some of them reaching past the grid.
@@ -1340,7 +1345,103 @@ class TestLinksOnDemand:
         assert [w.neighbors(0), w.neighbors(1)] == [[1], [0]]
 
 
+def on_demand_checked(positions):
+    """Every node's on-demand Gabriel list of a world built without
+    explicit edges, after checking the lists against _gabriel_filter and
+    the ball-query oracle. Each node is filtered twice, on two fresh
+    worlds: right after its own links are wired, so the scan of its
+    range is reused, and after every node is wired, in reverse order, so
+    it is scanned anew."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    lo, hi = positions.min(axis=0) - 2.0, positions.max(axis=0) + 2.0
+    region = Region(lo[0], hi[0], lo[1], hi[1])
+
+    def world():
+        return World(region, make_obstacle("none"), positions)
+
+    fresh = world()
+    reused = [fresh.gabriel_neighbors(i) for i in range(fresh.n)]
+    rescanned = world()
+    for i in range(rescanned.n):
+        rescanned.neighbors(i)
+    again = [rescanned.gabriel_neighbors(i) for i in reversed(range(rescanned.n))][::-1]
+    assert fresh._edges is None and rescanned._edges is None, "wired on demand"
+    edges = _wire(positions, ())
+    want = _gabriel_filter(positions, edges)
+    assert_same_array(want, scalar_gabriel_filter(positions, edges))
+    assert reused == again == edge_lists(len(positions), want)
+    return reused
+
+
 class TestGabrielOnDemand:
+    """On-demand Gabriel lists against the whole-graph filter and its
+    oracles, on deployed worlds and on the adversarial layouts of
+    TestFastGabriel, with the layouts at the sorted scan's stopping rule
+    added."""
+
+    @pytest.mark.parametrize("offset", [-1e-8, -1e-11, -1e-13, 1e-13, 1e-11, 1e-8])
+    def test_node_next_to_the_threshold(self, offset):
+        got = on_demand_checked(_on_threshold(offset))
+        if abs(offset) > 1e-12:
+            assert (1 in got[0]) == (offset > 0)
+
+    def test_cocircular_square_keeps_both_diagonals(self):
+        assert on_demand_checked(COCIRCULAR_SQUARE) == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+
+    @pytest.mark.parametrize("points", COINCIDENT_LAYOUTS)
+    def test_coincident_nodes(self, points):
+        on_demand_checked(points)
+
+    @pytest.mark.parametrize("offset", [-1e-13, 0.0, 1e-13, 1e-8])
+    def test_endpoint_nearest_the_midpoint(self, offset):
+        assert 1 in on_demand_checked(_endpoint_nearest_the_midpoint(offset))[0]
+
+    def test_node_as_far_as_the_far_end(self):
+        # Nodes 2 and 3 lie exactly 0.625 from node 0, as node 1 does (a
+        # 3-4-5 triangle in eighths): the scan for link 0-1 reaches its
+        # stopping rule on a tie. Node 4, just inside the disk of 0-1 and
+        # nearer to 0, removes that link.
+        points = [(0.0, 0.0), (0.625, 0.0), (0.375, 0.5), (0.375, -0.5), (0.3125, 0.3)]
+        got = on_demand_checked(points)
+        assert 1 not in got[0]
+        got = on_demand_checked(points[:4])
+        assert got[0] == [1, 2, 3]
+
+    def test_witness_just_nearer_than_the_far_end(self):
+        # Node 2 lies 1.3e-12 inside the threshold of link 0-1, 4e-7 from
+        # node 1, and only 2.8e-12 nearer to node 0 than node 1 is, in
+        # squared distance: the nearest to the far end a witness can be.
+        # A scan stopping even a relative 2e-11 short of the far end
+        # misses it.
+        points = [(0.0, 0.0), (0.5, 0.0), (0.5 - 3e-12, 4e-7)]
+        d2, d1 = 0.5**2, (0.5 - 3e-12) ** 2 + 4e-7**2
+        assert d2 * (1 - 2e-11) < d1 < d2 - 2 * GABRIEL_EPS
+        got = on_demand_checked(points)
+        assert got[0] == [2] and 1 not in got[0]
+
+    def test_node_on_the_far_end(self):
+        # Node 2 sits on node 1: on the circle of link 0-1, not inside it,
+        # and the scan meets it at the far end's own distance. Node 3, on
+        # the links' midpoint, removes both.
+        points = [(0.0, 0.0), (0.5, 0.25), (0.5, 0.25), (0.25, 0.125)]
+        assert on_demand_checked(points[:3]) == [[1, 2], [0, 2], [0, 1]]
+        assert on_demand_checked(points)[0] == [3]
+
+    def test_zero_length_link(self):
+        # Nodes 0 and 1 coincide: their link's disk has a negative
+        # threshold, so nothing removes it, not even node 2 on top of both.
+        got = on_demand_checked([(0.2, 0.2), (0.2, 0.2), (0.2, 0.2), (0.5, 0.2), (0.2, 0.6)])
+        assert got[0][:2] == [1, 2] and got[1][:2] == [0, 2]
+
+    @pytest.mark.parametrize("offset", [1000.0, 1e4, 1e8])
+    def test_far_from_the_origin(self, offset):
+        # At 1000 the sorted scan still applies; farther out, where a
+        # midpoint rounds by more than GABRIEL_EPS allows for, every node
+        # of the block is tested.
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            on_demand_checked(offset + rng.uniform(0.0, 2.0, (40, 2)))
+
     @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
     def test_match_the_batch_subgraph(self, obstacle):
         for density in (1.5, 4.0, 8.0):
