@@ -452,13 +452,14 @@ class _LocalLinks:
         the disk with the GABRIEL_EPS slack has |wm|^2 < r^2 - GABRIEL_EPS,
         so |wu|^2 < D - 2 * GABRIEL_EPS: it is nearer to u than v is, by
         2e-12 in squared distance. The floats stray from these exact
-        values by a few units in the last place of the coordinates, the
-        rounding of the midpoint 0.5 * (u + v) first: under 4e-13 for
-        coordinates within _SORTED_SCAN_SPAN of the origin, where the
-        slack still leaves a witness's computed squared distance below
-        v's. So every witness is in range of u (v is), and it is reached
-        before v. Worlds reaching farther out test every node of node's
-        block, which holds every node that can disqualify a link.
+        values by a few units in the last place of the coordinates, most
+        of it from rounding the midpoint 0.5 * (u + v): under 4e-13 for
+        coordinates within _SORTED_SCAN_SPAN of the origin. So a
+        witness's computed squared distance from u stays below v's: the
+        witness is in range of u, as v is, and the scan meets it before
+        it stops; the 1e-9 margin is more than the proof needs. Worlds
+        reaching farther out test every node of node's block instead,
+        which holds every node that can disqualify a link.
         """
         if not links:
             return []
@@ -504,13 +505,13 @@ class World:
     and caches the result; a router that visits a few hundred nodes of
     thousands wires only those, and no wall is tested against the links
     of the rest. Face routing's Gabriel links come the same way: the
-    first gabriel_neighbors(i) call tests i's links against the nodes of
-    the same nine cells. The whole-graph views are built on first use
-    with the same rules: edges (_wire: the unit-disk rule on the grid's
-    pairs, then the side codes and the wall test) and the Gabriel
-    subgraph (_gabriel_filter: the disk test against the grid cells that
-    meet each disk); a deployed world's lists stay on demand once they
-    exist. A world built from an explicit edge list takes its neighbour
+    first gabriel_neighbors(i) call tests i's links against the nodes in
+    range of i, nearest first. The whole-graph views are built on first
+    use with the same rules: edges (_wire: the unit-disk rule on the
+    grid's pairs, then the side codes and the wall test) and the Gabriel
+    subgraph (_gabriel_filter: the disk test against the nodes in each
+    disk's bounding box); a deployed world's lists stay on demand once
+    they exist. A world built from an explicit edge list takes its neighbour
     lists from those edges and its Gabriel lists from gabriel_edges().
     xs and ys hold the positions' two columns as flat lists of Python
     floats, for the per-hop router loops and on-demand wiring: two
@@ -661,13 +662,12 @@ def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     m, n = len(edges), len(positions)
     if m == 0:
         return edges.copy()
-    x, y = positions[:, 0], positions[:, 1]
     mids, radii, threshold = _gabriel_disks(positions[edges[:, 0]], positions[edges[:, 1]])
     reach = radii + _SLACK
     # Node i's key is its column times n plus its rank by y.
-    origin = np.floor(x.min() * _CELL_SCALE)
-    col = (np.floor(x * _CELL_SCALE) - origin).astype(np.int64)
-    by_y = np.argsort(y)
+    origin = np.floor(positions[:, 0].min() * _CELL_SCALE)
+    col = (np.floor(positions[:, 0] * _CELL_SCALE) - origin).astype(np.int64)
+    by_y = np.argsort(positions[:, 1])
     rank = np.empty(n, dtype=np.int64)
     rank[by_y] = np.arange(n)
     key = col * n + rank
@@ -678,7 +678,7 @@ def _gabriel_filter(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
     hi = np.floor((mids[:, 0] + reach) * _CELL_SCALE) - origin
     lo = np.maximum(lo, 0).astype(np.int64)
     hi = np.minimum(hi, col.max()).astype(np.int64)
-    ys = y[by_y]
+    ys = positions[by_y, 1]
     bottom = np.searchsorted(ys, mids[:, 1] - reach)
     top = np.searchsorted(ys, mids[:, 1] + reach, side="right")
     # One run of the order per column of each box: its edge, first place

@@ -1433,6 +1433,17 @@ class TestGabrielOnDemand:
         got = on_demand_checked([(0.2, 0.2), (0.2, 0.2), (0.2, 0.2), (0.5, 0.2), (0.2, 0.6)])
         assert got[0][:2] == [1, 2] and got[1][:2] == [0, 2]
 
+    def test_witness_past_the_far_end_far_from_the_origin(self):
+        # Near 1e8 the rounded midpoint of link 0-1 moves its disk past
+        # node 1: node 2, farther from node 0 than node 1 is by 5e-9 in
+        # squared distance, tests inside it. A scan that stops at node 1
+        # would keep the link; the whole-graph filter removes it.
+        u, v = (100000001.94879092, 100000000.46727195), (100000001.77447155, 99999999.9402297)
+        w = (100000001.77447145, 99999999.94022973)
+        d = [(p[0] - u[0]) ** 2 + (p[1] - u[1]) ** 2 for p in (v, w)]
+        assert d[1] > d[0] * (1 + 1e-9)
+        assert 1 not in on_demand_checked([u, v, w])[0]
+
     @pytest.mark.parametrize("offset", [1000.0, 1e4, 1e8])
     def test_far_from_the_origin(self, offset):
         # At 1000 the sorted scan still applies; farther out, where a
