@@ -1350,8 +1350,8 @@ def on_demand_checked(positions):
     explicit edges, after checking the lists against _gabriel_filter and
     the ball-query oracle. Each node is filtered twice, on two fresh
     worlds: right after its own links are wired, so the scan of its
-    range is reused, and after every node is wired, in reverse order, so
-    it is scanned anew."""
+    range is reused, and after every node is wired, so that it is
+    scanned anew."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     lo, hi = positions.min(axis=0) - 2.0, positions.max(axis=0) + 2.0
     region = Region(lo[0], hi[0], lo[1], hi[1])
@@ -1364,7 +1364,7 @@ def on_demand_checked(positions):
     rescanned = world()
     for i in range(rescanned.n):
         rescanned.neighbors(i)
-    again = [rescanned.gabriel_neighbors(i) for i in reversed(range(rescanned.n))][::-1]
+    again = [rescanned.gabriel_neighbors(i) for i in range(rescanned.n)]
     assert fresh._edges is None and rescanned._edges is None, "wired on demand"
     edges = _wire(positions, ())
     want = _gabriel_filter(positions, edges)
