@@ -41,7 +41,7 @@ def main() -> None:
         )
         source = int(np.argmin(dists))
         walk = face_route(
-            world, source, DEST, ttl=10**9, enforce_oob=False
+            world, source, DEST, enforce_oob=False
         )
         truth = component_reaches(world, source)
         agree += int(walk.succeeded == truth)

@@ -5,14 +5,22 @@ BLAS call, yet that idle thread costs each process about a quarter of
 its CPU time, so the entry caps OpenBLAS at one thread before anything
 imports numpy. A value the user set first is kept. Importing gricsim as
 a library leaves the host process's environment alone.
+
+What the import made lives as long as the process, so the entry then
+freezes it: every later collection skips it, the one at exit and those
+in forked pool workers included. A library import, and cli.main called
+in-process, leave the collector alone.
 """
 
+import gc
 import os
 import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .cli import main  # noqa: E402  (numpy must load after the cap)
+
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -12,13 +12,13 @@ routing's step keeps its anchor distance, current edge and face start.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import COLLINEAR_EPS, TWO_PI, Vec2
-from .outcomes import Stuck, TrialOutcome, walk
+from .outcomes import Stuck, TrialOutcome, TrialStatus, walk
 from .routing import MessageState, clamp_turn, next_hop, travel_turn
 from .worldgen import World
 
@@ -29,26 +29,33 @@ from .worldgen import World
 DEFAULT_LTP_BUDGET = 5
 
 
+def _closer(world: World, current: int, dest_pos: Vec2) -> Iterator[tuple[float, int]]:
+    """(distance to dest_pos, v) for each neighbor v strictly closer than
+    current. abs(complex(dx, dy)) is C's hypot, as in np.hypot, so these
+    equal the numpy form's distances bit for bit, as math.hypot's do not.
+    Where it overflows, np.hypot's inf would not be closer either."""
+    xs, ys, tx, ty = world.xs, world.ys, dest_pos.x, dest_pos.y
+    d_cur = math.hypot(xs[current] - tx, ys[current] - ty)
+    for v in world.neighbors(current):
+        try:
+            d = abs(complex(xs[v] - tx, ys[v] - ty))
+        except OverflowError:
+            continue
+        if d < d_cur:
+            yield d, v
+
+
 def greedy_step(world: World, current: int, dest_pos: Vec2) -> int:
     """Forward to the neighbor nearest the destination, if that helps.
 
     Only neighbors strictly closer than the current node qualify; with
-    none, the node is a local minimum and the router gives up. Ties on
-    distance go to the smallest node id.
+    none (an isolated node has none), the node is a local minimum and
+    the router gives up. Ties on distance go to the smallest node id.
     """
-    nbrs = world.neighbors(current)
-    if not nbrs:
-        raise Stuck(f"node {current} has no out-links")
-    x, y = world.xs[current], world.ys[current]
-    d_cur = math.hypot(x - dest_pos.x, y - dest_pos.y)
-    # np.hypot and math.hypot differ in the last bit on some inputs, and
-    # the pinned outcomes were recorded with np.hypot for the neighbours.
-    offs = world.positions[nbrs]
-    dists = np.hypot(offs[:, 0] - dest_pos.x, offs[:, 1] - dest_pos.y)
-    closer = np.flatnonzero(dists < d_cur)
-    if len(closer) == 0:
+    best = min(_closer(world, current, dest_pos), default=None)
+    if best is None:
         raise Stuck(f"node {current} is a local minimum")
-    return nbrs[closer[np.argmin(dists[closer])]]
+    return best[1]
 
 
 def inertia_only_step(
@@ -112,17 +119,8 @@ def ltp_step(
     """
     if not state.stack or state.stack[-1] != current:
         raise ValueError("stack top must be the current node")
-    nbrs = world.neighbors(current)
-    x, y = world.xs[current], world.ys[current]
-    d_cur = math.hypot(x - dest_pos.x, y - dest_pos.y)
     tried = state.tried[-1]
-    candidates: list[int] = []
-    if nbrs:
-        pts = world.positions[nbrs]
-        dists = np.hypot(pts[:, 0] - dest_pos.x, pts[:, 1] - dest_pos.y)
-        candidates = [
-            v for v, dv in zip(nbrs, dists.tolist()) if dv < d_cur and v not in tried
-        ]
+    candidates = [v for _, v in _closer(world, current, dest_pos) if v not in tried]
     if candidates:
         choice = candidates[int(rng.integers(len(candidates)))]
         tried.add(choice)
@@ -249,17 +247,17 @@ def face_route(
     world: World,
     source: int,
     dest_pos: Vec2,
-    ttl: int,
     *,
     enforce_oob: bool = True,
     record_path: bool = False,
 ) -> TrialOutcome:
     """Route by face traversal (face_step) through the trial loop.
 
-    The hop budget is the lesser of ttl and three times the Gabriel edge
-    count E. The walk runs with ttl first: a walk that ends within a
-    budget takes the same course under any larger one, so its outcome
-    stands when it ends within three times the lower bound on E from the
+    The hop budget is three times the Gabriel edge count E, which a
+    boundary walk needs and which may exceed the node count n. The walk
+    runs with budget n first: a walk that ends within a budget takes the
+    same course under any larger one, so its outcome stands when it ends
+    short of n hops and within three times the lower bound on E from the
     Gabriel lists it read. Only a longer walk builds the whole Gabriel
     subgraph, for E, and walks again.
     """
@@ -275,7 +273,7 @@ def face_route(
             record_path=record_path,
         )
 
-    out = run(ttl)
-    if out.hops > 3 * max(1, world.gabriel_edge_floor()):
-        out = run(min(ttl, 3 * max(1, len(world.gabriel_edges()))))
+    out = run(world.n)
+    if out.status is TrialStatus.FAIL_TTL or out.hops > 3 * max(1, world.gabriel_edge_floor()):
+        out = run(3 * max(1, len(world.gabriel_edges())))
     return out

@@ -4,8 +4,9 @@ One trial = one seeded world + one message routed under one algorithm.
 run_trial picks the algorithm's step function once per trial and hands
 it to outcomes.walk, the one trial loop, which owns the success, border
 (fail_oob), hop-budget (fail_ttl, the budget being n, the world's node
-count) and fail_stuck rules for every router. An empty world ends the
-trial as fail_no_nodes before any router runs.
+count, or three times the Gabriel edge count for face routing) and
+fail_stuck rules for every router. An empty world ends the trial as
+fail_no_nodes before any router runs.
 
 Reproducibility contract: every trial derives its randomness from
 (master_seed, density, trial_index, stream), with separate streams for
@@ -225,7 +226,7 @@ def run_trial(
         record_path=config.record_path,
     )
     if config.algorithm is Algorithm.FACE:
-        return face_route(world, source, DEST_POINT, world.n, **rules)
+        return face_route(world, source, DEST_POINT, **rules)
     rng = None
     if config.algorithm in _RANDOMIZED:
         rng = trial_rng(config.master_seed, density, trial_index, ROUTE_STREAM)

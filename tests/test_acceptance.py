@@ -350,7 +350,7 @@ def test_criterion_06_face_routing_is_exact():
         )
         source = int(np.argmin(dists))
         out = face_route(
-            world, source, dest, ttl=10**9, enforce_oob=False
+            world, source, dest, enforce_oob=False
         )
         links = lexsort_adjacency(world.n, world.gabriel_edges())
         seen = {source}

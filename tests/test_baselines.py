@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import vec2_routers
 from conftest import lexsort_adjacency, make_world
 from gricsim.baselines import (
     DEFAULT_LTP_BUDGET,
@@ -95,6 +96,138 @@ class TestGreedy:
                 d = (w.pos(node) - dest).norm()
                 assert d < last
                 last = d
+
+
+def hypot_disagreements(count):
+    """(a, b) pairs on which math.hypot and np.hypot differ in the last bit."""
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-25.0, 25.0, size=(2, 20_000))
+    pairs = zip(a.tolist(), b.tolist(), np.hypot(a, b).tolist())
+    return [(x, y) for x, y, h in pairs if math.hypot(x, y) != h][:count]
+
+
+class TestPlainFloatDistances:
+    """greedy_step and ltp_step measure a neighbor's distance as
+    abs(complex(dx, dy)), which must be np.hypot bit for bit."""
+
+    def test_complex_abs_is_np_hypot_bit_for_bit(self):
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -25.0,
+                    math.inf, -math.inf, math.nan]
+        a = [x for x in specials for _ in specials]
+        b = specials * len(specials)
+        rng = np.random.default_rng(2024)
+        for scale in (1e-3, 1.0, 25.0, 1e8):
+            xs, ys = rng.uniform(-scale, scale, size=(2, 250_000))
+            # Half the pairs mix in a second scale, up to 10^4 either way.
+            ys[::2] *= 10.0 ** rng.uniform(-4.0, 4.0, size=125_000)
+            a += xs.tolist()
+            b += ys.tolist()
+        want = [h.hex() for h in np.hypot(a, b).tolist()]
+        got = [abs(complex(x, y)).hex() for x, y in zip(a, b)]
+        assert len(got) > 1_000_000
+        assert [(x, y) for x, y, g, w in zip(a, b, got, want) if g != w] == []
+        # math.hypot, Python's own algorithm, differs on some of them.
+        assert any(math.hypot(x, y).hex() != w for x, y, w in zip(a, b, want))
+
+
+class TestGreedyAndLtpReferences:
+    """greedy_step and ltp_step against the numpy forms in vec2_routers."""
+
+    @staticmethod
+    def greedy(world, current, dest):
+        """Both routers' greedy picks, None for Stuck."""
+        picks = []
+        for step in (greedy_step, vec2_routers.greedy_step):
+            try:
+                with np.errstate(over="ignore"):
+                    picks.append(step(world, current, dest))
+            except Stuck:
+                picks.append(None)
+        assert picks[0] == picks[1]
+        return picks[0]
+
+    @staticmethod
+    def ltp(world, current, dest, tried=()):
+        """The moves both ltp routers make from one fresh frame over 24
+        seeded rngs, None for Stuck."""
+        runs = []
+        for step in (ltp_step, vec2_routers.ltp_step):
+            moves = []
+            for seed in range(24):
+                state = LtpState(stack=[current], tried=[set(tried)], budget=1)
+                try:
+                    with np.errstate(over="ignore"):
+                        moves.append(step(world, current, state, dest,
+                                          np.random.default_rng(seed)))
+                except Stuck:
+                    moves.append(None)
+            runs.append(moves)
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    def test_equal_distances_go_to_the_smallest_id(self):
+        w = make_world(
+            [(0, 0), (-1, 0), (1, 0.5), (1, -0.5), (1.5, 0.5), (1.5, -0.5)],
+            [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)],
+        )
+        assert self.greedy(w, 0, Vec2(3, 0)) == 4
+        assert set(self.ltp(w, 0, Vec2(3, 0))) == {2, 3, 4, 5}
+
+    def test_a_neighbor_exactly_at_the_current_distance_is_not_closer(self):
+        # (2, 4) and (2, -4) are exactly 5 from (5, 0), as node 0 is.
+        w = make_world([(0, 0), (2, 4), (2, -4), (1, 0)], [(0, 1), (0, 2)])
+        assert self.greedy(w, 0, Vec2(5, 0)) is None
+        assert self.ltp(w, 0, Vec2(5, 0)) == [None] * 24
+        w = make_world([(0, 0), (2, 4), (2, -4), (1, 0)], [(0, 1), (0, 2), (0, 3)])
+        assert self.greedy(w, 0, Vec2(5, 0)) == 3
+        assert self.ltp(w, 0, Vec2(5, 0)) == [3] * 24
+
+    def test_all_neighbors_farther_is_stuck(self):
+        w = make_world([(0, 0), (-1, 0.2), (-1, -0.2), (5, 5)], [(0, 1), (0, 2)])
+        for node in (0, 3):
+            with pytest.raises(Stuck):
+                greedy_step(w, node, Vec2(5, 0))
+            assert self.greedy(w, node, Vec2(5, 0)) is None
+            assert self.ltp(w, node, Vec2(5, 0)) == [None] * 24
+
+    def test_ltp_skips_the_children_already_tried(self):
+        w = make_world(
+            [(0, 0), (1, 0.3), (1, 0), (1, -0.3), (0.5, 0.5), (-1, 0)],
+            [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)],
+        )
+        assert set(self.ltp(w, 0, Vec2(9, 0))) == {1, 2, 3, 4}
+        assert set(self.ltp(w, 0, Vec2(9, 0), tried={2, 4})) == {1, 3}
+        assert self.ltp(w, 0, Vec2(9, 0), tried={1, 2, 3, 4}) == [None] * 24
+
+    def test_last_bit_disagreements_of_math_hypot(self):
+        # Node 0 sits exactly at the larger of the two readings of a
+        # neighbor's distance from the origin: np.hypot's reading decides
+        # whether the neighbor is closer, and math.hypot's the opposite.
+        verdicts = set()
+        for a, b in hypot_disagreements(12):
+            d = max(math.hypot(a, b), float(np.hypot(a, b)))
+            w = make_world([(d, 0.0), (a, b)], [(0, 1)])
+            pick = self.greedy(w, 0, Vec2(0, 0))
+            assert self.ltp(w, 0, Vec2(0, 0)) == [pick] * 24
+            verdicts.add(pick)
+        assert verdicts == {1, None}
+
+    def test_a_distance_past_the_float_range_is_never_closer(self):
+        # Node 1 is about 3e308 from the destination: np.hypot says inf,
+        # where abs(complex(...)) raises OverflowError.
+        dest = Vec2(-0.5e308, -0.5e308)
+        pts = [(0, 0), (1e308, 1e308), (-0.25e308, -0.25e308)]
+        w = make_world(pts, [(0, 1), (0, 2)])
+        assert self.greedy(w, 0, dest) == 2
+        assert self.ltp(w, 0, dest) == [2] * 24
+        w = make_world(pts, [(0, 1)])
+        assert self.greedy(w, 0, dest) is None
+        assert self.ltp(w, 0, dest) == [None] * 24
+        # A destination that far from every node leaves no closer one.
+        w = make_world([(0, 0), (1, 0)], [(0, 1)])
+        dest = Vec2(-1.5e308, 1.5e308)
+        assert self.greedy(w, 0, dest) is None
+        assert self.ltp(w, 0, dest) == [None] * 24
 
 
 class TestInertiaOnly:
@@ -246,7 +379,7 @@ class TestFirstEdgeCw:
 class TestFaceRoute:
     def test_immediate_delivery(self):
         w = make_world([(0, 0), (1, 0)], [(0, 1)], region=SMALL)
-        out = face_route(w, 0, Vec2(0.5, 0.5), ttl=100, enforce_oob=False)
+        out = face_route(w, 0, Vec2(0.5, 0.5), enforce_oob=False)
         assert out.status is TrialStatus.SUCCESS
         assert out.hops == 0
 
@@ -254,14 +387,14 @@ class TestFaceRoute:
         w = make_world(
             [(5, 5), (9, 5)], np.empty((0, 2), dtype=np.int64), region=SMALL
         )
-        out = face_route(w, 0, Vec2(9, 5), ttl=100, enforce_oob=False)
+        out = face_route(w, 0, Vec2(9, 5), enforce_oob=False)
         assert out.status is TrialStatus.FAIL_STUCK
 
     def test_border_rule_fires_when_enforced(self):
         w = make_world([(0.5, 5), (1.4, 5)], [(0, 1)], region=SMALL)
-        out = face_route(w, 0, Vec2(9, 5), ttl=100, enforce_oob=True)
+        out = face_route(w, 0, Vec2(9, 5), enforce_oob=True)
         assert out.status is TrialStatus.FAIL_OOB
-        out = face_route(w, 0, Vec2(9, 5), ttl=100, enforce_oob=False)
+        out = face_route(w, 0, Vec2(9, 5), enforce_oob=False)
         assert out.status is not TrialStatus.FAIL_OOB
 
     def test_walks_a_chain(self):
@@ -270,7 +403,7 @@ class TestFaceRoute:
             pts, [(i, i + 1) for i in range(7)], region=SMALL
         )
         dest = Vec2(0.9 * 7, 5.0)
-        out = face_route(w, 0, dest, ttl=100, enforce_oob=False,
+        out = face_route(w, 0, dest, enforce_oob=False,
                          record_path=True)
         assert out.status is TrialStatus.SUCCESS
         assert out.hops == 6
@@ -295,8 +428,7 @@ class TestFaceRoute:
                     w.positions[:, 0] - 0.5, w.positions[:, 1] - 5.0
                 )
                 source = int(np.argmin(dists))
-                ttl = 10 * w.n + 100
-                out = face_route(w, source, dest, ttl, enforce_oob=False)
+                out = face_route(w, source, dest, enforce_oob=False)
                 want = bfs_can_deliver(w, source, dest)
                 assert out.succeeded == want, (density, seed)
                 checked += 1
@@ -309,8 +441,7 @@ class TestFaceRoute:
             w = deploy(2.0, SMALL, make_obstacle("none"), 600 + seed)
             if w.n == 0:
                 continue
-            out = face_route(w, 0, Vec2(9.5, 9.5), ttl=10**9,
-                             enforce_oob=False)
+            out = face_route(w, 0, Vec2(9.5, 9.5), enforce_oob=False)
             assert out.hops <= 3 * max(1, len(w.gabriel_edges())) + 1
 
     def test_stuck_when_destination_unreachable(self):
@@ -318,5 +449,5 @@ class TestFaceRoute:
         pts = [(0.5, 5), (1.2, 5), (0.9, 5.6), (8.5, 5), (9.2, 5)]
         edges = [(0, 1), (0, 2), (1, 2), (3, 4)]
         w = make_world(pts, edges, region=SMALL)
-        out = face_route(w, 0, Vec2(9.2, 5.0), ttl=1000, enforce_oob=False)
+        out = face_route(w, 0, Vec2(9.2, 5.0), enforce_oob=False)
         assert out.status is TrialStatus.FAIL_STUCK

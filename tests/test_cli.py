@@ -454,6 +454,41 @@ class TestBlasThreadCap:
         assert scripts == {"gricsim": "gricsim.__main__:main"}
 
 
+class TestFrozenImportHeap:
+    """The CLI entry freezes the heap its import made; the library and an
+    in-process cli.main leave the collector alone."""
+
+    GRAPHCHECK = TestBlasThreadCap.GRAPHCHECK
+
+    def test_the_entry_freezes_after_the_import(self):
+        probe = (
+            "import gc, runpy\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "try:\n"
+            "    runpy.run_module('gricsim', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, gc.get_freeze_count() > 0)"
+        )
+        assert run_probe(probe, None, *self.GRAPHCHECK) == ["0", "True"]
+
+    def test_the_library_leaves_the_collector_alone(self):
+        probe = (
+            "import gc, gricsim, gricsim.cli, gricsim.harness\n"
+            "print(gc.get_freeze_count())"
+        )
+        assert run_probe(probe, None) == ["0"]
+
+    def test_cli_main_in_process_leaves_the_collector_alone(self):
+        probe = (
+            "import gc, sys\n"
+            "from gricsim import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, gc.get_freeze_count())"
+        )
+        assert run_probe(probe, None, *self.GRAPHCHECK) == ["0", "0"]
+
+
 class TestConfigAndEnvironment:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

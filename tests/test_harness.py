@@ -319,10 +319,16 @@ class TestLoopRules:
             # a budget of n by itself; a pacing stand-in for its step
             # shows the loop applies the budget to greedy's trials too.
             monkeypatch.setattr(harness, "greedy_step", lambda w, cur, d: 1 - cur)
+        if algo is Algorithm.FACE:
+            # Face walks round the chain and ends stuck well within its
+            # budget, 3E = 12 > n; a pacing stand-in shows that face_route
+            # applies that budget, past n.
+            monkeypatch.setattr(baselines, "face_step", lambda w, s, d: lambda cur: 1 - cur)
         world, out = self.trial(algo, *(STAR if algo is Algorithm.LTP else CHAIN))
         budget = world.n
         if algo is Algorithm.FACE:
-            budget = min(world.n, 3 * len(world.gabriel_edges()))
+            budget = 3 * len(world.gabriel_edges())
+            assert budget > world.n
         assert (out.status, out.hops) == (TrialStatus.FAIL_TTL, budget + 1)
 
 
@@ -483,7 +489,7 @@ class TestFloatRouters:
             d = np.hypot(world.positions[:, 0] - 0.5, world.positions[:, 1] - 5.0)
             source = int(np.argmin(d))
             got = baselines.face_route(
-                world, source, dest, ttl=10**9, enforce_oob=False, record_path=True
+                world, source, dest, enforce_oob=False, record_path=True
             )
             want = vec2_routers.walk(
                 world, source, dest, vec2_routers.face_step(world, source, dest),
@@ -494,9 +500,9 @@ class TestFloatRouters:
     def test_face_budget_fallback(self):
         # Face walks this six-node cluster for 22 hops before it ends
         # stuck, more than three times its 5 Gabriel edges; twelve
-        # isolated nodes make n = 18 > 3E. The walk with ttl = n runs past
-        # the bound the Gabriel lists it read give, so face_route builds
-        # the whole Gabriel subgraph and walks again with the budget 3E.
+        # isolated nodes make n = 18 > 3E. The first walk, with budget n,
+        # runs past the bound the Gabriel lists it read give, so face_route
+        # builds the whole Gabriel subgraph and walks again with budget 3E.
         cluster = [(1.2, 5.9), (2.1, 5.1), (1.8, 5.9), (1.9, 5.3), (1.8, 4.5), (2.8, 5.8)]
         isolated = [(5.0 + 1.5 * (i % 4), 1.0 + 1.5 * (i // 4)) for i in range(12)]
         positions = np.array(cluster + isolated)
@@ -505,15 +511,40 @@ class TestFloatRouters:
         for edges in (worldgen._wire(positions, ()), None):
             world = worldgen.World(region, make_obstacle("none"), positions, edges)
             got = baselines.face_route(
-                world, 0, dest, world.n, enforce_oob=False, record_path=True
+                world, 0, dest, enforce_oob=False, record_path=True
             )
             assert len(world.gabriel_edges()) == 5
             assert (got.status, got.hops) == (TrialStatus.FAIL_TTL, 3 * 5 + 1)
             want = vec2_routers.walk(
                 world, 0, dest, vec2_routers.face_step(world, 0, dest),
-                min(world.n, 3 * 5), enforce_oob=False, record_path=True,
+                3 * 5, enforce_oob=False, record_path=True,
             )
             assert_same_outcome(got, want, edges is None)
+
+    def test_face_budget_is_three_times_the_gabriel_edges(self):
+        # Open field, d=1.5, border rule off, seed 3: n = 1350 on every
+        # trial, and five of trials 0-39 walk more than n hops. Under a
+        # budget of min(n, 3E) they ended fail_ttl (17 delivered, 18
+        # stuck, 5 fail_ttl); with 3E alone one is delivered and four end
+        # stuck after a whole face loop.
+        cfg = self.config(Algorithm.FACE, 1.5, master_seed=3,
+                          disable_out_of_bounds=True, record_path=False)
+        statuses = []
+        for trial in range(40):
+            world = build_trial_world(3, 1.5, trial, "none")
+            got = run_trial(cfg, 1.5, trial, world=world)
+            assert_same_outcome(got, vec2_routers.trial(cfg, 1.5, trial, world), trial)
+            if got.hops > world.n:
+                assert (trial, got.status, got.hops) in {
+                    (6, TrialStatus.SUCCESS, 1618),
+                    (14, TrialStatus.FAIL_STUCK, 1629),
+                    (20, TrialStatus.FAIL_STUCK, 1466),
+                    (28, TrialStatus.FAIL_STUCK, 1748),
+                    (29, TrialStatus.FAIL_STUCK, 1351),
+                }
+            statuses.append(got.status)
+        assert statuses.count(TrialStatus.SUCCESS) == 18
+        assert statuses.count(TrialStatus.FAIL_STUCK) == 22
 
     def test_steps_at_the_destination_raise_like_the_vec2_steps(self):
         world = make_world([(20.0, 10.0), (20.5, 10.0)], [(0, 1)], region=STANDARD_REGION)

@@ -298,7 +298,7 @@ def trial(config, density, trial_index, world) -> TrialOutcome:
         enforce_oob=not config.disable_out_of_bounds, record_path=config.record_path
     )
     if config.algorithm is Algorithm.FACE:
-        budget = min(world.n, 3 * max(1, len(world.gabriel_edges())))
+        budget = 3 * max(1, len(world.gabriel_edges()))
         return walk(world, source, DEST_POINT, face_step(world, source, DEST_POINT),
                     budget, **rules)
     rng = None
