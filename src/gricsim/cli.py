@@ -32,7 +32,6 @@ from .worldgen import (
     find_planarity_violation,
     interior_mean_degree,
     is_connected,
-    make_obstacle,
     node_count,
     world_to_text,
 )
@@ -103,7 +102,7 @@ def load_config(path: str) -> dict[str, str]:
     """Read a flat key=value config file.
 
     Blank lines and '#' comments are skipped. Values stay strings here;
-    they go through the same converters as the corresponding flags.
+    main hands them to the parser as flags.
     """
     options: dict[str, str] = {}
     try:
@@ -121,66 +120,26 @@ def load_config(path: str) -> dict[str, str]:
     return options
 
 
-# Every option a config file may set, across all subcommands. Keys not in
-# this set are typos and rejected; keys that do not apply to the active
-# subcommand are ignored so one file can serve several commands.
-_CONFIG_KEYS = {
-    "algo",
-    "obstacle",
-    "densities",
-    "density",
-    "trials",
-    "seed",
-    "out",
-    "workers",
-    "format",
-    "dump",
-}
-
-
-def _resolve(ns: argparse.Namespace, key: str, convert, default):
-    """Flag if given, else config-file value, else the default."""
-    flag_value = getattr(ns, key, None)
-    if flag_value is not None:
-        return flag_value
-    config = getattr(ns, "_config_options", {})
-    if key in config:
-        try:
-            return convert(config[key])
-        except ValueError as exc:
-            raise UsageError(f"bad config value {key}={config[key]!r}: {exc}") from None
-    return default
+def _densities_arg(text: str) -> tuple[float, ...]:
+    """parse_densities as an argparse type, so its message reaches the user."""
+    try:
+        return parse_densities(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_seed(ns: argparse.Namespace) -> int:
+    """GEOROUTE_SEED if set, else the parsed seed; either must be nonnegative."""
     env = os.environ.get(SEED_ENV_VAR)
+    seed = ns.seed
     if env is not None:
         try:
             seed = int(env)
         except ValueError:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    else:
-        seed = _resolve(ns, "seed", int, 0)
     if seed < 0:
         raise UsageError("seed must be nonnegative")
     return seed
-
-
-def _parse_algo(name: str) -> Algorithm:
-    try:
-        return Algorithm(name)
-    except ValueError:
-        raise UsageError(
-            f"unknown algorithm {name!r}; expected one of {', '.join(ALGO_CHOICES)}"
-        ) from None
-
-
-def _check_obstacle(name: str) -> str:
-    if name not in OBSTACLE_NAMES:
-        raise UsageError(
-            f"unknown obstacle {name!r}; expected one of {', '.join(OBSTACLE_NAMES)}"
-        )
-    return name
 
 
 def _open_out(path: str):
@@ -212,30 +171,20 @@ def csv_line(row) -> str:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    algo_name = _resolve(ns, "algo", str, None)
-    if algo_name is None:
+    if ns.algo is None:
         raise UsageError("sweep needs --algo (or algo= in the config file)")
-    obstacle = _check_obstacle(_resolve(ns, "obstacle", str, "none"))
-    densities = _resolve(ns, "densities", parse_densities, (5.0,))
-    trials = _resolve(ns, "trials", int, 200)
     seed = _resolve_seed(ns)
-    out_path = _resolve(ns, "out", str, "-")
-    workers = _resolve(ns, "workers", int, 1)
-    if workers < 1:
+    if ns.workers < 1:
         raise UsageError("workers must be at least 1")
-
-    if algo_name == "all":
-        algorithms = list(Algorithm)
-    else:
-        algorithms = [_parse_algo(algo_name)]
+    algorithms = list(Algorithm) if ns.algo == "all" else [Algorithm(ns.algo)]
 
     try:
         configs = [
             ExperimentConfig(
                 algorithm=algo,
-                obstacle=obstacle,
-                densities=densities,
-                trials_per_point=trials,
+                obstacle=ns.obstacle,
+                densities=ns.densities,
+                trials_per_point=ns.trials,
                 master_seed=seed,
             )
             for algo in algorithms
@@ -243,10 +192,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    stream, owned = _open_out(out_path)
+    stream, owned = _open_out(ns.out)
     try:
         print(CSV_HEADER, file=stream)
-        for report in run_sweeps(configs, workers=workers):
+        for report in run_sweeps(configs, workers=ns.workers):
             for row in report.rows:
                 print(csv_line(row), file=stream)
     finally:
@@ -319,20 +268,12 @@ def render_trace_svg(world: World, outcome, label: str) -> str:
 
 
 def cmd_trace(ns: argparse.Namespace) -> int:
-    algo = _parse_algo(_resolve(ns, "algo", str, "gric-"))
-    obstacle = _check_obstacle(_resolve(ns, "obstacle", str, "none"))
-    density = _resolve(ns, "density", float, 6.0)
     seed = _resolve_seed(ns)
-    out_path = _resolve(ns, "out", str, "-")
-    out_format = _resolve(ns, "format", str, "svg")
-    if out_format not in ("svg", "csv"):
-        raise UsageError(f"unknown trace format {out_format!r}; expected svg or csv")
-
     try:
         config = ExperimentConfig(
-            algorithm=algo,
-            obstacle=obstacle,
-            densities=(density,),
+            algorithm=Algorithm(ns.algo),
+            obstacle=ns.obstacle,
+            densities=(ns.density,),
             trials_per_point=1,
             master_seed=seed,
             record_path=True,
@@ -340,16 +281,16 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    world = build_trial_world(seed, density, 0, obstacle)
-    outcome = run_trial(config, density, 0, world=world)
+    world = build_trial_world(seed, ns.density, 0, ns.obstacle)
+    outcome = run_trial(config, ns.density, 0, world=world)
     label = (
-        f"{algo.value} on {obstacle}, density {density:g}, seed {seed}: "
+        f"{ns.algo} on {ns.obstacle}, density {ns.density:g}, seed {seed}: "
         f"{outcome.status.value}, {outcome.hops} hops, "
         f"distance {outcome.distance:.1f}"
     )
-    stream, owned = _open_out(out_path)
+    stream, owned = _open_out(ns.out)
     try:
-        if out_format == "csv":
+        if ns.format == "csv":
             print("step,x,y", file=stream)
             for i, p in enumerate(outcome.path or []):
                 print(f"{i},{p.x:.4f},{p.y:.4f}", file=stream)
@@ -363,16 +304,13 @@ def cmd_trace(ns: argparse.Namespace) -> int:
 
 
 def cmd_graphcheck(ns: argparse.Namespace) -> int:
-    density = _resolve(ns, "density", float, 5.0)
-    obstacle = _check_obstacle(_resolve(ns, "obstacle", str, "none"))
     seed = _resolve_seed(ns)
-    dump_path = _resolve(ns, "dump", str, None)
     try:
-        node_count(density, STANDARD_REGION)
+        node_count(ns.density, STANDARD_REGION)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    world = build_trial_world(seed, density, 0, obstacle)
+    world = build_trial_world(seed, ns.density, 0, ns.obstacle)
     degrees_sum = 2 * len(world.edges)
     mean_degree = degrees_sum / world.n if world.n else float("nan")
     interior = interior_mean_degree(world)
@@ -383,50 +321,63 @@ def cmd_graphcheck(ns: argparse.Namespace) -> int:
     print(f"nodes: {world.n}")
     print(f"links: {len(world.edges)}")
     print(f"mean degree: {mean_degree:.4f}")
-    print(f"interior mean degree: {interior:.4f} (pi*density = {math.pi * density:.4f})")
+    print(f"interior mean degree: {interior:.4f} (pi*density = {math.pi * ns.density:.4f})")
     print(f"gabriel edges: {len(gabriel)}")
     print(f"planarity: {'PASS' if violation is None else f'FAIL {violation}'}")
     print(f"connectivity: {'CONNECTED' if connected else 'DISCONNECTED'}")
 
-    if dump_path is not None:
-        with open(dump_path, "w", encoding="utf-8") as fh:
+    if ns.dump is not None:
+        with open(ns.dump, "w", encoding="utf-8") as fh:
             fh.write(world_to_text(world))
-        print(f"world dumped to {dump_path}")
+        print(f"world dumped to {ns.dump}")
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
+    """The command line: each option's name, type, choices and default.
+
+    A config file sets the same options, keyed by flag name without the
+    dashes; main parses its lines as flags. With exit_on_error False a bad
+    value raises argparse.ArgumentError instead of exiting.
+    """
     parser = argparse.ArgumentParser(
         prog="gricsim",
         description="Geographic routing laboratory: sweeps, traces, world checks.",
+        exit_on_error=exit_on_error,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep, emit CSV")
+    sweep = sub.add_parser(
+        "sweep", help="run a Monte Carlo sweep, emit CSV", exit_on_error=exit_on_error
+    )
     sweep.add_argument("--algo", choices=ALGO_CHOICES + ("all",))
-    sweep.add_argument("--obstacle", choices=OBSTACLE_NAMES)
-    sweep.add_argument("--densities", type=parse_densities)
-    sweep.add_argument("--trials", type=int)
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--out")
-    sweep.add_argument("--workers", type=int)
+    sweep.add_argument("--obstacle", choices=OBSTACLE_NAMES, default="none")
+    sweep.add_argument("--densities", type=_densities_arg, default=(5.0,))
+    sweep.add_argument("--trials", type=int, default=200)
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--out", default="-")
+    sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--config")
     sweep.set_defaults(func=cmd_sweep)
 
-    trace = sub.add_parser("trace", help="trace one message, emit SVG or CSV")
-    trace.add_argument("--algo", choices=ALGO_CHOICES)
-    trace.add_argument("--obstacle", choices=OBSTACLE_NAMES)
-    trace.add_argument("--density", type=float)
-    trace.add_argument("--seed", type=int)
-    trace.add_argument("--format", choices=("svg", "csv"))
-    trace.add_argument("--out")
+    trace = sub.add_parser(
+        "trace", help="trace one message, emit SVG or CSV", exit_on_error=exit_on_error
+    )
+    trace.add_argument("--algo", choices=ALGO_CHOICES, default="gric-")
+    trace.add_argument("--obstacle", choices=OBSTACLE_NAMES, default="none")
+    trace.add_argument("--density", type=float, default=6.0)
+    trace.add_argument("--seed", type=int, default=0)
+    trace.add_argument("--format", choices=("svg", "csv"), default="svg")
+    trace.add_argument("--out", default="-")
     trace.add_argument("--config")
     trace.set_defaults(func=cmd_trace)
 
-    check = sub.add_parser("graphcheck", help="print world statistics")
-    check.add_argument("--density", type=float)
-    check.add_argument("--obstacle", choices=OBSTACLE_NAMES)
-    check.add_argument("--seed", type=int)
+    check = sub.add_parser(
+        "graphcheck", help="print world statistics", exit_on_error=exit_on_error
+    )
+    check.add_argument("--density", type=float, default=5.0)
+    check.add_argument("--obstacle", choices=OBSTACLE_NAMES, default="none")
+    check.add_argument("--seed", type=int, default=0)
     check.add_argument("--dump", help="also write the world in worldv1 format")
     check.add_argument("--config")
     check.set_defaults(func=cmd_graphcheck)
@@ -434,19 +385,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+def _config_keys(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Per subcommand, the keys a config file may set: its flags without
+    the dashes, --config and --help aside."""
+    (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+    return {
+        name: {
+            flag[2:] for action in p._actions for flag in action.option_strings
+            if flag.startswith("--")
+        } - {"config", "help"}
+        for name, p in commands.items()
+    }
+
+
+def _parse_with_config(command: str, path: str, argv: list[str]) -> argparse.Namespace:
+    """Parse argv again with the config file's lines placed right after the
+    subcommand as --key=value flags, so argparse converts and checks them
+    as it checks flags, and the user's own flags, coming later, win."""
+    options = load_config(path)
+    parser = build_parser(exit_on_error=False)
+    keys = _config_keys(parser)
+    unknown = set(options).difference(*keys.values())
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    flags = [f"--{key}={value}" for key, value in options.items() if key in keys[command]]
+    at = argv.index(command) + 1
     try:
-        config_path = getattr(ns, "config", None)
-        if config_path is not None:
-            options = load_config(config_path)
-            unknown = set(options) - _CONFIG_KEYS
-            if unknown:
-                raise UsageError(
-                    f"unknown config keys: {', '.join(sorted(unknown))}"
-                )
-            ns._config_options = options
+        return parser.parse_args(argv[:at] + flags + argv[at:])
+    except argparse.ArgumentError as exc:
+        key = exc.argument_name.removeprefix("--")
+        raise UsageError(f"{path}: bad config value {key}={options[key]!r}: {exc}") from None
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = build_parser().parse_args(argv)
+    try:
+        if ns.config is not None:
+            ns = _parse_with_config(ns.command, ns.config, argv)
         return ns.func(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -455,8 +455,9 @@ class TestBlasThreadCap:
 
 
 class TestFrozenImportHeap:
-    """The CLI entry freezes the heap its import made; the library and an
-    in-process cli.main leave the collector alone."""
+    """The CLI entry imports with the collector off and freezes the heap
+    its import made; the library and an in-process cli.main leave the
+    collector alone."""
 
     GRAPHCHECK = TestBlasThreadCap.GRAPHCHECK
 
@@ -468,9 +469,20 @@ class TestFrozenImportHeap:
             "    runpy.run_module('gricsim', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
-            "print(code, gc.get_freeze_count() > 0)"
+            "print(code, gc.get_freeze_count() > 0, gc.isenabled())"
         )
-        assert run_probe(probe, None, *self.GRAPHCHECK) == ["0", "True"]
+        assert run_probe(probe, None, *self.GRAPHCHECK) == ["0", "True", "True"]
+
+    def test_the_entry_imports_with_the_collector_off(self):
+        probe = (
+            "import gc\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+            "import gricsim.__main__\n"
+            "gc.callbacks.clear()\n"
+            "print(len(starts), gc.isenabled())"
+        )
+        assert run_probe(probe, None) == ["0", "True"]
 
     def test_the_library_leaves_the_collector_alone(self):
         probe = (
@@ -557,3 +569,114 @@ class TestConfigAndEnvironment:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_flags_beat_config_values_they_follow(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("obstacle = stripe\nformat = svg\nseed = 4\n")
+        argv = ("trace", "--density", "3")
+        flags = ("--obstacle", "ushape", "--format", "csv", "--seed", "1")
+        via_both = run(capsys, *argv, "--config", str(cfg), *flags)
+        assert via_both == run(capsys, *argv, *flags)
+        assert via_both != run(capsys, *argv, "--config", str(cfg))
+
+    def test_keys_of_other_subcommands_are_ignored(self, capsys, tmp_path):
+        # Their values are not even checked: graphcheck takes no algo.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("algo = dijkstra\nformat = png\ndensities = x\ndensity = 2\n")
+        argv = ("graphcheck", "--seed", "1")
+        assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv, "--density", "2")
+
+    def test_config_is_no_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"config = {cfg}\n")
+        code, _, err = run(capsys, "graphcheck", "--config", str(cfg))
+        assert code == 2 and "unknown config keys: config" in err
+
+
+# Each subcommand's small run, as flags; the option under test is left out
+# of it and given either as a flag or in a config file.
+BASE_FLAGS = {
+    "sweep": {"algo": "greedy", "densities": "2", "trials": "2"},
+    "trace": {"density": "3"},
+    "graphcheck": {"density": "2"},
+}
+
+# Every option of every subcommand but --config: a valid value that is
+# not the default, and a value argparse rejects, or None for a path.
+# "{tmp}" stands for the test's own directory.
+OPTIONS = {
+    ("sweep", "algo"): ("gric+", "dijkstra"),
+    ("sweep", "obstacle"): ("stripe", "maze"),
+    ("sweep", "densities"): ("2,2.5", "5:1:0.5"),
+    ("sweep", "trials"): ("3", "three"),
+    ("sweep", "seed"): ("5", "x"),
+    ("sweep", "out"): ("{tmp}/rows.csv", None),
+    ("sweep", "workers"): ("2", "two"),
+    ("trace", "algo"): ("face", "all"),
+    ("trace", "obstacle"): ("ushape", "maze"),
+    ("trace", "density"): ("4", "dense"),
+    ("trace", "seed"): ("2", "1.5"),
+    ("trace", "format"): ("csv", "png"),
+    ("trace", "out"): ("{tmp}/t.svg", None),
+    ("graphcheck", "density"): ("3", "nan!"),
+    ("graphcheck", "obstacle"): ("concave2", "maze"),
+    ("graphcheck", "seed"): ("4", "-"),
+    ("graphcheck", "dump"): ("{tmp}/w.txt", None),
+}
+
+
+class TestEveryOption:
+    """Each option is declared once: a config file sets exactly the
+    subcommands' flags, and its values are converted and checked as the
+    flags' are."""
+
+    @staticmethod
+    def argv(command, key):
+        base = BASE_FLAGS[command]
+        return [command, *(f"--{k}={v}" for k, v in base.items() if k != key)]
+
+    @staticmethod
+    def config(tmp_path, key, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"# one option\n{key} = {value}\n")
+        return str(cfg)
+
+    @pytest.mark.parametrize("command", sorted(BASE_FLAGS))
+    def test_the_table_holds_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+        assert flags - {"help", "config"} == {k for c, k in OPTIONS if c == command}
+
+    @pytest.mark.parametrize("command, key", sorted(OPTIONS))
+    def test_a_config_value_acts_as_the_flag(self, capsys, monkeypatch, tmp_path, command, key):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        value = OPTIONS[command, key][0].format(tmp=tmp_path)
+        written = Path(value) if "{tmp}" in OPTIONS[command, key][0] else None
+
+        def outputs(*argv):
+            code, out, _ = run(capsys, *self.argv(command, key), *argv)
+            assert code == 0
+            return out, written.read_bytes() if written else None
+
+        via_flag = outputs(f"--{key}", value)
+        assert via_flag == outputs("--config", self.config(tmp_path, key, value))
+        assert written is None or via_flag[1]
+
+    @pytest.mark.parametrize(
+        "command, key", sorted(k for k, (_, bad) in OPTIONS.items() if bad is not None)
+    )
+    def test_a_bad_value_fails_alike_as_flag_and_config(self, capsys, tmp_path, command, key):
+        bad = OPTIONS[command, key][1]
+        with pytest.raises(SystemExit) as exc:
+            main([*self.argv(command, key), f"--{key}={bad}"])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1].partition("error: ")[2]
+        assert message.startswith(f"argument --{key}: ")
+
+        cfg = self.config(tmp_path, key, bad)
+        code, out, err = run(capsys, *self.argv(command, key), "--config", cfg)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and line.endswith(message)
+        assert cfg in line and f"{key}={bad!r}" in line
