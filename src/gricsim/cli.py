@@ -11,6 +11,7 @@ GEOROUTE_SEED environment variable wins over both for the seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -142,11 +143,15 @@ def _resolve_seed(ns: argparse.Namespace) -> int:
     return seed
 
 
-def _open_out(path: str):
-    """Output stream for '-' or a file path, with a flag for closing."""
+def _output(path: str | None):
+    """A context manager for an output option, opened now, so a bad path
+    fails before any work: stdout for '-', None for an absent option,
+    else the file, closed on exit."""
+    if path is None:
+        return contextlib.nullcontext()
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def _fmt(value: float) -> str:
@@ -192,15 +197,11 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    stream, owned = _open_out(ns.out)
-    try:
+    with _output(ns.out) as stream:
         print(CSV_HEADER, file=stream)
         for report in run_sweeps(configs, workers=ns.workers):
             for row in report.rows:
                 print(csv_line(row), file=stream)
-    finally:
-        if owned:
-            stream.close()
     return EXIT_OK
 
 
@@ -281,24 +282,20 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    world = build_trial_world(seed, ns.density, 0, ns.obstacle)
-    outcome = run_trial(config, ns.density, 0, world=world)
-    label = (
-        f"{ns.algo} on {ns.obstacle}, density {ns.density:g}, seed {seed}: "
-        f"{outcome.status.value}, {outcome.hops} hops, "
-        f"distance {outcome.distance:.1f}"
-    )
-    stream, owned = _open_out(ns.out)
-    try:
+    with _output(ns.out) as stream:
+        world = build_trial_world(seed, ns.density, 0, ns.obstacle)
+        outcome = run_trial(config, ns.density, 0, world=world)
+        label = (
+            f"{ns.algo} on {ns.obstacle}, density {ns.density:g}, seed {seed}: "
+            f"{outcome.status.value}, {outcome.hops} hops, "
+            f"distance {outcome.distance:.1f}"
+        )
         if ns.format == "csv":
             print("step,x,y", file=stream)
             for i, p in enumerate(outcome.path or []):
                 print(f"{i},{p.x:.4f},{p.y:.4f}", file=stream)
         else:
             stream.write(render_trace_svg(world, outcome, label))
-    finally:
-        if owned:
-            stream.close()
     print(label, file=sys.stderr)
     return EXIT_OK
 
@@ -310,25 +307,25 @@ def cmd_graphcheck(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    world = build_trial_world(seed, ns.density, 0, ns.obstacle)
-    degrees_sum = 2 * len(world.edges)
-    mean_degree = degrees_sum / world.n if world.n else float("nan")
-    interior = interior_mean_degree(world)
-    gabriel = world.gabriel_edges()
-    violation = find_planarity_violation(world.positions, gabriel)
-    connected = is_connected(world)
+    with _output(ns.dump) as dump:
+        world = build_trial_world(seed, ns.density, 0, ns.obstacle)
+        degrees_sum = 2 * len(world.edges)
+        mean_degree = degrees_sum / world.n if world.n else float("nan")
+        interior = interior_mean_degree(world)
+        gabriel = world.gabriel_edges()
+        violation = find_planarity_violation(world.positions, gabriel)
+        connected = is_connected(world)
 
-    print(f"nodes: {world.n}")
-    print(f"links: {len(world.edges)}")
-    print(f"mean degree: {mean_degree:.4f}")
-    print(f"interior mean degree: {interior:.4f} (pi*density = {math.pi * ns.density:.4f})")
-    print(f"gabriel edges: {len(gabriel)}")
-    print(f"planarity: {'PASS' if violation is None else f'FAIL {violation}'}")
-    print(f"connectivity: {'CONNECTED' if connected else 'DISCONNECTED'}")
-
-    if ns.dump is not None:
-        with open(ns.dump, "w", encoding="utf-8") as fh:
-            fh.write(world_to_text(world))
+        print(f"nodes: {world.n}")
+        print(f"links: {len(world.edges)}")
+        print(f"mean degree: {mean_degree:.4f}")
+        print(f"interior mean degree: {interior:.4f} (pi*density = {math.pi * ns.density:.4f})")
+        print(f"gabriel edges: {len(gabriel)}")
+        print(f"planarity: {'PASS' if violation is None else f'FAIL {violation}'}")
+        print(f"connectivity: {'CONNECTED' if connected else 'DISCONNECTED'}")
+        if dump is not None:
+            dump.write(world_to_text(world))
+    if dump is not None:
         print(f"world dumped to {ns.dump}")
     return EXIT_OK
 

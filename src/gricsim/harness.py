@@ -145,43 +145,28 @@ def source_node(world: World, point: Vec2 = SOURCE_POINT) -> int:
 
 
 # One factory per step-function router: (world, source, params, rng) ->
-# (step, state_key). state_key is None unless the router is a pure
-# function of its state, which it then names for outcomes.walk's cycle
-# fast-forward: (current node, previous node id) for inertia, plus the
-# flag for gric-. The previous node's id is used rather than its
-# position, a finer key, so nodes sharing a position stay apart. gric+
-# and ltp draw from the rng (gric+ through routing.Uniforms, which draws
-# its thinning uniforms in blocks), greedy cannot revisit a node, and
-# face routing keeps its own budget. Each factory looks its step
-# function up in this module at call time, so the module attributes stay
-# the hook points for wrapping them.
+# (step, state_key). state_key, given only to a router whose moves are a
+# pure function of its state, returns that state beyond the current and
+# previous nodes for outcomes.walk's cycle fast-forward: nothing for
+# inertia, the flag for gric-. gric+ and ltp draw from the rng (gric+
+# through routing.Uniforms, which draws its thinning uniforms in
+# blocks), greedy cannot revisit a node, and face routing keeps its own
+# budget. Each factory looks its step function up in this module at call
+# time, so the module attributes stay the hook points for wrapping them.
 def _greedy(world, source, params, rng):
     return (lambda cur: greedy_step(world, cur, DEST_POINT)), None
 
 
 def _inertia(world, source, params, rng):
     state = MessageState(dest_pos=DEST_POINT)
-    prev = None
-
-    def step(cur):
-        nonlocal prev
-        prev = cur
-        return inertia_only_step(world, cur, state, params.beta)
-
-    return step, lambda cur: (cur, prev)
+    return (lambda cur: inertia_only_step(world, cur, state, params.beta)), lambda: None
 
 
 def _gric(world, source, params, rng):
     state = MessageState(dest_pos=DEST_POINT)
-    prev = None
     draws = None if rng is None else Uniforms(rng)
-
-    def step(cur):
-        nonlocal prev
-        prev = cur
-        return gric_step(world, cur, state, params, draws)
-
-    return step, (lambda cur: (cur, prev, state.flag)) if rng is None else None
+    key = (lambda: state.flag) if rng is None else None
+    return (lambda cur: gric_step(world, cur, state, params, draws)), key
 
 
 def _ltp(world, source, params, rng):

@@ -80,21 +80,25 @@ def walk(
     *,
     enforce_oob: bool = True,
     record_path: bool = False,
-    state_key: Callable[[int], Hashable] | None = None,
+    state_key: Callable[[], Hashable] | None = None,
 ) -> TrialOutcome:
     """Move a message from source by step() until a rule ends the trial.
 
     step(current) returns the next node or raises Stuck; it is called
     once per hop and keeps whatever state its router needs.
 
-    state_key(current), given only for a router whose next move and next
-    state are a pure function of its state, names that state just before
-    each step. Once a key repeats, the walk is periodic, and every node
-    on the cycle has already passed the delivery and border checks, so
-    the trial must end fail_ttl at ttl + 1 hops. walk finishes it from
-    the cycle's recorded hop lengths, added to the distance one at a
-    time in walking order by one np.add.accumulate, so the outcome
-    equals that of the full walk bit for bit.
+    state_key() is given only for a router whose next move and next
+    state are a pure function of the current node, the previous one and
+    whatever state_key() returns just before each step, such as gric-'s
+    flag. walk keys each state as (current, previous, state_key()),
+    with the previous node's id, None at the source, rather than its
+    position, so nodes sharing a position stay apart. Once a key
+    repeats, the walk is periodic, and every node on the cycle has
+    already passed the delivery and border checks, so the trial must
+    end fail_ttl at ttl + 1 hops. walk finishes it from the cycle's
+    recorded hop lengths, added to the distance one at a time in
+    walking order by one np.add.accumulate, so the outcome equals that
+    of the full walk bit for bit.
 
     The loop reads node positions as plain floats from world.xs and
     world.ys; the path, when recorded, is the only Vec2 it builds.
@@ -103,6 +107,7 @@ def walk(
     r = world.region
     dx, dy = dest.x, dest.y
     cur = source
+    prev = None
     hops = 0
     dist = 0.0
     path = [world.pos(source)] if record_path else None
@@ -118,7 +123,7 @@ def walk(
         if hops > ttl:
             return TrialOutcome(TrialStatus.FAIL_TTL, hops, dist, path)
         if state_key is not None:
-            start = seen.setdefault(state_key(cur), hops)
+            start = seen.setdefault((cur, prev, state_key()), hops)
             if start < hops:
                 period = hops - start
                 count = ttl + 1 - hops
@@ -131,6 +136,7 @@ def walk(
                 return TrialOutcome(
                     TrialStatus.FAIL_TTL, ttl + 1, dist, path, start, period
                 )
+            prev = cur
         try:
             cur = step(cur)
         except (Stuck, ZeroVector):

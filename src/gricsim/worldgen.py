@@ -15,7 +15,7 @@ walks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,8 +208,8 @@ def _within(ax: float, ay: float, bx: float, by: float, x: float, y: float) -> b
 def _in_range(dx, dy):
     """The unit-disk rule on coordinate differences, for floats or arrays.
 
-    Every link, whether wired for the whole world or for one node, is
-    decided by this one expression, so the two can never disagree.
+    _pairs calls it for the whole world, and _LocalLinks.near writes
+    the same expression out on plain floats, so the two never disagree.
     """
     return dx * dx + dy * dy <= COMM_RADIUS * COMM_RADIUS
 
@@ -237,8 +237,9 @@ def _in_disk(dx, dy, threshold):
     strictly inside, with the GABRIEL_EPS slack on squared distance, so a
     node exactly on the circle does not count.
 
-    Every Gabriel edge, whether filtered for the whole world or for one
-    node, is decided by this expression on _gabriel_disks' floats.
+    _gabriel_filter calls it on _gabriel_disks' floats, and
+    _LocalLinks.gabriel writes both out on plain floats, so the two
+    decide every Gabriel edge alike.
     """
     return dx * dx + dy * dy < threshold
 
@@ -492,7 +493,6 @@ class _LocalLinks:
         return out
 
 
-@dataclass(init=False)
 class World:
     """One deployed network: node positions plus usable links.
 
@@ -516,21 +516,8 @@ class World:
     xs and ys hold the positions' two columns as flat lists of Python
     floats, for the per-hop router loops and on-demand wiring: two
     lists, not one per node, so a world adds next to nothing for the
-    garbage collector to track.
+    garbage collector to track. Worlds compare and hash by identity.
     """
-
-    region: Region
-    obstacle: Obstacle
-    positions: np.ndarray
-    xs: list[float] = field(repr=False)
-    ys: list[float] = field(repr=False)
-    _edges: np.ndarray | None = field(default=None, repr=False)
-    _explicit: bool = field(default=False, repr=False)
-    _gabriel_edges: np.ndarray | None = field(default=None, repr=False)
-    _local: _LocalLinks | None = field(default=None, repr=False)
-    _neighbors: list[list[int] | None] = field(repr=False)
-    _gabriel: list[list[int] | None] = field(repr=False)
-    _gabriel_degrees: int = field(default=0, repr=False)
 
     def __init__(
         self,
@@ -557,6 +544,12 @@ class World:
         self._neighbors = [None] * n if edges is None else _lists(n, _checked(n, edges))
         self._gabriel = [None] * n
         self._gabriel_degrees = 0
+
+    def __repr__(self) -> str:
+        return (
+            f"World(region={self.region!r}, obstacle={self.obstacle!r}, "
+            f"positions={self.positions!r})"
+        )
 
     @property
     def n(self) -> int:

@@ -202,6 +202,15 @@ class TestTrace:
             main(["trace", "--algo", "greedy", "--obstacle", "maze"])
         assert exc.value.code == 2
 
+    def test_unwritable_out_fails_before_any_world(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_trial_world", lambda *a: built.append(a))
+        code, out, err = run(
+            capsys, "trace", "--algo", "greedy", "--out", "/no/such/dir/x.svg"
+        )
+        assert (code, out, built) == (1, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestGraphcheck:
     def test_report_fields(self, capsys):
@@ -239,6 +248,15 @@ class TestGraphcheck:
         assert len(positions) == int(m.group(1))
         m = re.search(r"^links: (\d+)$", out, re.M)
         assert len(edges) == int(m.group(1))
+
+    def test_unwritable_dump_fails_before_the_report(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_trial_world", lambda *a: built.append(a))
+        code, out, err = run(
+            capsys, "graphcheck", "--density", "2", "--dump", "/no/such/dir/w.txt"
+        )
+        assert (code, out, built) == (1, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestNonFiniteDensities:

@@ -1344,6 +1344,53 @@ class TestLinksOnDemand:
         w = World(SMALL, make_obstacle("none"), positions)
         assert [w.neighbors(0), w.neighbors(1)] == [[1], [0]]
 
+    @pytest.mark.parametrize("view", ["neighbors", "gabriel_neighbors", "edges", "gabriel_edges"])
+    def test_a_hand_built_world_spanning_3000_units_stays_small(self, view):
+        # A world built from explicit edges takes its lists from them and
+        # never builds the grid, whose cells over these nodes' bounding
+        # box would take about 137 MiB.
+        w = make_world([(0.0, 0.0), (0.5, 0.0), (0.25, 0.4), (3000.0, 3000.0)],
+                       [(0, 1), (0, 2), (1, 2)])
+        tracemalloc.start()
+        try:
+            if view == "edges":
+                got = w.edges.tolist()
+            elif view == "gabriel_edges":
+                got = w.gabriel_edges().tolist()
+            else:
+                got = [getattr(w, view)(i) for i in range(w.n)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
+        assert w._local is None
+        assert got in ([[1, 2], [0, 2], [0, 1], []], [[0, 1], [0, 2], [1, 2]])
+
+
+class TestWorldIdentity:
+    """Worlds compare and hash by identity; the repr shows what a failing
+    hypothesis example needs."""
+
+    def test_equal_seed_worlds_compare_unequal(self):
+        a = deploy(2.0, SMALL, make_obstacle("stripe"), 42)
+        b = deploy(2.0, SMALL, make_obstacle("stripe"), 42)
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert (a == b) is False and a != b
+        assert a == a
+
+    def test_worlds_hash(self):
+        a = deploy(2.0, SMALL, make_obstacle("none"), 1)
+        b = deploy(2.0, SMALL, make_obstacle("none"), 1)
+        assert len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
+    def test_repr_shows_region_obstacle_and_positions(self):
+        w = make_world([(0.5, 1.5), (2.0, 3.0)], [(0, 1)], region=SMALL)
+        assert repr(w) == (
+            f"World(region={SMALL!r}, obstacle={make_obstacle('none')!r}, "
+            f"positions={w.positions!r})"
+        )
+
 
 def on_demand_checked(positions):
     """Every node's on-demand Gabriel list of a world built without
