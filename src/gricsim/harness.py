@@ -23,6 +23,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -228,35 +229,32 @@ def _world_key(config: ExperimentConfig) -> tuple:
     )
 
 
-def _world_task(args: tuple) -> list[tuple[int, int, int, str, int, float]]:
+def _world_task(args: tuple) -> list[TrialOutcome]:
     """Every config's trial on one (density, trial) world, built once."""
-    configs, di, density, trial_index = args
+    configs, density, trial_index = args
     first = configs[0]
     world = build_trial_world(first.master_seed, density, trial_index, first.obstacle)
-    results = []
-    for ci, config in enumerate(configs):
-        out = run_trial(config, density, trial_index, world=world)
-        results.append((ci, di, trial_index, out.status.value, out.hops, out.distance))
-    return results
+    return [run_trial(config, density, trial_index, world=world) for config in configs]
 
 
-def _sweep_row(config: ExperimentConfig, density: float, raw: list[tuple]) -> SweepRow:
-    """Aggregate one density's (status, hops, distance) trial results."""
-    statuses = [r[0] for r in raw]
-    succ = [r for r in raw if r[0] == TrialStatus.SUCCESS.value]
-    n_trials = len(raw)
+def _sweep_row(
+    config: ExperimentConfig, density: float, outcomes: list[TrialOutcome]
+) -> SweepRow:
+    """Aggregate one density's trial outcomes."""
+    counts = Counter(o.status for o in outcomes)
+    succ = [o for o in outcomes if o.succeeded]
     return SweepRow(
         algorithm=config.algorithm.value,
         obstacle=config.obstacle,
         density=density,
-        trials=n_trials,
-        success_rate=len(succ) / n_trials,
-        median_hops=median(r[1] for r in succ) if succ else float("nan"),
-        median_distance=median(r[2] for r in succ) if succ else float("nan"),
-        fail_ttl=statuses.count(TrialStatus.FAIL_TTL.value),
-        fail_oob=statuses.count(TrialStatus.FAIL_OOB.value),
-        fail_stuck=statuses.count(TrialStatus.FAIL_STUCK.value),
-        fail_no_nodes=statuses.count(TrialStatus.FAIL_NO_NODES.value),
+        trials=len(outcomes),
+        success_rate=len(succ) / len(outcomes),
+        median_hops=median(o.hops for o in succ) if succ else float("nan"),
+        median_distance=median(o.distance for o in succ) if succ else float("nan"),
+        fail_ttl=counts[TrialStatus.FAIL_TTL],
+        fail_oob=counts[TrialStatus.FAIL_OOB],
+        fail_stuck=counts[TrialStatus.FAIL_STUCK],
+        fail_no_nodes=counts[TrialStatus.FAIL_NO_NODES],
     )
 
 
@@ -285,11 +283,8 @@ def run_sweeps(
                 "run_sweeps configs must share obstacle, densities, "
                 "trials_per_point and master_seed"
             )
-    tasks = [
-        (configs, di, d, t)
-        for di, d in enumerate(first.densities)
-        for t in range(first.trials_per_point)
-    ]
+    n = first.trials_per_point
+    tasks = [(configs, d, t) for d in first.densities for t in range(n)]
     # More processes than worlds or CPUs would only sit idle.
     workers = min(workers, len(tasks), _cpus())
     if workers > 1:
@@ -298,15 +293,11 @@ def run_sweeps(
             per_world = pool.map(_world_task, tasks, chunksize=chunk)
     else:
         per_world = [_world_task(t) for t in tasks]
-    # Tasks, and so results, come in (density, trial) order.
-    by_point: dict[tuple[int, int], list[tuple]] = {}
-    for results in per_world:
-        for ci, di, _, status, hops, dist in results:
-            by_point.setdefault((ci, di), []).append((status, hops, dist))
+    # Tasks, and so worlds, come in (density, trial) order, n per density.
     return [
         SweepReport(
             rows=[
-                _sweep_row(config, d, by_point[(ci, di)])
+                _sweep_row(config, d, [w[ci] for w in per_world[di * n:(di + 1) * n]])
                 for di, d in enumerate(config.densities)
             ]
         )

@@ -747,7 +747,8 @@ def sweep_from_trials(config):
 
 class TestRunSweeps:
     def configs(self, obstacle="none", **kw):
-        kw.setdefault("densities", (2.0, 3.0))
+        # Density 0 puts no node down: every trial ends fail_no_nodes.
+        kw.setdefault("densities", (0.0, 2.0, 3.0))
         kw.setdefault("trials_per_point", 2)
         kw.setdefault("master_seed", 5)
         return [
@@ -764,7 +765,8 @@ class TestRunSweeps:
         assert rows_text(shared) == rows_text(separate)
         assert rows_text(shared) == rows_text(map(sweep_from_trials, configs))
 
-    def test_per_config_options_may_differ(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_per_config_options_may_differ(self, workers):
         configs = [
             ExperimentConfig(algorithm=Algorithm.GREEDY, densities=(2.0,),
                              trials_per_point=20),
@@ -775,7 +777,8 @@ class TestRunSweeps:
                              trials_per_point=20,
                              params=RoutingParams(epsilon=0.0)),
         ]
-        shared = run_sweeps(configs)
+        # The record_path config's outcomes carry paths back from workers.
+        shared = run_sweeps(configs, workers=workers)
         assert rows_text(shared) == rows_text(run_sweep(cfg) for cfg in configs)
 
     def test_empty_config_list(self):
