@@ -26,7 +26,7 @@ from .worldgen import World
 # a handful of pops rescues the occasional routing hole, while a large
 # allowance would turn the router into exhaustive search and mask the
 # local-minimum pathology it is meant to exhibit.
-DEFAULT_LTP_BUDGET = 5
+LTP_BUDGET = 5
 
 
 def _closer(world: World, current: int, dest_pos: Vec2) -> Iterator[tuple[float, int]]:
@@ -95,10 +95,8 @@ class LtpState:
             raise ValueError("backtrack budget must be a natural number")
 
 
-def ltp_init(source: int, budget: int | None = None) -> LtpState:
-    if budget is None:
-        budget = DEFAULT_LTP_BUDGET
-    return LtpState(stack=[source], tried=[set()], budget=budget)
+def ltp_init(source: int) -> LtpState:
+    return LtpState(stack=[source], tried=[set()], budget=LTP_BUDGET)
 
 
 def ltp_step(

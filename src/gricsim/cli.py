@@ -316,17 +316,22 @@ def cmd_graphcheck(ns: argparse.Namespace) -> int:
         violation = find_planarity_violation(world.positions, gabriel)
         connected = is_connected(world)
 
-        print(f"nodes: {world.n}")
-        print(f"links: {len(world.edges)}")
-        print(f"mean degree: {mean_degree:.4f}")
-        print(f"interior mean degree: {interior:.4f} (pi*density = {math.pi * ns.density:.4f})")
-        print(f"gabriel edges: {len(gabriel)}")
-        print(f"planarity: {'PASS' if violation is None else f'FAIL {violation}'}")
-        print(f"connectivity: {'CONNECTED' if connected else 'DISCONNECTED'}")
+        # A dump on stdout keeps the stream readable by parse_world_text.
+        report = sys.stderr if dump is sys.stdout else sys.stdout
+        print(f"nodes: {world.n}", file=report)
+        print(f"links: {len(world.edges)}", file=report)
+        print(f"mean degree: {mean_degree:.4f}", file=report)
+        print(
+            f"interior mean degree: {interior:.4f} (pi*density = {math.pi * ns.density:.4f})",
+            file=report,
+        )
+        print(f"gabriel edges: {len(gabriel)}", file=report)
+        print(f"planarity: {'PASS' if violation is None else f'FAIL {violation}'}", file=report)
+        print(f"connectivity: {'CONNECTED' if connected else 'DISCONNECTED'}", file=report)
         if dump is not None:
             dump.write(world_to_text(world))
     if dump is not None:
-        print(f"world dumped to {ns.dump}")
+        print(f"world dumped to {ns.dump}", file=report)
     return EXIT_OK
 
 

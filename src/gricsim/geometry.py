@@ -37,19 +37,8 @@ class Vec2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite component in ({self.x!r}, {self.y!r})")
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, scale: float) -> "Vec2":
-        return Vec2(self.x * scale, self.y * scale)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
 
     def cross(self, other: "Vec2") -> float:
         return self.x * other.y - self.y * other.x

@@ -50,10 +50,6 @@ WORLD_STREAM = 0
 ROUTE_STREAM = 1
 
 
-class EmptyInput(ValueError):
-    """median() was handed an empty sequence."""
-
-
 class Algorithm(Enum):
     GREEDY = "greedy"
     INERTIA = "inertia"
@@ -105,14 +101,6 @@ class SweepReport:
     rows: list[SweepRow] = field(default_factory=list)
 
 
-def median(values) -> float:
-    """Standard median; mean of the two central elements on even length."""
-    vals = list(values)
-    if not vals:
-        raise EmptyInput("median of an empty sequence")
-    return float(statistics.median(vals))
-
-
 def _density_key(density: float) -> int:
     return int(round(density * 1e6))
 
@@ -139,9 +127,9 @@ def build_trial_world(
     return deploy(density, STANDARD_REGION, make_obstacle(obstacle_name), rng)
 
 
-def source_node(world: World, point: Vec2 = SOURCE_POINT) -> int:
-    """Node closest to the injection point; ties go to the smallest id."""
-    d = world.positions - np.array([point.x, point.y])
+def source_node(world: World) -> int:
+    """Node closest to SOURCE_POINT; ties go to the smallest id."""
+    d = world.positions - np.array([SOURCE_POINT.x, SOURCE_POINT.y])
     return int(np.argmin(np.einsum("ij,ij->i", d, d)))
 
 
@@ -243,14 +231,15 @@ def _sweep_row(
     """Aggregate one density's trial outcomes."""
     counts = Counter(o.status for o in outcomes)
     succ = [o for o in outcomes if o.succeeded]
+    nan = float("nan")
     return SweepRow(
         algorithm=config.algorithm.value,
         obstacle=config.obstacle,
         density=density,
         trials=len(outcomes),
         success_rate=len(succ) / len(outcomes),
-        median_hops=median(o.hops for o in succ) if succ else float("nan"),
-        median_distance=median(o.distance for o in succ) if succ else float("nan"),
+        median_hops=float(statistics.median(o.hops for o in succ)) if succ else nan,
+        median_distance=float(statistics.median(o.distance for o in succ)) if succ else nan,
         fail_ttl=counts[TrialStatus.FAIL_TTL],
         fail_oob=counts[TrialStatus.FAIL_OOB],
         fail_stuck=counts[TrialStatus.FAIL_STUCK],

@@ -86,18 +86,6 @@ class Region:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, p: Vec2) -> bool:
-        return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max
-
-    def border_distance(self, p: Vec2) -> float:
-        """Distance from p to the nearest side; negative outside the box."""
-        return min(
-            p.x - self.x_min,
-            self.x_max - p.x,
-            p.y - self.y_min,
-            self.y_max - p.y,
-        )
-
 
 @dataclass(frozen=True)
 class Obstacle:

@@ -9,7 +9,7 @@ import pytest
 import vec2_routers
 from conftest import lexsort_adjacency, make_world
 from gricsim.baselines import (
-    DEFAULT_LTP_BUDGET,
+    LTP_BUDGET,
     LtpState,
     _first_edge_cw,
     face_route,
@@ -267,8 +267,7 @@ class TestLtp:
         )
 
     def test_default_budget(self):
-        assert ltp_init(3).budget == DEFAULT_LTP_BUDGET
-        assert ltp_init(3, budget=2).budget == 2
+        assert ltp_init(3) == LtpState(stack=[3], tried=[set()], budget=LTP_BUDGET)
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -318,7 +317,7 @@ class TestLtp:
         w = self.trap_world()
         dest = Vec2(5, 0)
         rng = np.random.default_rng(43)
-        state = ltp_init(0, budget=1)
+        state = LtpState(stack=[0], tried=[set()], budget=1)
         a = ltp_step(w, 0, state, dest, rng)
         assert ltp_step(w, a, state, dest, rng) == 0   # spends the budget
         assert state.budget == 0

@@ -14,7 +14,8 @@ import gricsim
 from conftest import record_pools
 from gricsim import cli, worldgen
 from gricsim.cli import CSV_HEADER, SEED_ENV_VAR, main, parse_densities
-from gricsim.worldgen import parse_world_text
+from gricsim.harness import build_trial_world
+from gricsim.worldgen import parse_world_text, world_to_text
 
 FLOAT_4DP = r"-?\d+\.\d{4}"
 ROW_RE = re.compile(
@@ -248,6 +249,19 @@ class TestGraphcheck:
         assert len(positions) == int(m.group(1))
         m = re.search(r"^links: (\d+)$", out, re.M)
         assert len(edges) == int(m.group(1))
+
+    def test_dump_to_stdout_sends_the_report_to_stderr(self, capsys, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        args = ("graphcheck", "--density", "2", "--seed", "3")
+        _, report, _ = run(capsys, *args)
+        code, out, err = run(capsys, *args, "--dump", "-")
+        assert code == 0
+        world = build_trial_world(3, 2.0, 0, "none")
+        assert out == world_to_text(world)
+        positions, edges = parse_world_text(out)
+        assert positions.tobytes() == world.positions.tobytes()
+        assert edges.tolist() == world.edges.tolist()
+        assert err == report + "world dumped to -\n"
 
     def test_unwritable_dump_fails_before_the_report(self, capsys, monkeypatch):
         built = []

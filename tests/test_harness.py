@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import os
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -21,12 +22,10 @@ from gricsim.harness import (
     STANDARD_REGION,
     WORLD_STREAM,
     Algorithm,
-    EmptyInput,
     ExperimentConfig,
     SweepReport,
     SweepRow,
     build_trial_world,
-    median,
     run_sweep,
     run_sweeps,
     run_trial,
@@ -43,21 +42,6 @@ from gricsim.worldgen import (
     deploy,
     make_obstacle,
 )
-
-
-class TestMedian:
-    def test_single_value(self):
-        assert median([3.0]) == 3.0
-
-    def test_even_count_averages(self):
-        assert median([1.0, 2.0]) == 1.5
-
-    def test_unsorted_input(self):
-        assert median([9.0, 1.0, 5.0]) == 5.0
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
-            median([])
 
 
 class TestExperimentFrame:
@@ -673,9 +657,9 @@ class TestRunSweep:
         wins = [o for o in outcomes if o.succeeded]
         assert row.success_rate == pytest.approx(len(wins) / 25)
         if wins:
-            assert row.median_hops == median([o.hops for o in wins])
+            assert row.median_hops == statistics.median(o.hops for o in wins)
             assert row.median_distance == pytest.approx(
-                median([o.distance for o in wins])
+                statistics.median(o.distance for o in wins)
             )
 
     def test_nan_medians_without_successes(self):
@@ -732,9 +716,13 @@ def sweep_from_trials(config):
                 density=d,
                 trials=len(outs),
                 success_rate=len(wins) / len(outs),
-                median_hops=median([o.hops for o in wins]) if wins else math.nan,
+                median_hops=(
+                    float(statistics.median(o.hops for o in wins)) if wins else math.nan
+                ),
                 median_distance=(
-                    median([o.distance for o in wins]) if wins else math.nan
+                    float(statistics.median(o.distance for o in wins))
+                    if wins
+                    else math.nan
                 ),
                 fail_ttl=statuses.count(TrialStatus.FAIL_TTL),
                 fail_oob=statuses.count(TrialStatus.FAIL_OOB),

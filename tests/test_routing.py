@@ -194,7 +194,7 @@ class TestIdealDirections:
                 continue
             ideal = inertia_ideal(v, d, 1.0)
             assert ideal.cross(d) == pytest.approx(0.0, abs=1e-8)
-            assert ideal.dot(d) > 0.0
+            assert ideal.x * d.x + ideal.y * d.y > 0.0
 
 
 class TestEffectivePrevDirection:
@@ -381,9 +381,8 @@ class TestGricStep:
             for flag in (Flag.DOWN, Flag.UP_E, Flag.UP_W):
                 got = gric_step(w, 0, replace(state, flag=flag), params)
                 v = dest - w.pos(0)
-                proj = [
-                    (w.pos(j) - w.pos(0)).dot(v) for j in range(1, 8)
-                ]
+                offs = [w.pos(j) - w.pos(0) for j in range(1, 8)]
+                proj = [o.x * v.x + o.y * v.y for o in offs]
                 want = 1 + int(np.argmax(proj))
                 assert got == want
 

@@ -81,6 +81,16 @@ def rotate(v: Vec2, gamma: Angle | float) -> Vec2:
     return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
 
 
+def border_distance(region, p: Vec2) -> float:
+    """Distance from p to region's nearest side; negative outside it."""
+    return min(
+        p.x - region.x_min,
+        region.x_max - p.x,
+        p.y - region.y_min,
+        region.y_max - p.y,
+    )
+
+
 def compass_of(alpha: Angle) -> CompassValue:
     """Classify a turn angle into its compass quadrant (see quadrant)."""
     return COMPASS[quadrant(alpha.radians)]

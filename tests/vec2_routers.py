@@ -26,7 +26,14 @@ from gricsim.harness import DEST_POINT, ROUTE_STREAM, Algorithm, source_node, tr
 from gricsim.outcomes import Stuck, TrialOutcome, TrialStatus
 from gricsim.routing import Flag, RoutingParams, clamp_turn, contour_turn
 from gricsim.worldgen import COMM_RADIUS
-from vec2_geometry import angle_from_to, compass_of, heading, is_zero, rotate
+from vec2_geometry import (
+    angle_from_to,
+    border_distance,
+    compass_of,
+    heading,
+    is_zero,
+    rotate,
+)
 
 NE, NW, SE, SW = CompassValue.NE, CompassValue.NW, CompassValue.SE, CompassValue.SW
 
@@ -235,7 +242,7 @@ def walk(world, source, dest: Vec2, step, ttl, *, enforce_oob=True,
         p = world.pos(cur)
         if (p - dest).norm() < COMM_RADIUS:
             return TrialOutcome(TrialStatus.SUCCESS, hops, dist, path)
-        if enforce_oob and world.region.border_distance(p) <= COMM_RADIUS:
+        if enforce_oob and border_distance(world.region, p) <= COMM_RADIUS:
             return TrialOutcome(TrialStatus.FAIL_OOB, hops, dist, path)
         if hops > ttl:
             return TrialOutcome(TrialStatus.FAIL_TTL, hops, dist, path)
