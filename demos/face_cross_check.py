@@ -6,6 +6,8 @@ connectivity is genuinely in doubt, answers the question both ways
 (graph search versus face walk), and counts agreements.
 """
 
+import math
+
 import numpy as np
 
 from gricsim.baselines import face_route
@@ -27,7 +29,10 @@ def component_reaches(world, source) -> bool:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    return any((world.pos(i) - DEST).norm() < COMM_RADIUS for i in seen)
+    return any(
+        math.dist((world.xs[i], world.ys[i]), (DEST.x, DEST.y)) < COMM_RADIUS
+        for i in seen
+    )
 
 
 def main() -> None:

@@ -8,10 +8,13 @@ way around.
 
 import math
 
-from gricsim.geometry import COMPASS, quadrant
+from gricsim.geometry import quadrant
 from gricsim.routing import CONTOUR_TABLE, FLAG_TABLE, Flag, clamp_turn, contour_turn
 
 BETA = 1.0 / 6.0
+
+# Compass labels in quadrant() order.
+COMPASS = ("NE", "NW", "SE", "SW")
 
 
 def main() -> None:
@@ -19,10 +22,10 @@ def main() -> None:
     print("to the current travel direction):")
     for alpha in (-math.pi, -2.0, -1.0, -0.2, 0.0, 0.7, 1.6, 3.0):
         c = COMPASS[quadrant(alpha)]
-        print(f"  alpha {alpha:+.2f} rad -> {c.value}")
+        print(f"  alpha {alpha:+.2f} rad -> {c}")
 
     print("\nflag transitions (rows: flag before, columns: compass):")
-    header = "        " + "".join(f"{c.value:>8s}" for c in COMPASS)
+    header = "        " + "".join(f"{c:>8s}" for c in COMPASS)
     print(header)
     for flag in Flag:
         cells = "".join(f"{f.name.lower():>8s}" for f in FLAG_TABLE[flag])

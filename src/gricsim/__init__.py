@@ -4,7 +4,7 @@ Simulates stateless-ish geographic routing on random unit-disk sensor
 networks with communication-blocking wall obstacles. The package provides:
 
 * ``geometry``  -- points, angle wrapping, compass quadrants, walls and the
-                 crossing test of planarity checks
+                 orientation test (the Vec2 forms live in tests/)
 * ``worldgen``  -- random node deployment, link pruning, Gabriel subgraph
 * ``routing``   -- the compass/flag router with inertia and contour modes
 * ``baselines`` -- greedy, inertia-only, limited-backtrack, and face routing

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COLLINEAR_EPS, TWO_PI, Vec2
+from .geometry import TWO_PI, Vec2, orient
 from .outcomes import Stuck, TrialOutcome, TrialStatus, walk
 from .routing import MessageState, clamp_turn, next_hop, travel_turn
 from .worldgen import World
@@ -158,12 +158,6 @@ def _first_edge_cw(world: World, at: int, ref_theta: float, reverse_of: int | No
     return best
 
 
-def _orient(ax, ay, bx, by, cx, cy) -> int:
-    """geometry.orient on the points (ax, ay), (bx, by), (cx, cy)."""
-    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (d > COLLINEAR_EPS) - (d < -COLLINEAR_EPS)
-
-
 def _proper_crossing(ax, ay, bx, by, cx, cy, dx, dy) -> tuple[float, float] | None:
     """Intersection point of segments a-b and c-d, interiors only.
 
@@ -172,8 +166,8 @@ def _proper_crossing(ax, ay, bx, by, cx, cy, dx, dy) -> tuple[float, float] | No
     are switched only on unambiguous crossings.
     """
     if (
-        _orient(ax, ay, bx, by, cx, cy) * _orient(ax, ay, bx, by, dx, dy) >= 0
-        or _orient(cx, cy, dx, dy, ax, ay) * _orient(cx, cy, dx, dy, bx, by) >= 0
+        orient(ax, ay, bx, by, cx, cy) * orient(ax, ay, bx, by, dx, dy) >= 0
+        or orient(cx, cy, dx, dy, ax, ay) * orient(cx, cy, dx, dy, bx, by) >= 0
     ):
         return None
     abx, aby = bx - ax, by - ay
@@ -226,7 +220,7 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
             # switch strictly shrinks anchor_d, so this cannot recur
             # forever even in degenerate layouts.
             anchor_d = x_d
-            if _orient(xs[u], ys[u], xs[v], ys[v], tx, ty) > 0:
+            if orient(xs[u], ys[u], xs[v], ys[v], tx, ty) > 0:
                 # The line presses on through the face already being
                 # walked (it dipped into the adjacent face and came back):
                 # restart this face's walk at the crossing edge.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import COLLINEAR_EPS, Segment, Vec2, segments_cross_interior
+from .geometry import COLLINEAR_EPS, Segment, Vec2
 
 # Squared-distance slack for the "strictly inside the diameter disk" test
 # of the Gabriel rule; keeps boundary nodes from flickering in and out.
@@ -808,18 +808,24 @@ def _orient_signs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _cross_interior(
     positions: np.ndarray, edges: np.ndarray, e1: np.ndarray, e2: np.ndarray
 ) -> np.ndarray:
-    """geometry.segments_cross_interior for each edge pair (e1[k], e2[k]),
-    False for pairs sharing a vertex."""
+    """Whether the open segments of each edge pair (e1[k], e2[k]) cross
+    or overlap; False for pairs sharing a vertex. Four collinear points
+    (degenerate layouts only) are projected on the first segment's main
+    axis, x on a tie, and count when the two extents overlap by more
+    than COLLINEAR_EPS, so touching tips do not."""
     (ia, ib), (ic, id_) = edges[e1].T, edges[e2].T
     apart = (ia != ic) & (ia != id_) & (ib != ic) & (ib != id_)
     a, b, c, d = (positions[i] for i in (ia, ib, ic, id_))
     o1, o2 = _orient_signs(a, b, c), _orient_signs(a, b, d)
     o3, o4 = _orient_signs(c, d, a), _orient_signs(c, d, b)
     hit = apart & (o1 * o2 < 0) & (o3 * o4 < 0)
-    # Four collinear points, which only degenerate layouts have: the
-    # scalar rule decides whether the two segments overlap.
-    for k in np.flatnonzero(apart & (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0)):
-        hit[k] = segments_cross_interior(*(Vec2(*p[k]) for p in (a, b, c, d)))
+    flat = np.flatnonzero(apart & (o1 == 0) & (o2 == 0) & (o3 == 0) & (o4 == 0))
+    ab = np.abs(b[flat] - a[flat])
+    axis = (ab[:, 0] < ab[:, 1]).astype(np.intp)
+    pa, pb, pc, pd = (p[flat, axis] for p in (a, b, c, d))
+    lo = np.maximum(np.minimum(pa, pb), np.minimum(pc, pd))
+    hi = np.minimum(np.maximum(pa, pb), np.maximum(pc, pd))
+    hit[flat] = hi - lo > COLLINEAR_EPS
     return hit
 
 
@@ -829,12 +835,12 @@ def find_planarity_violation(
     """Search an embedded edge set for two edges whose interiors cross.
 
     Returns the smallest pair (e1, e2), e1 < e2, of edge indices whose
-    open segments cross or overlap (geometry.segments_cross_interior),
-    or None if the embedding is planar. Edges sharing a vertex are
-    allowed to touch there. Only edges whose bounding boxes share a unit
-    cell are compared, which two edges meeting at a point always do. The
-    pairs are tested about _PAIR_CHUNK at a time, so the memory taken
-    stays bounded even on a dense non-planar edge set.
+    open segments cross or overlap (_cross_interior), or None if the
+    embedding is planar. Edges sharing a vertex are allowed to touch
+    there. Only edges whose bounding boxes share a unit cell are
+    compared, which two edges meeting at a point always do. The pairs
+    are tested about _PAIR_CHUNK at a time, so the memory taken stays
+    bounded even on a dense non-planar edge set.
     """
     m = len(edges)
     if m < 2:
@@ -891,8 +897,8 @@ def world_to_text(world: World) -> str:
 def parse_world_text(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a 'worldv1' dump back into (positions, edges) arrays.
 
-    Raises ValueError for a malformed dump, and, naming the row, for a
-    link with a node id outside 0..n-1, a self-loop or a link given twice.
+    Raises ValueError for a malformed dump and, naming the row, for a
+    non-finite coordinate, a link off 0..n-1, a self-loop or a repeat.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "worldv1":
@@ -903,6 +909,8 @@ def parse_world_text(text: str) -> tuple[np.ndarray, np.ndarray]:
         parts = ln.split()
         if len(parts) == 3:
             node_rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            if not all(map(math.isfinite, node_rows[-1][1:])):
+                raise ValueError(f"non-finite coordinate in worldv1 line: {ln!r}")
         elif len(parts) == 2:
             edge_rows.append((int(parts[0]), int(parts[1])))
         else:

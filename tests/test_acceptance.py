@@ -20,7 +20,7 @@ import pytest
 from gricsim.baselines import face_route
 from gricsim.cli import csv_line
 from conftest import lexsort_adjacency
-from gricsim.geometry import CompassValue, Vec2
+from gricsim.geometry import Vec2
 from gricsim.harness import (
     DEST_POINT,
     STANDARD_REGION,
@@ -45,7 +45,16 @@ from gricsim.worldgen import (
     interior_mean_degree,
     make_obstacle,
 )
-from vec2_geometry import Angle, Mode, compass_of, mode_selector, rotate, update_flag
+from vec2_geometry import (
+    Angle,
+    CompassValue,
+    Mode,
+    compass_of,
+    distance,
+    mode_selector,
+    rotate,
+    update_flag,
+)
 
 ACCEPTANCE_SEED = 3
 TRIALS = 200
@@ -364,7 +373,7 @@ def test_criterion_06_face_routing_is_exact():
                         nxt.append(v)
             frontier = nxt
         reachable = any(
-            (world.pos(i) - dest).norm() < COMM_RADIUS for i in seen
+            distance(world.pos(i), dest) < COMM_RADIUS for i in seen
         )
         checked += 1
         delivered += int(reachable)

@@ -27,6 +27,7 @@ from gricsim.worldgen import (
     deploy,
     make_obstacle,
 )
+from vec2_geometry import distance
 
 SMALL = Region(0.0, 10.0, 0.0, 10.0)
 
@@ -46,7 +47,7 @@ def bfs_can_deliver(world, source, dest_pos):
                     nxt.append(v)
         frontier = nxt
     return any(
-        (world.pos(i) - dest_pos).norm() < COMM_RADIUS for i in seen
+        distance(world.pos(i), dest_pos) < COMM_RADIUS for i in seen
     )
 
 
@@ -85,7 +86,7 @@ class TestGreedy:
                 w.positions[:, 0] - 0.5, w.positions[:, 1] - 5.0
             )
             node = int(np.argmin(dists))
-            last = (w.pos(node) - dest).norm()
+            last = distance(w.pos(node), dest)
             for _ in range(w.n):
                 if last < COMM_RADIUS:
                     break
@@ -93,7 +94,7 @@ class TestGreedy:
                     node = greedy_step(w, node, dest)
                 except Stuck:
                     break
-                d = (w.pos(node) - dest).norm()
+                d = distance(w.pos(node), dest)
                 assert d < last
                 last = d
 
@@ -336,7 +337,7 @@ class TestLtp:
             node = int(np.argmin(dists))
             state = ltp_init(node)
             for _ in range(4 * w.n):
-                if (w.pos(node) - dest).norm() < COMM_RADIUS:
+                if distance(w.pos(node), dest) < COMM_RADIUS:
                     break
                 depth = len(state.stack)
                 try:
@@ -346,9 +347,7 @@ class TestLtp:
                 if len(state.stack) > depth:
                     # Forward move: strictly closer than the frame it
                     # extended.
-                    assert (w.pos(nxt) - dest).norm() < (
-                        w.pos(node) - dest
-                    ).norm()
+                    assert distance(w.pos(nxt), dest) < distance(w.pos(node), dest)
                 node = nxt
 
 

@@ -6,26 +6,33 @@ import numpy as np
 import pytest
 
 from gricsim.geometry import (
-    COMPASS,
-    CompassValue,
+    COLLINEAR_EPS,
     Segment,
     Vec2,
     ZeroVector,
     orient,
     quadrant,
-    segments_cross_interior,
     wrap_angle,
 )
 from gricsim.routing import MessageState, travel_turn
+from gricsim.worldgen import find_planarity_violation
 from vec2_geometry import (
+    COMPASS,
     Angle,
+    CompassValue,
     angle_from_to,
     compass_of,
+    cross,
+    distance,
     heading,
     is_zero,
+    norm,
     rotate,
+    segments_cross_interior,
     segments_properly_intersect,
+    sub,
 )
+from vec2_geometry import orient as vec2_orient
 
 N_RANDOM = 100_000
 
@@ -38,9 +45,10 @@ class TestVec2:
     def test_arithmetic(self):
         v = Vec2(3.0, 4.0)
         w = Vec2(-1.0, 2.0)
-        assert v - w == Vec2(4.0, 2.0)
-        assert v.cross(w) == 10.0
-        assert v.norm() == 5.0
+        assert sub(v, w) == Vec2(4.0, 2.0)
+        assert cross(v, w) == 10.0
+        assert norm(v) == 5.0
+        assert distance(v, w) == math.hypot(4.0, 2.0)
 
     def test_zero_checks(self):
         assert is_zero(Vec2(0.0, 0.0))
@@ -139,7 +147,7 @@ class TestRotate:
         data = rng.uniform(-10, 10, (N_RANDOM, 3))
         for x, y, g in data[:5000]:
             v = Vec2(x, y)
-            assert rotate(v, g).norm() == pytest.approx(v.norm())
+            assert norm(rotate(v, g)) == pytest.approx(norm(v))
         # Vectorized form for the full count.
         c, s = np.cos(data[:, 2]), np.sin(data[:, 2])
         rx = c * data[:, 0] - s * data[:, 1]
@@ -210,10 +218,33 @@ class TestCompass:
 
 class TestOrient:
     def test_signs(self):
-        a, b = Vec2(0, 0), Vec2(1, 0)
-        assert orient(a, b, Vec2(0.5, 1.0)) == 1
-        assert orient(a, b, Vec2(0.5, -1.0)) == -1
-        assert orient(a, b, Vec2(2.0, 0.0)) == 0
+        assert orient(0.0, 0.0, 1.0, 0.0, 0.5, 1.0) == 1
+        assert orient(0.0, 0.0, 1.0, 0.0, 0.5, -1.0) == -1
+        assert orient(0.0, 0.0, 1.0, 0.0, 2.0, 0.0) == 0
+        # A cross product at the tolerance is flat; twice it is not.
+        assert orient(0.0, 0.0, 1.0, 0.0, 0.5, COLLINEAR_EPS) == 0
+        assert orient(0.0, 0.0, 1.0, 0.0, 0.5, -COLLINEAR_EPS) == 0
+        assert orient(0.0, 0.0, 1.0, 0.0, 0.5, 2 * COLLINEAR_EPS) == 1
+        assert orient(0.0, 0.0, 1.0, 0.0, 0.5, -2 * COLLINEAR_EPS) == -1
+        assert type(orient(0.0, 0.0, 1.0, 0.0, 0.5, 1.0)) is int
+
+    def test_matches_the_vec2_oracle(self):
+        # Lattice points are often exactly collinear; a third of the
+        # triples sit a few tolerances off a line, around the threshold.
+        rng = np.random.default_rng(25)
+        for k in range(20_000):
+            if k % 3 == 0:
+                pts = rng.integers(0, 5, 6) * 0.25
+            elif k % 3 == 1:
+                pts = rng.uniform(-3.0, 3.0, 6)
+            else:
+                pts = rng.uniform(-3.0, 3.0, 6)
+                t = rng.uniform(-1.0, 2.0)
+                pts[4:] = pts[:2] + t * (pts[2:4] - pts[:2])
+                pts[5] += rng.uniform(-3.0, 3.0) * COLLINEAR_EPS
+            xs = pts.tolist()
+            a, b, c = (Vec2(*xs[i : i + 2]) for i in (0, 2, 4))
+            assert orient(*xs) == vec2_orient(a, b, c), xs
 
 
 class TestSegmentIntersection:
@@ -246,31 +277,43 @@ class TestSegmentIntersection:
         )
 
 
+# Edges 0-1 and 2-3, on four distinct nodes.
+APART = np.array([[0, 1], [2, 3]], dtype=np.int64)
+
+
+def crosses(a, b, c, d):
+    """segments_cross_interior on four points, after checking that
+    find_planarity_violation on edges 0-1 and 2-3 of four distinct nodes
+    at those points reads the same."""
+    want = segments_cross_interior(Vec2(*a), Vec2(*b), Vec2(*c), Vec2(*d))
+    got = find_planarity_violation(np.array([a, b, c, d], dtype=float), APART)
+    assert got == ((0, 1) if want else None), (a, b, c, d)
+    return want
+
+
 class TestCrossInterior:
     def test_proper_crossing_counts(self):
-        assert segments_cross_interior(
-            Vec2(0, 0), Vec2(2, 2), Vec2(0, 2), Vec2(2, 0)
-        )
+        assert crosses((0, 0), (2, 2), (0, 2), (2, 0))
 
     def test_shared_endpoint_allowed(self):
-        # Planarity semantics: edges may meet at a common vertex.
-        assert not segments_cross_interior(
-            Vec2(0, 0), Vec2(1, 1), Vec2(1, 1), Vec2(2, 0)
-        )
+        # Planarity semantics: edges may meet at a common vertex, here two
+        # nodes at one point (TestPlanarityCheck covers one shared node).
+        assert not crosses((0, 0), (1, 1), (1, 1), (2, 0))
 
     def test_collinear_tip_touch_allowed(self):
-        assert not segments_cross_interior(
-            Vec2(0, 0), Vec2(1, 0), Vec2(1, 0), Vec2(2, 0)
-        )
+        assert not crosses((0, 0), (1, 0), (1, 0), (2, 0))
+        assert not crosses((0, 0), (0, 1), (0, 1), (0, 2))
+        assert not crosses((0, 0), (1, 1), (1, 1), (2, 2))
 
     def test_collinear_overlap_counts(self):
-        assert segments_cross_interior(
-            Vec2(0, 0), Vec2(2, 0), Vec2(1, 0), Vec2(3, 0)
-        )
+        assert crosses((0, 0), (2, 0), (1, 0), (3, 0))
         # Vertical overlap exercises the other projection axis.
-        assert segments_cross_interior(
-            Vec2(0, 0), Vec2(0, 2), Vec2(0, 1), Vec2(0, 3)
-        )
+        assert crosses((0, 0), (0, 2), (0, 1), (0, 3))
+        assert crosses((0, 2), (0, 0), (0, 3), (0, 1))
+
+    def test_collinear_apart(self):
+        assert not crosses((0, 0), (1, 0), (2, 0), (3, 0))
+        assert not crosses((0, 0), (0, 1), (0, 2), (0, 3))
 
     def test_agreement_with_closed_predicate(self):
         # Wherever the open predicate says cross, the closed one must too.
@@ -279,9 +322,36 @@ class TestCrossInterior:
             pts = rng.uniform(0, 4, 8)
             a, b = Vec2(pts[0], pts[1]), Vec2(pts[2], pts[3])
             c, d = Vec2(pts[4], pts[5]), Vec2(pts[6], pts[7])
-            if is_zero(a - b) or is_zero(c - d):
+            if is_zero(sub(a, b)) or is_zero(sub(c, d)):
                 continue
             if segments_cross_interior(a, b, c, d):
                 assert segments_properly_intersect(
                     Segment(a, b), Segment(c, d)
                 )
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_collinear_overlap_counts_above_the_tolerance(self, axis):
+        def pt(s):
+            return (s, 0.0) if axis == "x" else (0.0, s)
+
+        # Overlaps of 5e-13 and exactly 0 do not count; 2e-12 does.
+        assert not crosses(pt(0.0), pt(1.0), pt(1.0 - 5e-13), pt(2.0))
+        assert not crosses(pt(0.0), pt(1.0), pt(1.0), pt(2.0))
+        assert crosses(pt(0.0), pt(1.0), pt(1.0 - 2e-12), pt(2.0))
+        assert crosses(pt(1.0), pt(0.0), pt(2.0), pt(1.0 - 2e-12))
+
+    def test_a_45_degree_pair_projects_on_x(self):
+        # Four points collinear within the tolerance on a 45-degree line,
+        # where the first edge's x and y extents tie. Projected on x the
+        # overlap is 1.3e-12, on y 0.9e-12: x decides, either way round.
+        a, b, d = (0.0, 0.0), (1.0, 1.0), (2.0, 2.0)
+        assert crosses(a, b, (1.0 - 1.3e-12, 1.0 - 0.9e-12), d)
+        assert not crosses(a, b, (1.0 - 0.9e-12, 1.0 - 1.3e-12), d)
+
+    def test_edges_sharing_a_node_never_count(self):
+        # 0-2 and 0-1 overlap on [0, 1] but meet at node 0.
+        positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        edges = np.array([[0, 2], [0, 1]], dtype=np.int64)
+        assert find_planarity_violation(positions, edges) is None
+        # On a second node at node 0's point, the overlap counts.
+        assert crosses((0.0, 0.0), (2.0, 0.0), (0.0, 0.0), (1.0, 0.0))

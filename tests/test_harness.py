@@ -42,6 +42,7 @@ from gricsim.worldgen import (
     deploy,
     make_obstacle,
 )
+from vec2_geometry import distance
 
 
 class TestExperimentFrame:
@@ -159,7 +160,7 @@ class TestRunTrial:
                 assert out.path is not None
                 assert len(out.path) == out.hops + 1
                 total = sum(
-                    (out.path[i + 1] - out.path[i]).norm()
+                    distance(out.path[i + 1], out.path[i])
                     for i in range(len(out.path) - 1)
                 )
                 assert total == pytest.approx(out.distance)
@@ -169,7 +170,7 @@ class TestRunTrial:
                           densities=(4.0,))
         out = run_trial(cfg, 4.0, 0)
         for i in range(len(out.path) - 1):
-            assert (out.path[i + 1] - out.path[i]).norm() <= COMM_RADIUS + 1e-12
+            assert distance(out.path[i + 1], out.path[i]) <= COMM_RADIUS + 1e-12
 
     def test_success_means_in_radio_range(self):
         cfg = self.config(Algorithm.GREEDY, record_path=True,
@@ -178,7 +179,7 @@ class TestRunTrial:
         for trial in range(10):
             out = run_trial(cfg, 5.0, trial)
             if out.succeeded:
-                assert (out.path[-1] - DEST_POINT).norm() < COMM_RADIUS
+                assert distance(out.path[-1], DEST_POINT) < COMM_RADIUS
                 done += 1
         assert done > 0
 
@@ -372,7 +373,7 @@ class TestCycleFastForward:
         step, key = harness._STEPS[algo](world, 0, RoutingParams(), None)
         ttl = 10_001
         out = walk(world, 0, DEST_POINT, step, ttl, record_path=True, state_key=key)
-        leg = (world.pos(1) - world.pos(0)).norm()
+        leg = distance(world.pos(1), world.pos(0))
         dist = 0.0
         for _ in range(ttl + 1):
             dist += leg
@@ -613,9 +614,9 @@ def test_degenerate_worlds_give_defined_outcomes(world, enforce_oob):
         )
         out = run_trial(cfg, 2.0, 0, world=world)
         assert len(out.path) == out.hops + 1, algo
-        legs = [(out.path[i + 1] - out.path[i]).norm() for i in range(out.hops)]
+        legs = [distance(out.path[i + 1], out.path[i]) for i in range(out.hops)]
         assert out.distance == pytest.approx(sum(legs)), algo
-        at_dest = (out.path[-1] - DEST_POINT).norm() < COMM_RADIUS
+        at_dest = distance(out.path[-1], DEST_POINT) < COMM_RADIUS
         assert out.succeeded == at_dest, algo
         if algo in KEYED:
             assert trail(out) == trail(plain_trial(cfg, world)), algo

@@ -14,7 +14,7 @@ import pytest
 import vec2_routers
 from conftest import make_world
 from gricsim import harness, routing
-from gricsim.geometry import CompassValue, Vec2, ZeroVector
+from gricsim.geometry import Vec2, ZeroVector
 from gricsim.harness import (
     DEST_POINT,
     STANDARD_REGION,
@@ -36,7 +36,19 @@ from gricsim.routing import (
     next_hop,
     travel_turn,
 )
-from vec2_geometry import Angle, Mode, compass_of, heading, is_zero, mode_selector, update_flag
+from vec2_geometry import (
+    Angle,
+    CompassValue,
+    Mode,
+    compass_of,
+    cross,
+    heading,
+    is_zero,
+    mode_selector,
+    norm,
+    sub,
+    update_flag,
+)
 from vec2_routers import VecState, inertia_ideal
 
 N_RANDOM = 100_000
@@ -183,7 +195,7 @@ class TestIdealDirections:
     def test_norm_preserved(self):
         v = Vec2(0.6, -0.8)
         d = Vec2(-3.0, 1.0)
-        assert inertia_ideal(v, d, 1.0 / 6.0).norm() == pytest.approx(1.0)
+        assert norm(inertia_ideal(v, d, 1.0 / 6.0)) == pytest.approx(1.0)
 
     def test_beta_one_aligns_with_destination(self):
         rng = np.random.default_rng(24)
@@ -193,7 +205,7 @@ class TestIdealDirections:
             if is_zero(v) or is_zero(d):
                 continue
             ideal = inertia_ideal(v, d, 1.0)
-            assert ideal.cross(d) == pytest.approx(0.0, abs=1e-8)
+            assert cross(ideal, d) == pytest.approx(0.0, abs=1e-8)
             assert ideal.x * d.x + ideal.y * d.y > 0.0
 
 
@@ -375,13 +387,13 @@ class TestGricStep:
             w = make_world([tuple(p) for p in pts], edges)
             dest = Vec2(float(rng.uniform(4, 8)), float(rng.uniform(0, 4)))
             prev = Vec2(float(rng.uniform(-4, 0)), float(rng.uniform(0, 4)))
-            if is_zero(w.pos(0) - prev) or is_zero(dest - w.pos(0)):
+            if is_zero(sub(w.pos(0), prev)) or is_zero(sub(dest, w.pos(0))):
                 continue
             state = MessageState(dest_pos=dest, prev_pos=(prev.x, prev.y))
             for flag in (Flag.DOWN, Flag.UP_E, Flag.UP_W):
                 got = gric_step(w, 0, replace(state, flag=flag), params)
-                v = dest - w.pos(0)
-                offs = [w.pos(j) - w.pos(0) for j in range(1, 8)]
+                v = sub(dest, w.pos(0))
+                offs = [sub(w.pos(j), w.pos(0)) for j in range(1, 8)]
                 proj = [o.x * v.x + o.y * v.y for o in offs]
                 want = 1 + int(np.argmax(proj))
                 assert got == want
@@ -404,8 +416,8 @@ class TestGricStep:
             state = MessageState(dest_pos=dest, prev_pos=(prev.x, prev.y), flag=flag)
             gric_step(w, 0, state, params)
             assert state.flag is update_flag(
-                flag, compass_of(Angle(heading(dest - w.pos(0))
-                                       - heading(w.pos(0) - prev)))
+                flag, compass_of(Angle(heading(sub(dest, w.pos(0)))
+                                       - heading(sub(w.pos(0), prev))))
             )
 
     def test_ideal_direction_never_rotates_past_bound(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from conftest import XS, YS, degenerate_worlds, lexsort_adjacency, make_world
 from gricsim import worldgen
-from gricsim.geometry import COLLINEAR_EPS, Segment, Vec2, orient, segments_cross_interior
+from gricsim.geometry import COLLINEAR_EPS, Segment, Vec2
 from gricsim.harness import Algorithm, ExperimentConfig, build_trial_world, run_trial
 from gricsim.worldgen import (
     COMM_RADIUS,
@@ -48,7 +49,12 @@ from gricsim.worldgen import (
     parse_world_text,
     world_to_text,
 )
-from vec2_geometry import border_distance, is_zero, segments_properly_intersect
+from vec2_geometry import (
+    border_distance,
+    orient,
+    segments_cross_interior,
+    segments_properly_intersect,
+)
 
 SMALL = Region(0.0, 10.0, 0.0, 10.0)
 
@@ -533,7 +539,7 @@ class TestVectorizedBlocking:
         for k in range(len(p)):
             a = Vec2(*p[k].tolist())
             b = Vec2(*q[k].tolist())
-            if is_zero(a - b):
+            if a == b:
                 continue
             want = segments_properly_intersect(Segment(a, b), wall)
             assert bool(got[k]) == want, (p[k], q[k])
@@ -774,6 +780,14 @@ class TestWorldText:
     def test_rejects_a_repeated_link(self):
         self.rejects("0 1", r"edge row 1 \(0, 1\): repeats the link of row 0")
         self.rejects("1 0", r"edge row 1 \(1, 0\): repeats the link of row 0")
+
+    @pytest.mark.parametrize("coords", ["nan 1", "0 inf", "-inf 0", "1e400 0", "0 -NaN"])
+    def test_rejects_a_non_finite_coordinate(self, coords):
+        # 1e400 reads as inf. Node 0's row is named, not the link row.
+        text = f"worldv1\n0 {coords}\n1 0 0\n0 1\n"
+        match = re.escape(f"non-finite coordinate in worldv1 line: '0 {coords}'")
+        with pytest.raises(ValueError, match=match):
+            parse_world_text(text)
 
     def test_empty_world(self):
         positions, edges = parse_world_text("worldv1\n")

@@ -1,8 +1,9 @@
-"""The planar API the routers and wiring were first written on: wrapped
-Angle objects, turns between Vec2 directions, rotations, compass
-readings, the closed segment test, and the flag and mode rules as
-functions. gricsim works on floats and tables now; these are kept only
-as oracles for it and for the Vec2 routers in vec2_routers.
+"""The planar API the routers and wiring were first written on: Vec2
+differences, cross products and norms, wrapped Angle objects, turns
+between Vec2 directions, rotations, the compass enum, the orientation
+test, the open and closed segment tests, and the flag and mode rules as
+functions. gricsim works on floats, arrays and tables now; these are
+kept only as oracles for it and for the Vec2 routers in vec2_routers.
 """
 
 from __future__ import annotations
@@ -13,16 +14,31 @@ from enum import Enum
 
 from gricsim.geometry import (
     COLLINEAR_EPS,
-    COMPASS,
-    CompassValue,
     Segment,
     Vec2,
     ZeroVector,
-    orient,
     quadrant,
     wrap_angle,
 )
 from gricsim.routing import CONTOUR_TABLE, FLAG_TABLE, Flag
+
+
+def sub(a: Vec2, b: Vec2) -> Vec2:
+    """The vector a - b."""
+    return Vec2(a.x - b.x, a.y - b.y)
+
+
+def cross(u: Vec2, v: Vec2) -> float:
+    return u.x * v.y - u.y * v.x
+
+
+def norm(v: Vec2) -> float:
+    return math.hypot(v.x, v.y)
+
+
+def distance(a: Vec2, b: Vec2) -> float:
+    """Euclidean distance from a to b: the norm of a - b."""
+    return norm(sub(a, b))
 
 
 def is_zero(v: Vec2) -> bool:
@@ -91,9 +107,64 @@ def border_distance(region, p: Vec2) -> float:
     )
 
 
+class CompassValue(Enum):
+    """Quadrant of the signed turn from travel direction to destination.
+
+    The quadrant names treat the destination bearing as north: NE and NW
+    mean the destination is less than a quarter turn off the current
+    heading (to the left or right), SE and SW mean it is behind.
+    """
+
+    NE = "NE"
+    NW = "NW"
+    SE = "SE"
+    SW = "SW"
+
+
+# The readings in quadrant() order: the router's tables are indexed by
+# COMPASS.index(c).
+COMPASS = tuple(CompassValue)
+
+
 def compass_of(alpha: Angle) -> CompassValue:
     """Classify a turn angle into its compass quadrant (see quadrant)."""
     return COMPASS[quadrant(alpha.radians)]
+
+
+def orient(a: Vec2, b: Vec2, c: Vec2) -> int:
+    """Sign of the (a, b, c) triangle orientation: +1 ccw, -1 cw, 0 flat."""
+    d = cross(sub(b, a), sub(c, a))
+    if d > COLLINEAR_EPS:
+        return 1
+    if d < -COLLINEAR_EPS:
+        return -1
+    return 0
+
+
+def segments_cross_interior(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> bool:
+    """Whether open segments a-b and c-d cross or overlap.
+
+    Contact at a shared endpoint does not count. Used for planarity
+    checking, where edges of an embedded graph are allowed to meet at
+    common vertices.
+    """
+    o1 = orient(a, b, c)
+    o2 = orient(a, b, d)
+    o3 = orient(c, d, a)
+    o4 = orient(c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
+        # All collinear: overlap of positive length counts, touching tips
+        # do not. Project onto the dominant axis and compare intervals.
+        if abs(b.x - a.x) >= abs(b.y - a.y):
+            lo1, hi1 = sorted((a.x, b.x))
+            lo2, hi2 = sorted((c.x, d.x))
+        else:
+            lo1, hi1 = sorted((a.y, b.y))
+            lo2, hi2 = sorted((c.y, d.y))
+        return min(hi1, hi2) - max(lo1, lo2) > COLLINEAR_EPS
+    return False
 
 
 def _on_segment(a: Vec2, b: Vec2, p: Vec2) -> bool:

@@ -20,19 +20,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from conftest import lexsort_adjacency
-from gricsim.geometry import TWO_PI, CompassValue, Vec2, ZeroVector, orient
+from gricsim.geometry import TWO_PI, Vec2, ZeroVector
 from gricsim.baselines import ltp_init
 from gricsim.harness import DEST_POINT, ROUTE_STREAM, Algorithm, source_node, trial_rng
 from gricsim.outcomes import Stuck, TrialOutcome, TrialStatus
 from gricsim.routing import Flag, RoutingParams, clamp_turn, contour_turn
 from gricsim.worldgen import COMM_RADIUS
 from vec2_geometry import (
+    CompassValue,
     angle_from_to,
     border_distance,
     compass_of,
+    cross,
+    distance,
     heading,
     is_zero,
+    orient,
     rotate,
+    sub,
 )
 
 NE, NW, SE, SW = CompassValue.NE, CompassValue.NW, CompassValue.SE, CompassValue.SW
@@ -68,9 +73,9 @@ def out_links(world, node):
 def effective_prev_direction(state, current: Vec2) -> Vec2:
     """Travel direction to measure turns against at the current node."""
     if state.prev_pos is None:
-        v = state.dest_pos - current
+        v = sub(state.dest_pos, current)
     else:
-        v = current - state.prev_pos
+        v = sub(current, state.prev_pos)
     if is_zero(v):
         raise ZeroVector("message has no usable travel direction")
     return v
@@ -100,7 +105,7 @@ def gric_step(world, current, state: VecState, params, rng=None):
     """One compass/flag decision: returns (next node, new state)."""
     p = world.pos(current)
     v_prev = effective_prev_direction(state, p)
-    v_dest = state.dest_pos - p
+    v_dest = sub(state.dest_pos, p)
     if is_zero(v_dest):
         raise ZeroVector("message is exactly at the destination point")
     alpha = angle_from_to(v_prev, v_dest)
@@ -117,7 +122,7 @@ def gric_step(world, current, state: VecState, params, rng=None):
 def inertia_only_step(world, current, state: VecState, beta) -> int:
     p = world.pos(current)
     v_prev = effective_prev_direction(state, p)
-    return next_hop(world, current, inertia_ideal(v_prev, state.dest_pos - p, beta))
+    return next_hop(world, current, inertia_ideal(v_prev, sub(state.dest_pos, p), beta))
 
 
 def greedy_step(world, current, dest_pos: Vec2) -> int:
@@ -184,9 +189,9 @@ def proper_crossing(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> Vec2 | None:
     o1, o2, o3, o4 = orient(a, b, c), orient(a, b, d), orient(c, d, a), orient(c, d, b)
     if o1 * o2 >= 0 or o3 * o4 >= 0:
         return None
-    ab = b - a
-    cd = d - c
-    t = (c - a).cross(cd) / ab.cross(cd)
+    ab = sub(b, a)
+    cd = sub(d, c)
+    t = cross(sub(c, a), cd) / cross(ab, cd)
     return Vec2(a.x + t * ab.x, a.y + t * ab.y)
 
 
@@ -194,7 +199,7 @@ def face_step(world, source, dest_pos: Vec2) -> Callable[[int], int]:
     positions = world.positions
     links = lexsort_adjacency(world.n, world.gabriel_edges())
     s_pos = world.pos(source)
-    anchor_d = (s_pos - dest_pos).norm()
+    anchor_d = distance(s_pos, dest_pos)
     edge = face_start = None
 
     def step(current):
@@ -202,7 +207,7 @@ def face_step(world, source, dest_pos: Vec2) -> Callable[[int], int]:
         if edge is None:
             if len(links[source]) == 0:
                 raise Stuck(f"node {source} has no Gabriel links")
-            first = first_edge_cw(positions, links, source, heading(dest_pos - s_pos), None)
+            first = first_edge_cw(positions, links, source, heading(sub(dest_pos, s_pos)), None)
             edge = face_start = (source, first)
         else:
             u, v = edge
@@ -215,9 +220,9 @@ def face_step(world, source, dest_pos: Vec2) -> Callable[[int], int]:
         while True:
             u, v = edge
             x = proper_crossing(world.pos(u), world.pos(v), s_pos, dest_pos)
-            if x is None or (x - dest_pos).norm() >= anchor_d:
+            if x is None or distance(x, dest_pos) >= anchor_d:
                 return v
-            anchor_d = (x - dest_pos).norm()
+            anchor_d = distance(x, dest_pos)
             if orient(world.pos(u), world.pos(v), dest_pos) > 0:
                 face_start = edge
                 return v
@@ -240,7 +245,7 @@ def walk(world, source, dest: Vec2, step, ttl, *, enforce_oob=True,
     legs: list[float] = []
     while True:
         p = world.pos(cur)
-        if (p - dest).norm() < COMM_RADIUS:
+        if distance(p, dest) < COMM_RADIUS:
             return TrialOutcome(TrialStatus.SUCCESS, hops, dist, path)
         if enforce_oob and border_distance(world.region, p) <= COMM_RADIUS:
             return TrialOutcome(TrialStatus.FAIL_OOB, hops, dist, path)
@@ -259,7 +264,7 @@ def walk(world, source, dest: Vec2, step, ttl, *, enforce_oob=True,
             nxt = step(cur)
         except (Stuck, ZeroVector):
             return TrialOutcome(TrialStatus.FAIL_STUCK, hops, dist, path)
-        leg = (world.pos(nxt) - p).norm()
+        leg = distance(world.pos(nxt), p)
         dist += leg
         hops += 1
         cur = nxt
