@@ -158,22 +158,25 @@ def _first_edge_cw(world: World, at: int, ref_theta: float, reverse_of: int | No
     return best
 
 
-def _proper_crossing(ax, ay, bx, by, cx, cy, dx, dy) -> tuple[float, float] | None:
-    """Intersection point of segments a-b and c-d, interiors only.
+def _proper_crossing(ax, ay, bx, by, cx, cy, dx, dy) -> tuple[float, float, bool] | None:
+    """Intersection point of segments a-b and c-d, interiors only, and
+    whether d lies left of a -> b.
 
     Returns None unless the two segments cross at a single interior
     point. Touching endpoints or collinear overlap do not count; faces
-    are switched only on unambiguous crossings.
+    are switched only on unambiguous crossings. On a crossing d lies
+    strictly off the line of a-b, so the side is decisive.
     """
+    d_side = orient(ax, ay, bx, by, dx, dy)
     if (
-        orient(ax, ay, bx, by, cx, cy) * orient(ax, ay, bx, by, dx, dy) >= 0
+        orient(ax, ay, bx, by, cx, cy) * d_side >= 0
         or orient(cx, cy, dx, dy, ax, ay) * orient(cx, cy, dx, dy, bx, by) >= 0
     ):
         return None
     abx, aby = bx - ax, by - ay
     cdx, cdy = dx - cx, dy - cy
     t = ((cx - ax) * cdy - (cy - ay) * cdx) / (abx * cdy - aby * cdx)
-    return ax + t * abx, ay + t * aby
+    return ax + t * abx, ay + t * aby, d_side == 1
 
 
 def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]:
@@ -215,12 +218,11 @@ def face_step(world: World, source: int, dest_pos: Vec2) -> Callable[[int], int]
                 return v
             # Strict improvement: continue in the face holding the rest of
             # the line, which is the side of edge (u, v) the destination
-            # is on. The crossing predicate guarantees the destination is
-            # strictly off the edge's line, so the sign is decisive. Each
-            # switch strictly shrinks anchor_d, so this cannot recur
-            # forever even in degenerate layouts.
+            # is on (the crossing's third entry). Each switch strictly
+            # shrinks anchor_d, so this cannot recur forever even in
+            # degenerate layouts.
             anchor_d = x_d
-            if orient(xs[u], ys[u], xs[v], ys[v], tx, ty) > 0:
+            if x[2]:
                 # The line presses on through the face already being
                 # walked (it dipped into the adjacent face and came back):
                 # restart this face's walk at the crossing edge.

@@ -82,4 +82,4 @@ def quadrant(r: float) -> int:
 def orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> int:
     """Sign of the (a, b, c) triangle orientation: +1 ccw, -1 cw, 0 flat."""
     d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (d > COLLINEAR_EPS) - (d < -COLLINEAR_EPS)
+    return 1 if d > COLLINEAR_EPS else -1 if d < -COLLINEAR_EPS else 0

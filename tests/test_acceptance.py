@@ -17,9 +17,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gricsim.baselines import face_route
 from gricsim.cli import csv_line
-from conftest import lexsort_adjacency
 from gricsim.geometry import Vec2
 from gricsim.harness import (
     DEST_POINT,
@@ -361,19 +361,9 @@ def test_criterion_06_face_routing_is_exact():
         out = face_route(
             world, source, dest, enforce_oob=False
         )
-        links = lexsort_adjacency(world.n, world.gabriel_edges())
-        seen = {source}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in links[u].tolist():
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
         reachable = any(
-            distance(world.pos(i), dest) < COMM_RADIUS for i in seen
+            distance(world.pos(i), dest) < COMM_RADIUS
+            for i in oracles.gabriel_hops(world, source)
         )
         checked += 1
         delivered += int(reachable)

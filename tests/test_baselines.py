@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import vec2_routers
-from conftest import lexsort_adjacency, make_world
+from conftest import make_world
 from gricsim.baselines import (
     LTP_BUDGET,
     LtpState,
@@ -30,25 +31,6 @@ from gricsim.worldgen import (
 from vec2_geometry import distance
 
 SMALL = Region(0.0, 10.0, 0.0, 10.0)
-
-
-def bfs_can_deliver(world, source, dest_pos):
-    """Reachability oracle: does the source's Gabriel component contain a
-    node within one radio radius of the destination point?"""
-    links = lexsort_adjacency(world.n, world.gabriel_edges())
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in links[u].tolist():
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return any(
-        distance(world.pos(i), dest_pos) < COMM_RADIUS for i in seen
-    )
 
 
 class TestGreedy:
@@ -427,7 +409,8 @@ class TestFaceRoute:
                 )
                 source = int(np.argmin(dists))
                 out = face_route(w, source, dest, enforce_oob=False)
-                want = bfs_can_deliver(w, source, dest)
+                reached = oracles.gabriel_hops(w, source)
+                want = any(distance(w.pos(i), dest) < COMM_RADIUS for i in reached)
                 assert out.succeeded == want, (density, seed)
                 checked += 1
                 delivered += int(want)

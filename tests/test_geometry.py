@@ -228,9 +228,11 @@ class TestOrient:
         assert orient(0.0, 0.0, 1.0, 0.0, 0.5, -2 * COLLINEAR_EPS) == -1
         assert type(orient(0.0, 0.0, 1.0, 0.0, 0.5, 1.0)) is int
 
-    def test_matches_the_vec2_oracle(self):
-        # Lattice points are often exactly collinear; a third of the
-        # triples sit a few tolerances off a line, around the threshold.
+    @staticmethod
+    def triples():
+        """20,000 triples as arrays of six coordinates. Lattice points
+        are often exactly collinear; a third of the triples sit a few
+        tolerances off a line, around the threshold."""
         rng = np.random.default_rng(25)
         for k in range(20_000):
             if k % 3 == 0:
@@ -242,9 +244,21 @@ class TestOrient:
                 t = rng.uniform(-1.0, 2.0)
                 pts[4:] = pts[:2] + t * (pts[2:4] - pts[:2])
                 pts[5] += rng.uniform(-3.0, 3.0) * COLLINEAR_EPS
+            yield pts
+
+    def test_matches_the_vec2_oracle(self):
+        for pts in self.triples():
             xs = pts.tolist()
             a, b, c = (Vec2(*xs[i : i + 2]) for i in (0, 2, 4))
             assert orient(*xs) == vec2_orient(a, b, c), xs
+
+    def test_numpy_floats_give_the_same_ints(self):
+        # np.float64 is a float subclass, and its comparisons give numpy
+        # booleans, which cannot be subtracted.
+        assert orient(*map(np.float64, (0, 0, 1, 0, 0.5, 1))) == 1
+        for pts in self.triples():
+            got = orient(*pts)
+            assert type(got) is int and got == orient(*pts.tolist()), pts
 
 
 class TestSegmentIntersection:

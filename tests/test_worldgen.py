@@ -1,22 +1,21 @@
-"""World generation checked against brute-force reference constructions."""
+"""World generation checked against the reference constructions of
+tests/oracles.py, and its two wiring engines against each other."""
 
 import hashlib
 import math
 import re
 import sys
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import scipy.spatial
-from scipy.spatial import cKDTree
 
+import oracles
 from conftest import XS, YS, degenerate_worlds, lexsort_adjacency, make_world
 from gricsim import worldgen
-from gricsim.geometry import COLLINEAR_EPS, Segment, Vec2
+from gricsim.geometry import Segment, Vec2
 from gricsim.harness import Algorithm, ExperimentConfig, build_trial_world, run_trial
 from gricsim.worldgen import (
     COMM_RADIUS,
@@ -28,15 +27,12 @@ from gricsim.worldgen import (
     UnknownObstacle,
     World,
     _CELL_SCALE,
-    _REACH,
     _SIDE_MARGIN,
     _gabriel_disks,
     _gabriel_filter,
     _grid,
     _in_disk,
-    _in_range,
     _link_blocked,
-    _near,
     _pairs,
     _wall_terms,
     _wire,
@@ -52,249 +48,10 @@ from gricsim.worldgen import (
 from vec2_geometry import (
     border_distance,
     orient,
-    segments_cross_interior,
     segments_properly_intersect,
 )
 
 SMALL = Region(0.0, 10.0, 0.0, 10.0)
-
-
-def brute_force_edges(positions, walls):
-    """O(n^2) reference link set: distance <= 1 and no wall in the way."""
-    n = len(positions)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = positions[j, 0] - positions[i, 0]
-            dy = positions[j, 1] - positions[i, 1]
-            if dx * dx + dy * dy > COMM_RADIUS * COMM_RADIUS:
-                continue
-            # A plain pair of points: Segment refuses the zero-length
-            # link of two coincident nodes.
-            link = SimpleNamespace(
-                a=Vec2(*positions[i].tolist()), b=Vec2(*positions[j].tolist())
-            )
-            if any(segments_properly_intersect(link, w) for w in walls):
-                continue
-            out.append((i, j))
-    return out
-
-
-def brute_force_gabriel(positions, edges):
-    """Reference Gabriel filter: strict interior of the diameter disk."""
-    kept = []
-    for u, v in edges:
-        mid = 0.5 * (positions[u] + positions[v])
-        r2 = 0.25 * np.sum((positions[u] - positions[v]) ** 2)
-        ok = True
-        for w in range(len(positions)):
-            if w == u or w == v:
-                continue
-            d2 = np.sum((positions[w] - mid) ** 2)
-            if d2 < r2 - 1e-12:
-                ok = False
-                break
-        if ok:
-            kept.append((u, v))
-    return kept
-
-
-# Squared-distance band above the Gabriel threshold inside which
-# kd_tree_gabriel_filter does not trust its nearest-node test and searches
-# the whole disk.
-GABRIEL_TIE = 1e-9
-
-
-def kd_tree_gabriel_filter(positions, edges):
-    """Reference for _gabriel_filter: one kd-tree query per edge.
-
-    The disk holds a third node exactly when it holds the node nearest
-    its center that is neither endpoint. When the node nearest the
-    center is an endpoint, every third node lies at least the radius
-    away up to rounding, far below GABRIEL_EPS, and the edge is kept.
-    Otherwise that node is tested: one found inside settles the edge.
-    One found less than GABRIEL_TIE outside does not: a kd-tree whose
-    distances round differently from this test may have ranked a node
-    inside behind it, so every node in the disk is tested. The tree is
-    looked up in scipy.spatial on each call, so a test can swap it.
-    """
-    from scipy.spatial import cKDTree
-
-    if len(edges) == 0:
-        return edges.copy()
-    tree = cKDTree(positions)
-    pu = positions[edges[:, 0]]
-    pv = positions[edges[:, 1]]
-    mids = 0.5 * (pu + pv)
-    diffs = pu - pv
-    radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    _, w = tree.query(mids, k=1)
-    third = (w != edges[:, 0]) & (w != edges[:, 1])
-    dx = positions[w, 0] - mids[:, 0]
-    dy = positions[w, 1] - mids[:, 1]
-    d2 = dx * dx + dy * dy
-    threshold = radii * radii - GABRIEL_EPS
-    keep = ~(third & (d2 < threshold))
-    tie = np.flatnonzero(third & keep & (d2 - threshold < GABRIEL_TIE))
-    for k, candidates in zip(tie, tree.query_ball_point(mids[tie], radii[tie])):
-        u, v = edges[k]
-        r2 = radii[k] * radii[k]
-        for w in candidates:
-            if w == u or w == v:
-                continue
-            dx = positions[w, 0] - mids[k, 0]
-            dy = positions[w, 1] - mids[k, 1]
-            if dx * dx + dy * dy < r2 - GABRIEL_EPS:
-                keep[k] = False
-                break
-    return edges[keep]
-
-
-def scalar_gabriel_filter(positions, edges):
-    """Reference for _gabriel_filter: a ball query and a loop per edge."""
-    if len(edges) == 0:
-        return edges.copy()
-    tree = cKDTree(positions)
-    mids = 0.5 * (positions[edges[:, 0]] + positions[edges[:, 1]])
-    diffs = positions[edges[:, 0]] - positions[edges[:, 1]]
-    radii = 0.5 * np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    near = tree.query_ball_point(mids, radii)
-    keep = np.ones(len(edges), dtype=bool)
-    for k, candidates in enumerate(near):
-        u = edges[k, 0]
-        v = edges[k, 1]
-        r2 = radii[k] * radii[k]
-        mid = mids[k]
-        for w in candidates:
-            if w == u or w == v:
-                continue
-            dx = positions[w, 0] - mid[0]
-            dy = positions[w, 1] - mid[1]
-            if dx * dx + dy * dy < r2 - GABRIEL_EPS:
-                keep[k] = False
-                break
-    return edges[keep]
-
-
-def sign_eps(x):
-    """Orientation sign with the collinearity tolerance applied."""
-    s = np.zeros(x.shape, dtype=np.int8)
-    s[x > COLLINEAR_EPS] = 1
-    s[x < -COLLINEAR_EPS] = -1
-    return s
-
-
-def links_blocked_by_wall(p, q, c, d):
-    """Reference for _link_blocked: the closed-segment intersection of
-    many links with one wall c -> d, over arrays.
-
-    p and q are (m, 2) arrays of link endpoints. Mirrors the scalar
-    predicate in geometry.segments_properly_intersect, endpoint contact
-    and collinear overlap included.
-    """
-    cd = np.array([d.x - c.x, d.y - c.y])
-    cp = np.array([c.x, c.y])
-    pq = q - p
-
-    def cross(v, w):
-        return v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
-
-    s1 = sign_eps(cross(pq, cp - p))                    # wall start vs link
-    s2 = sign_eps(cross(pq, (cp + cd) - p))             # wall end vs link
-    s3 = sign_eps(cd[0] * (p[:, 1] - c.y) - cd[1] * (p[:, 0] - c.x))
-    s4 = sign_eps(cd[0] * (q[:, 1] - c.y) - cd[1] * (q[:, 0] - c.x))
-
-    proper = (s1 * s2 < 0) & (s3 * s4 < 0)
-    # Contact needs a zero sign, which few links have: only their rows
-    # get the bounding-box tests.
-    k = np.flatnonzero((s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0))
-    p, q, s1, s2, s3, s4 = p[k], q[k], s1[k], s2[k], s3[k], s4[k]
-
-    def within(a, b, x):
-        lo = np.minimum(a, b) - COLLINEAR_EPS
-        hi = np.maximum(a, b) + COLLINEAR_EPS
-        return (lo[:, 0] <= x[:, 0]) & (x[:, 0] <= hi[:, 0]) & (
-            lo[:, 1] <= x[:, 1]
-        ) & (x[:, 1] <= hi[:, 1])
-
-    cpt = np.broadcast_to(cp, p.shape)
-    dpt = np.broadcast_to(cp + cd, p.shape)
-    touch = (
-        ((s1 == 0) & within(p, q, cpt))
-        | ((s2 == 0) & within(p, q, dpt))
-        | ((s3 == 0) & within(cpt, dpt, p))
-        | ((s4 == 0) & within(cpt, dpt, q))
-    )
-    proper[k] |= touch
-    return proper
-
-
-def batch_wire(positions, walls):
-    """Reference for _wire: the grid's unit-disk pairs, each pair whose
-    lower id lies near a wall tested with links_blocked_by_wall."""
-    n = len(positions)
-    pairs = _pairs(positions)
-    blocked = np.zeros(len(pairs), dtype=bool)
-    for wall in walls:
-        tested = np.flatnonzero(_near(positions, wall)[pairs[:, 0]] & ~blocked)
-        blocked[tested] = links_blocked_by_wall(
-            positions[pairs[tested, 0]], positions[pairs[tested, 1]], wall.a, wall.b
-        )
-    pairs = pairs[~blocked]
-    key = np.sort(pairs[:, 0] * n + pairs[:, 1])
-    return np.column_stack([key // n, key % n])
-
-
-def unpruned_wire(positions, walls):
-    """Reference for _wire: the exact wall test on every unit-disk pair."""
-    if len(positions) < 2:
-        return np.empty((0, 2), dtype=np.int64)
-    pairs = cKDTree(positions).query_pairs(COMM_RADIUS, output_type="ndarray")
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    for wall in walls:
-        blocked = links_blocked_by_wall(
-            positions[pairs[:, 0]], positions[pairs[:, 1]], wall.a, wall.b
-        )
-        pairs = pairs[~blocked]
-    return pairs.astype(np.int64, copy=False)
-
-
-def scalar_wall_edges(positions, walls):
-    """Reference link set for worlds too large for brute_force_edges: the
-    kd-tree's unit-disk pairs, less those that the scalar predicate
-    geometry.segments_properly_intersect finds touching a wall. Only a
-    link whose box meets the wall's, both grown far beyond the predicate's
-    COLLINEAR_EPS, can touch it. (u, v) tuples, u < v, ascending."""
-    pairs = kd_tree_pairs(positions)
-    p = positions[[u for u, _ in pairs]]
-    q = positions[[v for _, v in pairs]]
-    lo, hi = np.minimum(p, q) - 1e-9, np.maximum(p, q) + 1e-9
-    blocked = set()
-    for wall in walls:
-        a, b = (wall.a.x, wall.a.y), (wall.b.x, wall.b.y)
-        meet = (
-            (lo[:, 0] <= max(a[0], b[0])) & (hi[:, 0] >= min(a[0], b[0]))
-            & (lo[:, 1] <= max(a[1], b[1])) & (hi[:, 1] >= min(a[1], b[1]))
-        )
-        for k in np.flatnonzero(meet).tolist():
-            link = SimpleNamespace(a=Vec2(*p[k].tolist()), b=Vec2(*q[k].tolist()))
-            if segments_properly_intersect(link, wall):
-                blocked.add(k)
-    return [pair for k, pair in enumerate(pairs) if k not in blocked]
-
-
-def kd_tree_pairs(positions):
-    """Reference for _pairs: a kd-tree pair search within _REACH, a hair
-    beyond the radio range so that the tree's rounding drops no pair,
-    then the unit-disk rule. Sorted (u, v) rows, u < v."""
-    pairs = cKDTree(positions).query_pairs(_REACH, output_type="ndarray")
-    x, y = positions[:, 0], positions[:, 1]
-    pairs = pairs[_in_range(x[pairs[:, 0]] - x[pairs[:, 1]], y[pairs[:, 0]] - y[pairs[:, 1]])]
-    return sorted(map(tuple, pairs.tolist()))
-
-
-def sorted_pairs(positions):
-    return sorted(map(tuple, _pairs(positions).tolist()))
 
 
 def scalar_interior_mean_degree(world):
@@ -310,56 +67,11 @@ def scalar_interior_mean_degree(world):
     return float(np.mean(degrees))
 
 
-def loop_planarity_violation(positions, edges):
-    """Reference for find_planarity_violation: the unit-cell bucket loop
-    over edge pairs. Returns the first crossing pair it meets."""
-    m = len(edges)
-    if m < 2:
-        return None
-    cells = {}
-    for k in range(m):
-        pa = positions[edges[k, 0]]
-        pb = positions[edges[k, 1]]
-        for cx in range(math.floor(min(pa[0], pb[0])), math.floor(max(pa[0], pb[0])) + 1):
-            for cy in range(math.floor(min(pa[1], pb[1])), math.floor(max(pa[1], pb[1])) + 1):
-                cells.setdefault((cx, cy), []).append(k)
-    checked = set()
-    for bucket in cells.values():
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                e1, e2 = bucket[i], bucket[j]
-                key = (e1, e2) if e1 < e2 else (e2, e1)
-                if key in checked:
-                    continue
-                checked.add(key)
-                a, b = edges[e1]
-                c, d = edges[e2]
-                if a == c or a == d or b == c or b == d:
-                    continue
-                if segments_cross_interior(*(Vec2(*positions[v]) for v in (a, b, c, d))):
-                    return key
-    return None
-
-
 def collinear(positions, edges, pair):
     """Whether the two edges of a pair lie on one line."""
     a, b = (Vec2(*positions[v]) for v in edges[pair[0]])
     c, d = (Vec2(*positions[v]) for v in edges[pair[1]])
     return orient(a, b, c) == orient(a, b, d) == 0
-
-
-def crossing_pairs(positions, edges):
-    """Every crossing pair (e1, e2), e1 < e2, by comparing all pairs."""
-    out = []
-    for e1 in range(len(edges)):
-        for e2 in range(e1 + 1, len(edges)):
-            a, b = edges[e1]
-            c, d = edges[e2]
-            if len({a, b, c, d}) == 4 and segments_cross_interior(
-                *(Vec2(*positions[v]) for v in (a, b, c, d))
-            ):
-                out.append((e1, e2))
-    return out
 
 
 def random_edge_sets(seed, cases):
@@ -384,6 +96,11 @@ def random_edge_sets(seed, cases):
 def edge_lists(n, edges):
     """Neighbour lists of node 0..n-1 from the test-side grouping."""
     return [b.tolist() for b in lexsort_adjacency(n, edges)]
+
+
+def rows_sorted(rows):
+    """(u, v) rows in ascending order, repeats kept."""
+    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
 
 
 def assert_same_array(got, want):
@@ -484,9 +201,7 @@ class TestDeploy:
     def test_links_match_brute_force(self):
         # Unit-disk wiring, no obstacle.
         w = deploy(2.0, SMALL, make_obstacle("none"), 7)
-        want = brute_force_edges(w.positions, [])
-        got = [tuple(e) for e in w.edges]
-        assert sorted(got) == sorted(want)
+        assert_same_array(w.edges, oracles.links(w.positions, ()))
 
     def test_blocked_links_match_brute_force(self):
         # Same check with walls cutting the region.
@@ -497,9 +212,7 @@ class TestDeploy:
         obstacle = make_obstacle("none")
         obstacle = type(obstacle)(name="cross", walls=tuple(walls))
         w = deploy(2.0, SMALL, obstacle, 8)
-        want = brute_force_edges(w.positions, walls)
-        got = [tuple(e) for e in w.edges]
-        assert sorted(got) == sorted(want)
+        assert_same_array(w.edges, oracles.links(w.positions, walls))
 
     def test_no_link_longer_than_radius(self):
         w = deploy(3.0, SMALL, make_obstacle("none"), 9)
@@ -525,40 +238,10 @@ class TestDeploy:
             assert u in lists[v]
 
 
-class TestVectorizedBlocking:
-    """The batch wall oracle, and the package's one-link test, against the
-    scalar predicate."""
-
-    def test_matches_scalar_predicate(self):
-        rng = np.random.default_rng(31)
-        wall = Segment(Vec2(4.0, 3.0), Vec2(6.0, 7.0))
-        terms = _wall_terms(wall)
-        p = rng.uniform(0, 10, (4000, 2))
-        q = p + rng.uniform(-1, 1, (4000, 2))
-        got = links_blocked_by_wall(p, q, wall.a, wall.b)
-        for k in range(len(p)):
-            a = Vec2(*p[k].tolist())
-            b = Vec2(*q[k].tolist())
-            if a == b:
-                continue
-            want = segments_properly_intersect(Segment(a, b), wall)
-            assert bool(got[k]) == want, (p[k], q[k])
-            assert _link_blocked(a.x, a.y, b.x, b.y, terms) == want, (p[k], q[k])
-
-    def test_touch_cases(self):
-        wall = Segment(Vec2(0.0, 0.0), Vec2(2.0, 0.0))
-        p = np.array([[1.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
-        q = np.array([[1.0, 1.0], [1.0, 2.0], [4.0, 0.0]])
-        got = links_blocked_by_wall(p, q, wall.a, wall.b)
-        assert got.tolist() == [True, False, False]
-
-
 class TestGabriel:
     def test_matches_brute_force(self):
         w = deploy(2.0, SMALL, make_obstacle("none"), 11)
-        want = brute_force_gabriel(w.positions, [tuple(e) for e in w.edges])
-        got = [tuple(e) for e in w.gabriel_edges()]
-        assert sorted(got) == sorted(want)
+        assert_same_array(w.gabriel_edges(), oracles.gabriel(w.positions, w.edges))
 
     def test_subset_of_links(self):
         w = deploy(2.5, SMALL, make_obstacle("stripe"), 12)
@@ -578,7 +261,7 @@ class TestGabriel:
         edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
         kept = _gabriel_filter(positions, edges)
         assert (0, 1) in set(map(tuple, kept))
-        assert_same_array(kept, scalar_gabriel_filter(positions, edges))
+        assert_same_array(kept, oracles.gabriel(positions, edges))
 
     def test_planar_on_random_worlds(self):
         for seed in range(5):
@@ -618,15 +301,10 @@ class TestPlanarityCheck:
     def test_matches_the_bucket_loop_on_random_edge_sets(self):
         found = overlaps = 0
         for case, (positions, edges) in enumerate(random_edge_sets(41, 60)):
-            got = find_planarity_violation(positions, edges)
-            old = loop_planarity_violation(positions, edges)
-            every = crossing_pairs(positions, edges)
-            assert (got is None) == (old is None) == (not every), case
-            if every:
-                found += 1
-                assert old in every
-                assert got == min(every), case
-                overlaps += any(collinear(positions, edges, pair) for pair in every)
+            every = oracles.crossings(positions, edges)
+            assert find_planarity_violation(positions, edges) == min(every, default=None), case
+            found += bool(every)
+            overlaps += any(collinear(positions, edges, pair) for pair in every)
         assert found >= 20 and overlaps >= 1, (found, overlaps)
 
     @pytest.mark.parametrize("chunk", [1, 7, 100])
@@ -636,18 +314,11 @@ class TestPlanarityCheck:
         cases = list(random_edge_sets(43, 30))
         w = deploy(2.0, SMALL, make_obstacle("stripe"), 3)
         cases += [(w.positions, w.edges), (w.positions, w.gabriel_edges())]
-        whole = [find_planarity_violation(p, e) for p, e in cases]
+        want = [min(oracles.crossings(p, e), default=None) for p, e in cases]
         monkeypatch.setattr(worldgen, "_PAIR_CHUNK", chunk)
-        found = 0
-        for k, ((positions, edges), want) in enumerate(zip(cases, whole)):
-            got = find_planarity_violation(positions, edges)
-            assert got == want, k
-            old = loop_planarity_violation(positions, edges)
-            assert (got is None) == (old is None), k
-            if got is not None:
-                found += 1
-                assert got <= old
-        assert found >= 10 and whole[-2] is not None and whole[-1] is None
+        assert [find_planarity_violation(p, e) for p, e in cases] == want
+        found = len(want) - want.count(None)
+        assert found >= 10 and want[-2] is not None and want[-1] is None
 
     def test_collinear_overlap_and_touching_tips(self):
         positions = np.array(
@@ -670,16 +341,10 @@ class TestPlanarityCheck:
     def test_matches_the_bucket_loop_on_worlds(self, obstacle):
         w = build_trial_world(3, 3.0, 0, obstacle)
         assert find_planarity_violation(w.positions, w.gabriel_edges()) is None
-        assert loop_planarity_violation(w.positions, w.gabriel_edges()) is None
+        assert oracles.crossings(w.positions, w.gabriel_edges()) == []
         # The unit-disk graph itself crosses.
-        got = find_planarity_violation(w.positions, w.edges)
-        old = loop_planarity_violation(w.positions, w.edges)
-        assert got is not None and old is not None
-        assert got <= old
-        a, b = w.edges[got[0]]
-        c, d = w.edges[got[1]]
-        assert len({a, b, c, d}) == 4
-        assert segments_cross_interior(*(w.pos(int(v)) for v in (a, b, c, d)))
+        every = oracles.crossings(w.positions, w.edges)
+        assert every and find_planarity_violation(w.positions, w.edges) == min(every)
 
 
 class TestConnectivity:
@@ -833,11 +498,10 @@ COINCIDENT_LAYOUTS = [
 
 
 def gabriel_checked(positions, edges):
-    """_gabriel_filter's output, after checking it against the kd-tree
-    and the ball-query oracles, byte for byte."""
+    """_gabriel_filter's output, after checking it against the Gabriel
+    oracle, byte for byte."""
     got = _gabriel_filter(positions, edges)
-    assert_same_array(got, scalar_gabriel_filter(positions, edges))
-    assert_same_array(got, kd_tree_gabriel_filter(positions, edges))
+    assert_same_array(got, oracles.gabriel(positions, edges))
     return got
 
 
@@ -877,9 +541,7 @@ def long_edge_sets(seed, cases):
 
 
 class TestFastGabriel:
-    """The grid filter against the kd-tree and ball-query oracles, and the
-    kd-tree oracle's tie band against kd-trees that rank near ties
-    wrongly, so that the oracle stays trustworthy."""
+    """The whole-graph filter against the Gabriel oracle."""
 
     @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
     def test_matches_scalar_loop_on_random_worlds(self, obstacle):
@@ -914,7 +576,7 @@ class TestFastGabriel:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20, peak
-        assert_same_array(kept, scalar_gabriel_filter(positions, edges))
+        assert_same_array(kept, oracles.gabriel(positions, edges))
 
     @pytest.mark.parametrize("points", COINCIDENT_LAYOUTS)
     def test_coincident_nodes(self, points):
@@ -928,54 +590,26 @@ class TestFastGabriel:
         if abs(offset) > 1e-12:
             assert ((0, 1) in set(map(tuple, got.tolist()))) == (offset > 0)
 
-    def test_band_overrides_a_kd_tree_that_orders_near_ties_wrongly(
-        self, monkeypatch
-    ):
+    def test_nodes_straddling_the_threshold(self):
         # Two nodes straddle the threshold of edge (0, 1), 1e-13 inside and
-        # outside. A kd-tree that rounds distances differently may rank the
-        # outer one first; the band must still find the inner one.
+        # outside: the inner one removes it, though the outer one lies
+        # nearer the midpoint.
         inner = math.sqrt(0.35 * 0.35 - GABRIEL_EPS - 1e-13)
         outer = math.sqrt(0.35 * 0.35 - GABRIEL_EPS + 1e-13)
         positions = np.array([[0.0, 0.0], [0.7, 0.0], [0.35, inner], [0.35, -outer]])
-        e = _edges([(0, 1)])
-
-        class SecondNearestFirst(cKDTree):
-            def query(self, x, k=1, **kwargs):
-                d, i = super().query(x, k=k + 1, **kwargs)
-                return d[:, 1], i[:, 1]
-
-        assert SecondNearestFirst(positions).query(np.array([[0.35, 0.0]]))[1] == [3]
-        monkeypatch.setattr(scipy.spatial, "cKDTree", SecondNearestFirst)
-        got = gabriel_checked(positions, e)
-        assert len(got) == 0
+        assert len(gabriel_checked(positions, _edges([(0, 1)]))) == 0
 
     @pytest.mark.parametrize("offset", [-1e-13, 0.0, 1e-13, 1e-8])
-    @pytest.mark.parametrize("endpoint_first", [False, True])
-    def test_endpoint_nearest_the_midpoint(self, offset, endpoint_first, monkeypatch):
+    @pytest.mark.parametrize("all_pairs", [False, True])
+    def test_endpoint_nearest_the_midpoint(self, offset, all_pairs):
         # Node 2 lies offset from the circle of edge (0, 1), in squared
         # distance from its midpoint, so an endpoint is the midpoint's
-        # nearest node or within rounding of it. Such an edge is kept
-        # without the kd-tree oracle's band. endpoint_first swaps in a
-        # kd-tree that rounds far worse than a real one: it ranks first
-        # the lowest id within 1e-12 of the nearest, in squared distance,
-        # which is an endpoint here even when node 2 lies 1e-13 inside the
-        # circle.
+        # nearest node or within rounding of it: the edge is kept, alone
+        # or among all the pairs of the four nodes.
         positions = _endpoint_nearest_the_midpoint(offset)
-
-        class LowestIdFirst(cKDTree):
-            def query(self, x, k=1, **kwargs):
-                d, i = super().query(x, k=3, **kwargs)
-                near = d * d - d[:, :1] * d[:, :1] < 1e-12
-                return d[:, 0], np.where(near, i, len(self.data)).min(axis=1)
-
-        mid = np.array([[0.35, 0.0]])
-        tree = LowestIdFirst if endpoint_first else cKDTree
-        if endpoint_first or offset > 0:
-            assert tree(positions).query(mid)[1] in ([0], [1])
-        monkeypatch.setattr(scipy.spatial, "cKDTree", tree)
-        for e in (_edges([(0, 1)]), _all_pairs(4)):
-            got = gabriel_checked(positions, e)
-            assert (0, 1) in set(map(tuple, got.tolist()))
+        e = _all_pairs(4) if all_pairs else _edges([(0, 1)])
+        got = gabriel_checked(positions, e)
+        assert (0, 1) in set(map(tuple, got.tolist()))
 
     def test_cocircular_square_keeps_both_diagonals(self):
         e = _all_pairs(4)
@@ -986,9 +620,6 @@ class TestFastGabriel:
         removed = past = 0
         for positions, edges in long_edge_sets(47, 60):
             got = gabriel_checked(positions, edges)
-            assert sorted(map(tuple, got.tolist())) == sorted(
-                brute_force_gabriel(positions, edges.tolist())
-            )
             removed += len(edges) - len(got)
             past += int(past_the_grid(positions, edges).sum())
         assert removed > 100 and past > 50, (removed, past)
@@ -1051,11 +682,10 @@ class TestWallPruning:
     )
     def test_matches_unpruned_wall_test(self, points):
         positions = np.array(points, dtype=float)
-        got = _wire(positions, (FLAT, SLANT))
-        want = unpruned_wire(positions, (FLAT, SLANT))
-        assert_same_array(got, want)
+        want = oracles.links(positions, (FLAT, SLANT))
+        assert_same_array(_wire(positions, (FLAT, SLANT)), want)
         # Every case blocks something, so each exercises the wall test.
-        assert len(want) < len(unpruned_wire(positions, ()))
+        assert len(want) < len(oracles.pairs(positions))
 
     def test_matches_on_nodes_snapped_to_walls(self):
         rng = np.random.default_rng(5)
@@ -1070,12 +700,12 @@ class TestWallPruning:
             )
         positions = np.concatenate(on_walls + [rng.uniform(4.0, 16.0, (1500, 2))])
         positions = positions[rng.permutation(len(positions))]
-        assert_same_array(_wire(positions, walls), unpruned_wire(positions, walls))
+        assert_same_array(_wire(positions, walls), oracles.links(positions, walls))
 
     @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
     def test_deploy_matches_unpruned_wall_test(self, obstacle):
         w = build_trial_world(5, 4.0, 0, obstacle)
-        assert_same_array(w.edges, unpruned_wire(w.positions, w.obstacle.walls))
+        assert_same_array(w.edges, oracles.links(w.positions, w.obstacle.walls))
 
 
 class TestOneSortAdjacency:
@@ -1186,58 +816,63 @@ def wall_links(draw):
 
 
 class TestWireOracles:
-    """_wire, which decides walls by side codes and _link_blocked, against
-    the batch oracles and the scalar predicate."""
+    """_pairs and _wire, which decides walls by side codes and
+    _link_blocked, against the pairing and link oracles."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(world=snapped_worlds())
     def test_matches_on_snapped_worlds(self, world):
         positions, walls = world.positions, world.obstacle.walls
-        got = _wire(positions, walls)
-        assert_same_array(got, unpruned_wire(positions, walls))
-        assert_same_array(got, batch_wire(positions, walls))
-        assert list(map(tuple, got.tolist())) == brute_force_edges(positions, walls)
+        assert_same_array(_wire(positions, walls), oracles.links(positions, walls))
 
     @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
     def test_matches_on_catalogue_worlds(self, obstacle):
         for density in (1.5, 4.0, 10.0):
             w = build_trial_world(7, density, 0, obstacle)
+            assert_same_array(rows_sorted(_pairs(w.positions)), oracles.pairs(w.positions))
             got = _wire(w.positions, w.obstacle.walls)
-            assert_same_array(got, unpruned_wire(w.positions, w.obstacle.walls))
-            assert_same_array(got, batch_wire(w.positions, w.obstacle.walls))
-            want = scalar_wall_edges(w.positions, w.obstacle.walls)
-            assert list(map(tuple, got.tolist())) == want
+            assert_same_array(got, oracles.links(w.positions, w.obstacle.walls))
 
 
 class TestWallsPerNode:
     """On-demand wiring decides walls per wired node: side codes settle
-    most links, _link_blocked the rest, against the batch wall test."""
+    most links, _link_blocked the rest, against the scalar wall test."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(case=wall_links())
-    def test_one_link_test_matches_the_batch_test(self, case):
+    def test_one_link_test_matches_the_scalar_predicate(self, case):
         wall, p, q = case
         terms = _wall_terms(wall)
-        want = links_blocked_by_wall(p, q, wall.a, wall.b).tolist()
-        got = [_link_blocked(*p[k].tolist(), *q[k].tolist(), terms) for k in range(len(p))]
-        assert got == want
+        for a, b in zip(p.tolist(), q.tolist()):
+            assert _link_blocked(*a, *b, terms) == oracles.blocked(a, b, wall), (a, b)
+
+    def test_one_link_test_on_random_links(self):
+        rng = np.random.default_rng(31)
+        wall = Segment(Vec2(4.0, 3.0), Vec2(6.0, 7.0))
+        terms = _wall_terms(wall)
+        p = rng.uniform(0, 10, (4000, 2))
+        q = p + rng.uniform(-1, 1, (4000, 2))
+        for a, b in zip(p.tolist(), q.tolist()):
+            assert _link_blocked(*a, *b, terms) == oracles.blocked(a, b, wall), (a, b)
 
     def test_one_link_test_touch_cases(self):
-        # A link ending on the wall, one ending just off it, one collinear
-        # past its end, one collinear overlapping it and one touching its
-        # far end, which the batch test reaches as c + cd.
+        # A link ending on the wall, one ending just off it, one clear of
+        # it, one collinear past its end, one collinear overlapping it, one
+        # touching its far end, which the test reaches as c + cd, and one
+        # collinear starting past that end by less than COLLINEAR_EPS.
         terms = _wall_terms(FLAT)
         cases = [
             ((1.0, 0.0), (1.0, 1.0), True),
             ((1.0, 1e-9), (1.0, 1.0), False),
+            ((1.0, 1.0), (1.0, 2.0), False),
             ((3.0, 0.0), (4.0, 0.0), False),
             ((1.5, 0.0), (2.5, 0.0), True),
             ((2.0, 0.0), (2.5, 0.5), True),
+            ((2.0 + 5e-13, 0.0), (3.0, 0.0), True),
         ]
         for (p, q, blocked) in cases:
             assert _link_blocked(*p, *q, terms) is blocked, (p, q)
-            want = links_blocked_by_wall(np.array([p]), np.array([q]), FLAT.a, FLAT.b)
-            assert want.tolist() == [blocked]
+            assert oracles.blocked(p, q, FLAT) is blocked, (p, q)
 
     # Pairs of nodes on either side of FLAT, (0, 0) -> (2, 0), in side
     # margins m: across its middle 2m off the line (settled by the sides
@@ -1311,9 +946,7 @@ class TestLinksOnDemand:
         got = [world.neighbors(i) for i in range(world.n)]
         assert world._edges is None, "wired on demand"
         assert got == edge_lists(world.n, _wire(positions, walls))
-        assert brute_force_edges(positions, walls) == [
-            (u, v) for u in range(world.n) for v in got[u] if u < v
-        ]
+        assert got == edge_lists(world.n, oracles.links(positions, walls))
 
     @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
     def test_match_the_batch_wiring(self, obstacle):
@@ -1397,7 +1030,7 @@ class TestWorldIdentity:
 def on_demand_checked(positions):
     """Every node's on-demand Gabriel list of a world built without
     explicit edges, after checking the lists against _gabriel_filter and
-    the ball-query oracle. Each node is filtered twice, on two fresh
+    the Gabriel oracle. Each node is filtered twice, on two fresh
     worlds: right after its own links are wired, so the scan of its
     range is reused, and after every node is wired, so that it is
     scanned anew."""
@@ -1417,14 +1050,14 @@ def on_demand_checked(positions):
     assert fresh._edges is None and rescanned._edges is None, "wired on demand"
     edges = _wire(positions, ())
     want = _gabriel_filter(positions, edges)
-    assert_same_array(want, scalar_gabriel_filter(positions, edges))
+    assert_same_array(want, oracles.gabriel(positions, edges))
     assert reused == again == edge_lists(len(positions), want)
     return reused
 
 
 class TestGabrielOnDemand:
-    """On-demand Gabriel lists against the whole-graph filter and its
-    oracles, on deployed worlds and on the adversarial layouts of
+    """On-demand Gabriel lists against the whole-graph filter and the
+    Gabriel oracle, on deployed worlds and on the adversarial layouts of
     TestFastGabriel, with the layouts at the sorted scan's stopping rule
     added."""
 
@@ -1565,12 +1198,6 @@ class TestGrid:
 
 
 class TestGridPairs:
-    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
-    def test_match_the_kd_tree(self, obstacle):
-        for density in (1.5, 4.0, 8.0):
-            w = build_trial_world(7, density, 0, obstacle)
-            assert sorted_pairs(w.positions) == kd_tree_pairs(w.positions)
-
     @pytest.mark.parametrize(
         "points",
         [
@@ -1584,10 +1211,7 @@ class TestGridPairs:
     )
     def test_small_sets(self, points):
         positions = np.array(points, dtype=float).reshape(-1, 2)
-        got = _pairs(positions)
-        assert got.dtype == np.int64 and got.shape[1:] == (2,)
-        want = kd_tree_pairs(positions) if len(positions) > 1 else []
-        assert sorted_pairs(positions) == want
+        assert_same_array(rows_sorted(_pairs(positions)), oracles.pairs(positions))
 
 
 # Coordinates on the boundaries of the on-demand wiring's grid cells, and
@@ -1618,9 +1242,7 @@ def test_links_on_demand_on_degenerate_worlds(world):
     got = [world.neighbors(i) for i in range(world.n)]
     assert world._edges is None
     assert got == edge_lists(world.n, wired.edges)
-    assert sorted(brute_force_edges(world.positions, walls)) == [
-        (u, v) for u in range(world.n) for v in got[u] if u < v
-    ]
+    assert got == edge_lists(world.n, oracles.links(world.positions, walls))
     # Every router sees the same world either way.
     for algo in Algorithm:
         cfg = ExperimentConfig(algorithm=algo, densities=(2.0,), record_path=True)
@@ -1652,10 +1274,8 @@ def test_gabriel_on_demand_on_degenerate_worlds(world):
     assert world._edges is None
     edges = _wire(positions, walls)
     assert got == edge_lists(world.n, _gabriel_filter(positions, edges))
-    assert sorted(brute_force_gabriel(positions, edges.tolist())) == [
-        (u, v) for u in range(world.n) for v in got[u] if u < v
-    ]
-    assert sorted_pairs(positions) == kd_tree_pairs(positions)
+    assert got == edge_lists(world.n, oracles.gabriel(positions, oracles.links(positions, walls)))
+    assert_same_array(rows_sorted(_pairs(positions)), oracles.pairs(positions))
 
 
 # sha256 of edges.tobytes(), of every node's neighbour list concatenated
