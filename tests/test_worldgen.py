@@ -829,9 +829,29 @@ class TestWireOracles:
     def test_matches_on_catalogue_worlds(self, obstacle):
         for density in (1.5, 4.0, 10.0):
             w = build_trial_world(7, density, 0, obstacle)
-            assert_same_array(rows_sorted(_pairs(w.positions)), oracles.pairs(w.positions))
             got = _wire(w.positions, w.obstacle.walls)
             assert_same_array(got, oracles.links(w.positions, w.obstacle.walls))
+
+
+class TestVectorizedBlocking:
+    """_wire's batch wall decision, side codes over every pair near a
+    wall, on links that touch the wall or come close."""
+
+    def test_touch_cases(self):
+        # A link ending on the wall, one clear of it, and one collinear
+        # past its end, each as a two-node world.
+        cases = [
+            ((1.0, 0.0), (1.0, 1.0), True),
+            ((1.0, 1.0), (1.0, 2.0), False),
+            ((3.0, 0.0), (4.0, 0.0), False),
+        ]
+        terms = _wall_terms(FLAT)
+        for p, q, blocked in cases:
+            positions = np.array([p, q])
+            want = np.empty((0, 2), dtype=np.int64) if blocked else np.array([[0, 1]])
+            assert_same_array(_wire(positions, (FLAT,)), want)
+            assert_same_array(oracles.links(positions, (FLAT,)), want)
+            assert _link_blocked(*p, *q, terms) is blocked, (p, q)
 
 
 class TestWallsPerNode:
@@ -856,15 +876,14 @@ class TestWallsPerNode:
             assert _link_blocked(*a, *b, terms) == oracles.blocked(a, b, wall), (a, b)
 
     def test_one_link_test_touch_cases(self):
-        # A link ending on the wall, one ending just off it, one clear of
-        # it, one collinear past its end, one collinear overlapping it, one
-        # touching its far end, which the test reaches as c + cd, and one
-        # collinear starting past that end by less than COLLINEAR_EPS.
+        # A link ending on the wall, one ending just off it, one collinear
+        # past its end, one collinear overlapping it, one touching its far
+        # end, which the test reaches as c + cd, and one collinear starting
+        # past that end by less than COLLINEAR_EPS.
         terms = _wall_terms(FLAT)
         cases = [
             ((1.0, 0.0), (1.0, 1.0), True),
             ((1.0, 1e-9), (1.0, 1.0), False),
-            ((1.0, 1.0), (1.0, 2.0), False),
             ((3.0, 0.0), (4.0, 0.0), False),
             ((1.5, 0.0), (2.5, 0.0), True),
             ((2.0, 0.0), (2.5, 0.5), True),
@@ -1198,6 +1217,14 @@ class TestGrid:
 
 
 class TestGridPairs:
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_match_the_kd_tree(self, obstacle):
+        # The name is kept from the kd-tree query this was first checked
+        # against; the reference is now oracles.pairs, a sort on x.
+        for density in (1.5, 4.0, 10.0):
+            w = build_trial_world(7, density, 0, obstacle)
+            assert_same_array(rows_sorted(_pairs(w.positions)), oracles.pairs(w.positions))
+
     @pytest.mark.parametrize(
         "points",
         [
