@@ -28,8 +28,8 @@ def render(algorithm: Algorithm, filename: str) -> None:
         master_seed=SEED,
         record_path=True,
     )
-    outcome = run_trial(cfg, DENSITY, TRIAL)
     world = build_trial_world(SEED, DENSITY, TRIAL, "ushape")
+    outcome = run_trial(cfg, DENSITY, TRIAL, world=world)
     label = (
         f"{algorithm.value} on ushape, density {DENSITY:g}: "
         f"{outcome.status.value}, {outcome.hops} hops"

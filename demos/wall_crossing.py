@@ -8,7 +8,7 @@ turned around and switches to contour mode, which walks the wall until
 the far corner lets it resume course.
 """
 
-from gricsim.harness import Algorithm, ExperimentConfig, run_sweep
+from gricsim.harness import Algorithm, ExperimentConfig, run_sweeps
 
 TRIALS = 100
 
@@ -17,18 +17,21 @@ def main() -> None:
     print(f"stripe wall, density 5, {TRIALS} trials\n")
     print(f"{'router':>8s} {'success':>8s} {'median hops':>12s} "
           f"{'stuck':>6s} {'lost':>6s}")
-    for algorithm in Algorithm:
-        cfg = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             algorithm=algorithm,
             obstacle="stripe",
             densities=(5.0,),
             trials_per_point=TRIALS,
             master_seed=0,
         )
-        row = run_sweep(cfg).rows[0]
+        for algorithm in Algorithm
+    ]
+    for report in run_sweeps(configs):
+        row = report.rows[0]
         hops = "-" if row.success_rate == 0 else f"{row.median_hops:.0f}"
         print(
-            f"{algorithm.value:>8s} {row.success_rate:>8.2f} {hops:>12s} "
+            f"{row.algorithm:>8s} {row.success_rate:>8.2f} {hops:>12s} "
             f"{row.fail_stuck:>6d} {row.fail_oob + row.fail_ttl:>6d}"
         )
     print("\nThe interesting column is 'stuck': greedy's failures are all")

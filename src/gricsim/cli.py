@@ -205,59 +205,61 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _svg_x(x: float) -> float:
-    return SVG_MARGIN + (x - STANDARD_REGION.x_min) * SVG_SCALE
-
-
-def _svg_y(y: float) -> float:
-    # Flip so larger world y is higher on the page.
-    return SVG_MARGIN + (STANDARD_REGION.y_max - y) * SVG_SCALE
-
-
 def render_trace_svg(world: World, outcome, label: str) -> str:
-    """Draw the world and one message path as a standalone SVG document.
+    """Draw the world's region, its nodes and walls, one message path and
+    the standard frame's source and destination as a standalone SVG
+    document.
 
     The message path is the only <path> element; everything else uses
     rect/line/circle so the path count stays a reliable signature.
     """
-    width = STANDARD_REGION.width * SVG_SCALE + 2 * SVG_MARGIN
-    height = STANDARD_REGION.height * SVG_SCALE + 2 * SVG_MARGIN
+    region = world.region
+
+    def svg_x(x: float) -> float:
+        return SVG_MARGIN + (x - region.x_min) * SVG_SCALE
+
+    def svg_y(y: float) -> float:
+        # Flip so larger world y is higher on the page.
+        return SVG_MARGIN + (region.y_max - y) * SVG_SCALE
+
+    width = region.width * SVG_SCALE + 2 * SVG_MARGIN
+    height = region.height * SVG_SCALE + 2 * SVG_MARGIN
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
         f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="#ffffff"/>',
-        f'<rect x="{_svg_x(STANDARD_REGION.x_min):g}" y="{_svg_y(STANDARD_REGION.y_max):g}" '
-        f'width="{STANDARD_REGION.width * SVG_SCALE:g}" '
-        f'height="{STANDARD_REGION.height * SVG_SCALE:g}" '
+        f'<rect x="{svg_x(region.x_min):g}" y="{svg_y(region.y_max):g}" '
+        f'width="{region.width * SVG_SCALE:g}" '
+        f'height="{region.height * SVG_SCALE:g}" '
         'fill="none" stroke="#444444" stroke-width="2"/>',
     ]
     for i in range(world.n):
         x, y = world.positions[i]
         parts.append(
-            f'<circle cx="{_svg_x(float(x)):.1f}" cy="{_svg_y(float(y)):.1f}" '
+            f'<circle cx="{svg_x(float(x)):.1f}" cy="{svg_y(float(y)):.1f}" '
             'r="1.6" fill="#b8c4cc"/>'
         )
     for wall in world.obstacle.walls:
         parts.append(
-            f'<line x1="{_svg_x(wall.a.x):.1f}" y1="{_svg_y(wall.a.y):.1f}" '
-            f'x2="{_svg_x(wall.b.x):.1f}" y2="{_svg_y(wall.b.y):.1f}" '
+            f'<line x1="{svg_x(wall.a.x):.1f}" y1="{svg_y(wall.a.y):.1f}" '
+            f'x2="{svg_x(wall.b.x):.1f}" y2="{svg_y(wall.b.y):.1f}" '
             'stroke="#c03030" stroke-width="4"/>'
         )
     if outcome.path:
         steps = " ".join(
-            f"{'M' if i == 0 else 'L'} {_svg_x(p.x):.1f} {_svg_y(p.y):.1f}"
+            f"{'M' if i == 0 else 'L'} {svg_x(p.x):.1f} {svg_y(p.y):.1f}"
             for i, p in enumerate(outcome.path)
         )
         parts.append(
             f'<path d="{steps}" fill="none" stroke="#2050c8" stroke-width="1.8"/>'
         )
     parts.append(
-        f'<circle cx="{_svg_x(SOURCE_POINT.x):g}" cy="{_svg_y(SOURCE_POINT.y):g}" '
+        f'<circle cx="{svg_x(SOURCE_POINT.x):g}" cy="{svg_y(SOURCE_POINT.y):g}" '
         'r="6" fill="none" stroke="#108030" stroke-width="3"/>'
     )
     parts.append(
-        f'<circle cx="{_svg_x(DEST_POINT.x):g}" cy="{_svg_y(DEST_POINT.y):g}" '
+        f'<circle cx="{svg_x(DEST_POINT.x):g}" cy="{svg_y(DEST_POINT.y):g}" '
         'r="6" fill="none" stroke="#d05010" stroke-width="3"/>'
     )
     parts.append(
@@ -434,7 +436,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

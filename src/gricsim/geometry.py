@@ -23,10 +23,6 @@ TWO_PI = 2.0 * math.pi
 COLLINEAR_EPS = 1e-12
 
 
-class ZeroVector(ValueError):
-    """A direction was requested from a (near-)zero-length vector."""
-
-
 @dataclass(frozen=True)
 class Vec2:
     """Immutable 2D point / direction."""

@@ -11,9 +11,9 @@ which owns the rules all routers are judged by:
 * fail_ttl  -- the hop counter exceeds the hop budget; a deterministic
                router whose state repeats is fast-forwarded to this
                end (see walk)
-* fail_stuck -- the router has no move left: it signals Stuck, or its
-               geometry degenerates (two nodes at one position leave no
-               travel direction, a ZeroVector)
+* fail_stuck -- the router raises Stuck, its one signal of a dead end:
+               no admissible next hop, or no travel direction left
+               (two nodes at one position)
 
 A router is only a step function, current node in, next node out; it
 never checks delivery, the border or the budget itself. Kept apart from
@@ -31,7 +31,7 @@ from itertools import cycle, islice
 
 import numpy as np
 
-from .geometry import Vec2, ZeroVector
+from .geometry import Vec2
 from .worldgen import COMM_RADIUS, World
 
 
@@ -139,7 +139,7 @@ def walk(
             prev = cur
         try:
             cur = step(cur)
-        except (Stuck, ZeroVector):
+        except Stuck:
             return TrialOutcome(TrialStatus.FAIL_STUCK, hops, dist, path)
         nx, ny = xs[cur], ys[cur]
         leg = math.hypot(nx - x, ny - y)

@@ -25,7 +25,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .geometry import TWO_PI, Vec2, ZeroVector, quadrant, wrap_angle
+from .geometry import TWO_PI, Vec2, quadrant, wrap_angle
 from .outcomes import Stuck
 from .worldgen import World
 
@@ -92,7 +92,7 @@ def travel_turn(state: MessageState, x: float, y: float) -> tuple[float, float, 
     measure turns against, and the wrapped turn alpha carrying it onto
     the destination bearing.
 
-    Raises ZeroVector when either direction is the zero vector.
+    Raises Stuck when either direction is the zero vector.
     """
     wx = state.dest_pos.x - x
     wy = state.dest_pos.y - y
@@ -102,7 +102,7 @@ def travel_turn(state: MessageState, x: float, y: float) -> tuple[float, float, 
         vx = x - state.prev_pos[0]
         vy = y - state.prev_pos[1]
     if (vx == 0.0 and vy == 0.0) or (wx == 0.0 and wy == 0.0):
-        raise ZeroVector("message has no usable travel direction")
+        raise Stuck("message has no usable travel direction")
     return vx, vy, wrap_angle(math.atan2(wy, wx) - math.atan2(vy, vx))
 
 

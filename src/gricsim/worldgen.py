@@ -584,7 +584,8 @@ class World:
 
     @property
     def edges(self) -> np.ndarray:
-        """Every link once, as sorted (u, v) rows with u < v."""
+        """Every link once, as (u, v) rows: sorted with u < v for a
+        deployed world, as given for one built from explicit edges."""
         if self._edges is None:
             self._edges = _wire(self.positions, self.obstacle.walls)
         return self._edges

@@ -94,6 +94,13 @@ def sweep_row(algorithm, obstacle, density, **kw):
     return sweep_rows((algorithm,), obstacle, density, **kw)[algorithm]
 
 
+def delivered(row):
+    """The row's delivered trials, counted. Margins between two rates are
+    compared in trials: a difference of two k/200 floats can miss its
+    threshold by a rounding error, as 0.74 - 0.79 and 0.90 - 0.07 do."""
+    return row.trials - row.fail_ttl - row.fail_oob - row.fail_stuck - row.fail_no_nodes
+
+
 def verdict(number, ok, detail):
     line = f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}"
     _report.append(line)
@@ -120,7 +127,7 @@ def greedy_losses_off_local_minima(density):
     loss that is not fail_stuck at a local minimum.
 
     The oracle rebuilds the trial's world and scans all node positions
-    by brute force, without the world's link lists or kd-tree: the node
+    by brute force, without the world's link lists or grid: the node
     greedy stopped on is a local minimum when no node within COMM_RADIUS
     of it is strictly closer to DEST_POINT.
     """
@@ -202,7 +209,8 @@ def test_criterion_02_degradation_order():
     Each endpoint sits 4 units from the border fail line, so a router
     that overshoots the destination can lose the message to border
     contact. The verdict lists every density whose gap exceeds 0.05 with
-    the fail_oob and fail_ttl counts of gric+ and face there."""
+    the fail_oob and fail_ttl counts of gric+ and face there. Gaps are
+    counted in trials: 0.05 of 200 trials is 10."""
     grid = (2.0, 2.5, 3.0, 3.5, 5.0)
     routers = (
         Algorithm.LTP,
@@ -232,23 +240,24 @@ def test_criterion_02_degradation_order():
         and ine[2.0] < 0.60
         and grm[2.0] < 0.60
     )
+    max_gap = round(0.05 * TRIALS)
     gaps = {
-        d: abs(s[Algorithm.GRIC_PLUS][d] - s[Algorithm.FACE][d])
+        d: abs(delivered(rows[Algorithm.GRIC_PLUS][d]) - delivered(rows[Algorithm.FACE][d]))
         for d in grid
     }
     worst = max(gaps, key=gaps.get)
-    clause_c = gaps[worst] <= 0.05
+    clause_c = gaps[worst] <= max_gap
     detail = (
         f"ltp@3.5={ltp[3.5]:.3f} ltp@5={ltp[5.0]:.3f}"
         f" inertia@3={ine[3.0]:.3f} inertia@2={ine[2.0]:.3f}"
         f" gric-@3={grm[3.0]:.3f} gric-@2={grm[2.0]:.3f}"
-        f" max|gric+-face|={gaps[worst]:.3f}@d={worst}"
+        f" max|gric+-face|={gaps[worst] / TRIALS:.3f}@d={worst}"
     )
     for d in grid:
-        if gaps[d] > 0.05:
+        if gaps[d] > max_gap:
             plus, face = rows[Algorithm.GRIC_PLUS][d], rows[Algorithm.FACE][d]
             detail += (
-                f"; gap {gaps[d]:.3f}@d={d}:"
+                f"; gap {gaps[d] / TRIALS:.3f}@d={d}:"
                 f" gric+={plus.success_rate:.3f}"
                 f" (fail_oob={plus.fail_oob} fail_ttl={plus.fail_ttl})"
                 f" face={face.success_rate:.3f}"
@@ -261,8 +270,8 @@ def test_criterion_03_stripe_wall():
     """Single wall between the endpoints: the flag router crosses almost
     always, plain inertia usually, the memoryless routers almost never.
 
-    GRIC+ thresholds carry a 0.07 absolute tolerance; greedy and LTP are
-    sampled at {3, 4, 5, 6, 8}."""
+    GRIC+ thresholds carry a 0.07 absolute tolerance, compared in trials:
+    166 and 180 of 200. Greedy and LTP are sampled at {3, 4, 5, 6, 8}."""
     extra = {
         3.0: (Algorithm.GRIC_PLUS,),
         4.0: (Algorithm.GRIC_PLUS, Algorithm.INERTIA),
@@ -274,9 +283,9 @@ def test_criterion_03_stripe_wall():
         d: sweep_rows((Algorithm.GREEDY, Algorithm.LTP, *more), "stripe", d)
         for d, more in extra.items()
     }
-    gp3 = rows[3.0][Algorithm.GRIC_PLUS].success_rate
-    gp4 = rows[4.0][Algorithm.GRIC_PLUS].success_rate
-    ok_gric = gp3 >= 0.90 - 0.07 and gp4 >= 0.97 - 0.07
+    gp3 = delivered(rows[3.0][Algorithm.GRIC_PLUS])
+    gp4 = delivered(rows[4.0][Algorithm.GRIC_PLUS])
+    ok_gric = gp3 >= round((0.90 - 0.07) * TRIALS) and gp4 >= round((0.97 - 0.07) * TRIALS)
     inertia = {
         d: rows[d][Algorithm.INERTIA].success_rate for d in (4.0, 6.0, 8.0)
     }
@@ -288,7 +297,7 @@ def test_criterion_03_stripe_wall():
     ok_low = all(v <= 0.2 for v in low.values())
     worst_low = max(low.values())
     detail = (
-        f"gric+@3={gp3:.3f} gric+@4={gp4:.3f}"
+        f"gric+@3={gp3 / TRIALS:.3f} gric+@4={gp4 / TRIALS:.3f}"
         f" inertia@4..8={min(inertia.values()):.3f}min"
         f" greedy/ltp max={worst_low:.3f}"
     )

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import gricsim
-from conftest import record_pools
+from conftest import make_world, record_pools
 from gricsim import cli, worldgen
 from gricsim.cli import CSV_HEADER, SEED_ENV_VAR, main, parse_densities
 from gricsim.harness import build_trial_world
-from gricsim.worldgen import parse_world_text, world_to_text
+from gricsim.outcomes import TrialOutcome, TrialStatus
+from gricsim.worldgen import Region, parse_world_text, world_to_text
 
 FLOAT_4DP = r"-?\d+\.\d{4}"
 ROW_RE = re.compile(
@@ -177,6 +178,23 @@ class TestTrace:
         root = ET.fromstring(out)
         lines = [e for e in root.iter() if e.tag.endswith("line")]
         assert len(lines) == 3
+
+    def test_svg_draws_the_world_region(self):
+        # A 4 x 4 region at 20 px per unit and a 10 px margin: a 100 px
+        # frame, with the node at the region's top-left corner at (10, 10).
+        world = make_world([(-1.0, 3.0), (2.0, 0.0)], [(0, 1)],
+                           region=Region(-1.0, 3.0, -1.0, 3.0))
+        outcome = TrialOutcome(TrialStatus.FAIL_STUCK, 0, 0.0, [world.pos(0)])
+        root = ET.fromstring(cli.render_trace_svg(world, outcome, "small"))
+        assert (root.get("width"), root.get("height")) == ("100", "100")
+        frame = [e for e in root.iter() if e.tag.endswith("rect")][1]
+        assert [frame.get(k) for k in ("x", "y", "width", "height")] == [
+            "10", "10", "80", "80"
+        ]
+        node = [e for e in root.iter() if e.tag.endswith("circle")][0]
+        assert (node.get("cx"), node.get("cy")) == ("10.0", "10.0")
+        (path,) = [e for e in root.iter() if e.tag.endswith("path")]
+        assert path.get("d") == "M 10.0 10.0"
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -484,6 +502,16 @@ class TestBlasThreadCap:
             pytest.skip("not run from a source checkout")
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
         assert scripts == {"gricsim": "gricsim.__main__:main"}
+
+    def test_the_cli_module_is_no_second_entry(self):
+        # Run as a script, gricsim.cli only defines the command line;
+        # the capped entry is the one way to run it.
+        probe = (
+            "import runpy\n"
+            "runpy.run_module('gricsim.cli', run_name='__main__', alter_sys=True)\n"
+            "print('defined only')"
+        )
+        assert run_probe(probe, None, *self.GRAPHCHECK) == ["defined", "only"]
 
 
 class TestFrozenImportHeap:

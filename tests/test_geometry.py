@@ -9,7 +9,6 @@ from gricsim.geometry import (
     COLLINEAR_EPS,
     Segment,
     Vec2,
-    ZeroVector,
     orient,
     quadrant,
     wrap_angle,
@@ -20,6 +19,7 @@ from vec2_geometry import (
     COMPASS,
     Angle,
     CompassValue,
+    ZeroVector,
     angle_from_to,
     compass_of,
     cross,

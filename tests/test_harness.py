@@ -32,8 +32,8 @@ from gricsim.harness import (
     source_node,
     trial_rng,
 )
-from gricsim.geometry import Vec2, ZeroVector
-from gricsim.outcomes import TrialStatus, walk
+from gricsim.geometry import Vec2
+from gricsim.outcomes import Stuck, TrialStatus, walk
 from gricsim.routing import MessageState, RoutingParams, Uniforms, gric_step, next_hop
 from gricsim.worldgen import (
     COMM_RADIUS,
@@ -197,7 +197,7 @@ class TestRunTrial:
 
     def test_coincident_nodes_give_a_defined_status(self):
         # Node 1 sits on the source node, so a router that hops there has
-        # no travel direction left (a ZeroVector): that is fail_stuck,
+        # no travel direction left (Stuck): that is fail_stuck,
         # never an exception that would end the whole sweep.
         world = make_world(
             [[0.0, 10.0], [0.0, 10.0], [-0.5, 10.0]],
@@ -435,7 +435,7 @@ class TestFloatRouters:
     def test_degenerate_worlds(self, algo):
         worlds = {
             # Node 1 sits on the source: a hop there leaves no travel
-            # direction (ZeroVector), which ends the trial fail_stuck.
+            # direction (Stuck), which ends the trial fail_stuck.
             "coincident": ([(0.0, 10.0), (0.0, 10.0), (-0.5, 10.0)],
                            [(0, 1), (0, 2), (1, 2)]),
             # The source has no link at all (Stuck).
@@ -533,14 +533,14 @@ class TestFloatRouters:
     def test_steps_at_the_destination_raise_like_the_vec2_steps(self):
         world = make_world([(20.0, 10.0), (20.5, 10.0)], [(0, 1)], region=STANDARD_REGION)
         for prev in (None, (19.5, 10.0)):
-            with pytest.raises(ZeroVector):
+            with pytest.raises(Stuck):
                 gric_step(world, 0, MessageState(DEST_POINT, prev), RoutingParams())
-            with pytest.raises(ZeroVector):
+            with pytest.raises(Stuck):
                 baselines.inertia_only_step(world, 0, MessageState(DEST_POINT, prev), 0.2)
             old = vec2_routers.VecState(DEST_POINT, None if prev is None else Vec2(*prev))
-            with pytest.raises(ZeroVector):
+            with pytest.raises(Stuck):
                 vec2_routers.gric_step(world, 0, old, RoutingParams())
-            with pytest.raises(ZeroVector):
+            with pytest.raises(Stuck):
                 vec2_routers.inertia_only_step(world, 0, old, 0.2)
 
 

@@ -14,7 +14,7 @@ import pytest
 import vec2_routers
 from conftest import make_world
 from gricsim import harness, routing
-from gricsim.geometry import Vec2, ZeroVector
+from gricsim.geometry import Vec2
 from gricsim.harness import (
     DEST_POINT,
     STANDARD_REGION,
@@ -224,10 +224,10 @@ class TestEffectivePrevDirection:
 
     def test_degenerate_raises(self):
         s = MessageState(dest_pos=Vec2(5, 5))
-        with pytest.raises(ZeroVector):
+        with pytest.raises(Stuck):
             travel_turn(s, 5.0, 5.0)
         # A hop between coincident nodes leaves no travel direction.
-        with pytest.raises(ZeroVector):
+        with pytest.raises(Stuck):
             travel_turn(replace(s, prev_pos=(1.0, 1.0)), 1.0, 1.0)
 
 
@@ -358,7 +358,7 @@ class TestGricStep:
     def test_at_destination_raises(self):
         w = make_world([(0, 0), (1, 0)], [(0, 1)])
         state = MessageState(dest_pos=Vec2(0, 0), prev_pos=(-1.0, 0.0))
-        with pytest.raises(ZeroVector):
+        with pytest.raises(Stuck):
             gric_step(w, 0, state, RoutingParams())
 
     def test_flag_rises_behind_left(self):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -815,12 +815,27 @@ def wall_links(draw):
     return wall, np.array(ends[0::2]), np.array(ends[1::2])
 
 
+# A wall on the quarter lattice, and a link on its line from a point
+# 5e-13 past its end: closed contact that only COLLINEAR_EPS decides.
+# The derandomized draws need not come this close, so each wall property
+# pins it as an explicit example.
+END_WALL = Segment(Vec2(1.0, 1.0), Vec2(2.0, 1.0))
+PAST_END = [(2.0 + 5e-13, 1.0), (2.75, 1.0)]
+
+
+def past_end_world():
+    return World(
+        Region(-1.0, 6.0, -1.0, 6.0), Obstacle("drawn", (END_WALL,)), np.array(PAST_END)
+    )
+
+
 class TestWireOracles:
     """_pairs and _wire, which decides walls by side codes and
     _link_blocked, against the pairing and link oracles."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(world=snapped_worlds())
+    @example(world=past_end_world())
     def test_matches_on_snapped_worlds(self, world):
         positions, walls = world.positions, world.obstacle.walls
         assert_same_array(_wire(positions, walls), oracles.links(positions, walls))
@@ -860,6 +875,7 @@ class TestWallsPerNode:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(case=wall_links())
+    @example(case=(END_WALL, np.array(PAST_END[:1]), np.array(PAST_END[1:])))
     def test_one_link_test_matches_the_scalar_predicate(self, case):
         wall, p, q = case
         terms = _wall_terms(wall)
@@ -960,6 +976,7 @@ class TestWallsPerNode:
 class TestLinksOnDemand:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(world=snapped_worlds())
+    @example(world=past_end_world())
     def test_list_wiring_matches_the_edge_grouping(self, world):
         positions, walls = world.positions, world.obstacle.walls
         got = [world.neighbors(i) for i in range(world.n)]

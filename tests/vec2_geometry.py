@@ -16,11 +16,14 @@ from gricsim.geometry import (
     COLLINEAR_EPS,
     Segment,
     Vec2,
-    ZeroVector,
     quadrant,
     wrap_angle,
 )
 from gricsim.routing import CONTOUR_TABLE, FLAG_TABLE, Flag
+
+
+class ZeroVector(ValueError):
+    """A direction was requested from the zero vector."""
 
 
 def sub(a: Vec2, b: Vec2) -> Vec2:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from conftest import lexsort_adjacency
-from gricsim.geometry import TWO_PI, Vec2, ZeroVector
+from gricsim.geometry import TWO_PI, Vec2
 from gricsim.baselines import ltp_init
 from gricsim.harness import DEST_POINT, ROUTE_STREAM, Algorithm, source_node, trial_rng
 from gricsim.outcomes import Stuck, TrialOutcome, TrialStatus
@@ -70,15 +70,15 @@ def out_links(world, node):
     return np.array(world.neighbors(node), dtype=np.int64)
 
 
-def effective_prev_direction(state, current: Vec2) -> Vec2:
-    """Travel direction to measure turns against at the current node."""
-    if state.prev_pos is None:
-        v = sub(state.dest_pos, current)
-    else:
-        v = sub(current, state.prev_pos)
-    if is_zero(v):
-        raise ZeroVector("message has no usable travel direction")
-    return v
+def directions(state, current: Vec2) -> tuple[Vec2, Vec2]:
+    """(v_prev, v_dest) at the current node: the travel direction to
+    measure turns against and the destination bearing. Raises Stuck, as
+    routing.travel_turn does, when either is the zero vector."""
+    v_dest = sub(state.dest_pos, current)
+    v_prev = v_dest if state.prev_pos is None else sub(current, state.prev_pos)
+    if is_zero(v_prev) or is_zero(v_dest):
+        raise Stuck("message has no usable travel direction")
+    return v_prev, v_dest
 
 
 def inertia_ideal(v_prev: Vec2, v_dest: Vec2, beta: float) -> Vec2:
@@ -104,10 +104,7 @@ def next_hop(world, current, v_ideal: Vec2, params=RoutingParams(), rng=None) ->
 def gric_step(world, current, state: VecState, params, rng=None):
     """One compass/flag decision: returns (next node, new state)."""
     p = world.pos(current)
-    v_prev = effective_prev_direction(state, p)
-    v_dest = sub(state.dest_pos, p)
-    if is_zero(v_dest):
-        raise ZeroVector("message is exactly at the destination point")
+    v_prev, v_dest = directions(state, p)
     alpha = angle_from_to(v_prev, v_dest)
     c = compass_of(alpha)
     flag = FLAG_TABLE[(state.flag, c)]
@@ -120,9 +117,8 @@ def gric_step(world, current, state: VecState, params, rng=None):
 
 
 def inertia_only_step(world, current, state: VecState, beta) -> int:
-    p = world.pos(current)
-    v_prev = effective_prev_direction(state, p)
-    return next_hop(world, current, inertia_ideal(v_prev, sub(state.dest_pos, p), beta))
+    v_prev, v_dest = directions(state, world.pos(current))
+    return next_hop(world, current, inertia_ideal(v_prev, v_dest, beta))
 
 
 def greedy_step(world, current, dest_pos: Vec2) -> int:
@@ -262,7 +258,7 @@ def walk(world, source, dest: Vec2, step, ttl, *, enforce_oob=True,
                 return TrialOutcome(TrialStatus.FAIL_TTL, ttl + 1, dist, path, start, period)
         try:
             nxt = step(cur)
-        except (Stuck, ZeroVector):
+        except Stuck:
             return TrialOutcome(TrialStatus.FAIL_STUCK, hops, dist, path)
         leg = distance(world.pos(nxt), p)
         dist += leg
