@@ -37,10 +37,22 @@ from .worldgen import (
     world_to_text,
 )
 
-CSV_HEADER = (
-    "algorithm,obstacle,density,trials,success_rate,"
-    "median_hops,median_distance,fail_ttl,fail_oob,fail_stuck"
+# The sweep CSV's columns, in order: each SweepRow field and the format
+# spec its values are written with.
+CSV_COLUMNS = (
+    ("algorithm", ""),
+    ("obstacle", ""),
+    ("density", ".4f"),
+    ("trials", ""),
+    ("success_rate", ".4f"),
+    ("median_hops", ".4f"),
+    ("median_distance", ".4f"),
+    ("fail_ttl", ""),
+    ("fail_oob", ""),
+    ("fail_stuck", ""),
 )
+
+CSV_HEADER = ",".join(name for name, _ in CSV_COLUMNS)
 
 # Pixels per world unit in SVG output, plus a quiet margin around the
 # region so border strokes are not clipped.
@@ -102,12 +114,13 @@ def _finite_floats(text: str, parts: list[str]) -> tuple[float, ...]:
 def load_config(path: str) -> dict[str, str]:
     """Read a flat key=value config file.
 
-    Blank lines and '#' comments are skipped. Values stay strings here;
-    main hands them to the parser as flags.
+    Blank lines and '#' comments are skipped, and a leading byte-order
+    mark is dropped. Values stay strings here; main hands them to the
+    parser as flags.
     """
     options: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -116,7 +129,7 @@ def load_config(path: str) -> dict[str, str]:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 options[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     return options
 
@@ -154,25 +167,8 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.4f}"
-
-
 def csv_line(row) -> str:
-    return ",".join(
-        (
-            row.algorithm,
-            row.obstacle,
-            _fmt(row.density),
-            str(row.trials),
-            _fmt(row.success_rate),
-            _fmt(row.median_hops),
-            _fmt(row.median_distance),
-            str(row.fail_ttl),
-            str(row.fail_oob),
-            str(row.fail_stuck),
-        )
-    )
+    return ",".join(format(getattr(row, name), spec) for name, spec in CSV_COLUMNS)
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
@@ -234,11 +230,9 @@ def render_trace_svg(world: World, outcome, label: str) -> str:
         f'height="{region.height * SVG_SCALE:g}" '
         'fill="none" stroke="#444444" stroke-width="2"/>',
     ]
-    for i in range(world.n):
-        x, y = world.positions[i]
+    for x, y in zip(world.xs, world.ys):
         parts.append(
-            f'<circle cx="{svg_x(float(x)):.1f}" cy="{svg_y(float(y)):.1f}" '
-            'r="1.6" fill="#b8c4cc"/>'
+            f'<circle cx="{svg_x(x):.1f}" cy="{svg_y(y):.1f}" r="1.6" fill="#b8c4cc"/>'
         )
     for wall in world.obstacle.walls:
         parts.append(

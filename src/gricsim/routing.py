@@ -37,7 +37,10 @@ class Flag(IntEnum):
     UP_E = 1
     UP_W = 2
 
-    __str__ = Enum.__str__  # prints as Flag.DOWN, as before it was an int
+    # A plain IntEnum prints as its int ("0") since Python 3.11; Enum's
+    # __str__ keeps "Flag.DOWN" in printed values and in test ids such as
+    # test_update_flag_table[Flag.DOWN-CompassValue.NE-Flag.DOWN].
+    __str__ = Enum.__str__
 
 
 @dataclass(frozen=True)

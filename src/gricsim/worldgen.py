@@ -106,28 +106,14 @@ def _seg(ax: float, ay: float, bx: float, by: float) -> Segment:
 #   ushape    three walls forming a box open toward the source
 #   concave1  the ushape with short lips angled inward at the mouth
 #   concave2  the ushape with long lips leaving only a narrow throat
+_BOX = (_seg(6, 5, 14, 5), _seg(14, 5, 14, 15), _seg(6, 15, 14, 15))
+
 _CATALOGUE: dict[str, tuple[Segment, ...]] = {
     "none": (),
     "stripe": (_seg(10, 6.5, 10, 13.5),),
-    "ushape": (
-        _seg(6, 5, 14, 5),
-        _seg(14, 5, 14, 15),
-        _seg(6, 15, 14, 15),
-    ),
-    "concave1": (
-        _seg(6, 5, 14, 5),
-        _seg(14, 5, 14, 15),
-        _seg(6, 15, 14, 15),
-        _seg(6, 5, 6.5, 5.5),
-        _seg(6, 15, 6.5, 14.5),
-    ),
-    "concave2": (
-        _seg(6, 5, 14, 5),
-        _seg(14, 5, 14, 15),
-        _seg(6, 15, 14, 15),
-        _seg(6, 5, 7.6, 7.4),
-        _seg(6, 15, 7.6, 12.6),
-    ),
+    "ushape": _BOX,
+    "concave1": _BOX + (_seg(6, 5, 6.5, 5.5), _seg(6, 15, 6.5, 14.5)),
+    "concave2": _BOX + (_seg(6, 5, 7.6, 7.4), _seg(6, 15, 7.6, 12.6)),
 }
 
 OBSTACLE_NAMES = tuple(_CATALOGUE)
@@ -883,15 +869,12 @@ def world_to_text(world: World) -> str:
     """Serialize nodes and links to the plain 'worldv1' text format.
 
     Line 1 is the literal header. Node lines are 'id x y' with full float
-    repr; link lines are 'u v' with u < v. The format carries only the
-    graph, not the region or obstacle.
+    repr; link lines are 'u v', one per row of world.edges, in its order.
+    The format carries only the graph, not the region or obstacle.
     """
     lines = ["worldv1"]
-    for i in range(world.n):
-        x, y = world.positions[i]
-        lines.append(f"{i} {float(x)!r} {float(y)!r}")
-    for u, v in world.edges:
-        lines.append(f"{int(u)} {int(v)}")
+    lines += [f"{i} {x!r} {y!r}" for i, (x, y) in enumerate(zip(world.xs, world.ys))]
+    lines += [f"{u} {v}" for u, v in world.edges.tolist()]
     return "\n".join(lines) + "\n"
 
 

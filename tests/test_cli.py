@@ -1,5 +1,6 @@
 """Command line contract: flags, config files, formats, exit codes."""
 
+import hashlib
 import math
 import os
 import re
@@ -289,6 +290,28 @@ class TestGraphcheck:
         )
         assert (code, out, built) == (1, "", [])
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestPinnedWriterBytes:
+    """The world and trace writers' bytes on one stripe world, as sha256
+    digests: a dump on stdout, and gric+'s trace as SVG and as CSV."""
+
+    ARGS = ("--seed", "3", "--density", "4", "--obstacle", "stripe")
+    DIGESTS = {
+        ("graphcheck", "--dump", "-"):
+            "b1f7f81251e74d69c2e63d4dd7a0b22de949848586c8f14c0f964587c62d6709",
+        ("trace", "--algo", "gric+"):
+            "c19bd955d91d8cb2570ba3aa665bcb827a1827d9927b599313da0e3e442808b9",
+        ("trace", "--algo", "gric+", "--format", "csv"):
+            "37e53283c54e80586d8772c7b601cc51f15047f3d10253751fb9c1a8e4a30280",
+    }
+
+    @pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)
+    def test_stdout_digest(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        code, out, _ = run(capsys, *argv, *self.ARGS)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
 
 
 class TestNonFiniteDensities:
@@ -651,6 +674,23 @@ class TestConfigAndEnvironment:
         cfg.write_text(f"config = {cfg}\n")
         code, _, err = run(capsys, "graphcheck", "--config", str(cfg))
         assert code == 2 and "unknown config keys: config" in err
+
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("\ufeffalgo = greedy\ndensities = 2\ntrials = 2\n", encoding="utf-8")
+        via_config = run(capsys, "sweep", "--config", str(cfg))
+        assert via_config == run(
+            capsys, "sweep", "--algo", "greedy", "--densities", "2", "--trials", "2"
+        )
+        assert via_config[0] == 0
+
+    def test_undecodable_config_is_an_unreadable_file(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"algo = greedy\n\xff\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
 
 
 # Each subcommand's small run, as flags; the option under test is left out
