@@ -248,14 +248,11 @@ def render_trace_svg(world: World, outcome, label: str) -> str:
         parts.append(
             f'<path d="{steps}" fill="none" stroke="#2050c8" stroke-width="1.8"/>'
         )
-    parts.append(
-        f'<circle cx="{svg_x(SOURCE_POINT.x):g}" cy="{svg_y(SOURCE_POINT.y):g}" '
-        'r="6" fill="none" stroke="#108030" stroke-width="3"/>'
-    )
-    parts.append(
-        f'<circle cx="{svg_x(DEST_POINT.x):g}" cy="{svg_y(DEST_POINT.y):g}" '
-        'r="6" fill="none" stroke="#d05010" stroke-width="3"/>'
-    )
+    for point, color in ((SOURCE_POINT, "#108030"), (DEST_POINT, "#d05010")):
+        parts.append(
+            f'<circle cx="{svg_x(point.x):g}" cy="{svg_y(point.y):g}" '
+            f'r="6" fill="none" stroke="{color}" stroke-width="3"/>'
+        )
     parts.append(
         f'<text x="{SVG_MARGIN:g}" y="{height - 4:g}" '
         f'font-family="sans-serif" font-size="12" fill="#333333">{label}</text>'

@@ -266,12 +266,11 @@ def run_sweeps(
     if not configs:
         return []
     first = configs[0]
-    for config in configs[1:]:
-        if _world_key(config) != _world_key(first):
-            raise ValueError(
-                "run_sweeps configs must share obstacle, densities, "
-                "trials_per_point and master_seed"
-            )
+    if any(_world_key(config) != _world_key(first) for config in configs[1:]):
+        raise ValueError(
+            "run_sweeps configs must share obstacle, densities, "
+            "trials_per_point and master_seed"
+        )
     n = first.trials_per_point
     tasks = [(configs, d, t) for d in first.densities for t in range(n)]
     # More processes than worlds or CPUs would only sit idle.

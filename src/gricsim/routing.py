@@ -73,15 +73,12 @@ class MessageState:
     which reads as compass NE with a zero turn. The step functions
     advance prev_pos and flag in place.
 
-    decisions is gric_step's memo for the randomized variant. A message
-    has one world, one destination and one params, so gric_step's
-    decision at a node is a function of (current, prev_pos, flag) alone;
-    decisions maps each such state met so far to _decide's tuple. The
-    neighbour list in it is the world's cached one, so an entry holds no
-    list of its own. Hand a state only to steps on one world with one
-    params. Without draws the memo stays empty: such a walk is a
-    function of its state, and the trial loop ends it at its first
-    repeated state, so no decision would be read back.
+    decisions is gric_step's memo, for both variants. A message has one
+    world, one destination and one params, so gric_step's decision at a
+    node is a function of (current, prev_pos, flag) alone; decisions
+    maps each such state met so far to _decide's tuple. The neighbour
+    list in it is the world's cached one. Hand a state only to steps on
+    one world with one params.
     """
 
     dest_pos: Vec2
@@ -181,11 +178,11 @@ class Uniforms:
         return self.buf[at:end]
 
 
-def rank(world: World, current: int, ix: float, iy: float) -> tuple[list[int], int]:
-    """(nbrs, best): current's neighbours, ascending by id, and the index
-    in nbrs of the one whose offset has the largest scalar product with
-    (ix, iy). list.index finds the first maximum, so ties go to the
-    smallest node id.
+def rank(world: World, current: int, ix: float, iy: float) -> tuple[list[int], int, list]:
+    """(nbrs, best, projs): current's neighbours, ascending by id, the
+    scalar product of each one's offset with (ix, iy), and the index in
+    nbrs of the largest. list.index finds the first maximum, so ties go
+    to the smallest node id.
 
     Raises Stuck when current has no neighbour.
     """
@@ -195,7 +192,7 @@ def rank(world: World, current: int, ix: float, iy: float) -> tuple[list[int], i
     xs, ys = world.xs, world.ys
     x, y = xs[current], ys[current]
     projs = [(xs[v] - x) * ix + (ys[v] - y) * iy for v in nbrs]
-    return nbrs, projs.index(max(projs))
+    return nbrs, projs.index(max(projs)), projs
 
 
 def next_hop(
@@ -205,7 +202,7 @@ def next_hop(
     iy: float,
     params: RoutingParams = RoutingParams(),
     draws: Uniforms | None = None,
-    ranked: tuple[list[int], int] | None = None,
+    ranked: tuple[list[int], int, list[float]] | None = None,
 ) -> int:
     """Neighbor whose offset has the largest scalar product with (ix, iy).
 
@@ -216,21 +213,17 @@ def next_hop(
     Given draws (the randomized variant), it first thins the neighbor
     set, keeping each neighbor independently with probability
     1 - epsilon, one uniform per neighbor in id order, and falls back to
-    the full set when the thinning empties it. A kept best neighbour is
-    also the first maximum over the kept ones, so the products are taken
-    again, over the kept neighbours only, just when the best is dropped.
+    the full set when the thinning empties it. A dropped best gives way
+    to the first maximum of rank's products over the kept neighbours.
     """
-    nbrs, best = ranked or rank(world, current, ix, iy)
+    nbrs, best, projs = ranked or rank(world, current, ix, iy)
     if draws is not None and params.epsilon > 0.0:
         eps = params.epsilon
         us = draws.take(len(nbrs))
         if us[best] < eps:
-            kept = [v for v, u in zip(nbrs, us) if u >= eps]
+            kept = [k for k, u in enumerate(us) if u >= eps]
             if kept:
-                xs, ys = world.xs, world.ys
-                x, y = xs[current], ys[current]
-                projs = [(xs[v] - x) * ix + (ys[v] - y) * iy for v in kept]
-                return kept[projs.index(max(projs))]
+                return nbrs[max(kept, key=projs.__getitem__)]
     return nbrs[best]
 
 
@@ -266,19 +259,16 @@ def gric_step(
     mode, bend the travel direction by the mode's turn, then rank the
     neighbours along the bent direction (_decide) and hand them to
     next_hop. All of that but next_hop's pick depends on (current,
-    prev_pos, flag) alone. Given draws, it is worked out once per state
-    and kept in state.decisions: a state met again reuses it, and only
-    the pick, with gric+'s thinning uniforms, runs each hop. state gets
-    the new flag and prev_pos advanced to this node. Delivery, border
-    and budget are the trial loop's.
+    prev_pos, flag) alone, so it is worked out once per state and kept
+    in state.decisions: a state met again reuses it, and only the pick,
+    with gric+'s thinning uniforms, runs each hop. state gets the new
+    flag and prev_pos advanced to this node. Delivery, border and budget
+    are the trial loop's.
     """
-    if draws is None:
-        decision = _decide(world, current, state, params)
-    else:
-        key = (current, state.prev_pos, state.flag)
-        decision = state.decisions.get(key)
-        if decision is None:
-            decision = state.decisions[key] = _decide(world, current, state, params)
+    key = (current, state.prev_pos, state.flag)
+    decision = state.decisions.get(key)
+    if decision is None:
+        decision = state.decisions[key] = _decide(world, current, state, params)
     pos, flag, ix, iy, ranked = decision
     nxt = next_hop(world, current, ix, iy, params, draws, ranked)
     state.prev_pos = pos

@@ -274,27 +274,18 @@ def _pairs(positions: np.ndarray) -> np.ndarray:
     return np.column_stack([np.minimum(u, v), np.maximum(u, v)])
 
 
-def _near(positions: np.ndarray, wall: Segment) -> np.ndarray:
-    """Mask of the nodes in the wall's bounding box grown by _REACH.
-
-    Both endpoints of a link that touches the wall lie in it.
-    """
-    x, y = positions[:, 0], positions[:, 1]
-    return (
-        (x >= min(wall.a.x, wall.b.x) - _REACH)
-        & (x <= max(wall.a.x, wall.b.x) + _REACH)
-        & (y >= min(wall.a.y, wall.b.y) - _REACH)
-        & (y <= max(wall.a.y, wall.b.y) + _REACH)
-    )
-
-
 def _side_codes(positions: np.ndarray, wall: Segment) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, codes): the nodes near the wall (_near), ascending, and
-    their side codes for it, as _LocalLinks defines them."""
+    """(ids, codes): the nodes near the wall, in its bounding box grown by
+    _REACH as both ends of a link touching it are, ascending, and their
+    side codes for it, as _LocalLinks defines them."""
     m = _SIDE_MARGIN
     cx, cy, cdx, cdy = _wall_terms(wall)[:4]
-    ids = np.flatnonzero(_near(positions, wall))
-    dx, dy = positions[ids, 0] - cx, positions[ids, 1] - cy
+    (x0, x1), (y0, y1) = sorted((wall.a.x, wall.b.x)), sorted((wall.a.y, wall.b.y))
+    x, y = positions[:, 0], positions[:, 1]
+    ids = np.flatnonzero(
+        (x >= x0 - _REACH) & (x <= x1 + _REACH) & (y >= y0 - _REACH) & (y <= y1 + _REACH)
+    )
+    dx, dy = x[ids] - cx, y[ids] - cy
     off = cdx * dy - cdy * dx
     along = cdx * dx + cdy * dy
     length2 = cdx * cdx + cdy * cdy
@@ -337,7 +328,7 @@ class _LocalLinks:
 
     The cross products these rules rest on exceed 2m^2 = 2e-8, far above
     e and any rounding, so they agree with _link_blocked. A partner
-    outside the wall's near box is never blocked by it (_near).
+    outside the wall's near box is never blocked by it (_side_codes).
 
     The coordinates are the world's own xs and ys lists, and the grid
     order is an int list, so wiring a node runs on plain Python values.
@@ -770,14 +761,16 @@ def interior_mean_degree(world: World) -> float:
 
 def is_connected(world: World) -> bool:
     """Whether the world's graph has a single component: a search from
-    node 0 over the neighbour lists reaches every node."""
+    node 0 over the lists of world.edges reaches every node. A deployed
+    world's on-demand wiring is left to the routers."""
     if world.n == 0:
         return True
+    lists = _lists(world.n, world.edges)
     seen = [False] * world.n
     seen[0] = True
     stack = [0]
     while stack:
-        for v in world.neighbors(stack.pop()):
+        for v in lists[stack.pop()]:
             if not seen[v]:
                 seen[v] = True
                 stack.append(v)
@@ -816,6 +809,28 @@ def _cross_interior(
     return hit
 
 
+def _piece_boxes(positions: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(edge, lo, span): per piece, its edge, in edge order, and the
+    first cell and the cell counts of its box. Cells are as wide as the
+    mean edge length, at least 1. A longer edge is cut into k equal
+    pieces, fewer than 2m in all, whose boxes grow by a hair over the cut
+    points' rounding; edge ends stay exact, so links at most 1 long keep
+    their unit-cell boxes."""
+    pa, pb = positions[edges[:, 0]], positions[edges[:, 1]]
+    d = pb - pa
+    length = np.hypot(d[:, 0], d[:, 1])
+    width = max(1.0, float(length.mean()))
+    pieces = np.maximum(np.ceil(length / width).astype(np.int64), 1)
+    edge = np.repeat(np.arange(len(edges)), pieces)
+    k, a, step = pieces[edge, None], pa[edge], d[edge]
+    j = np.arange(len(edge))[:, None] - np.repeat(np.cumsum(pieces) - pieces, pieces)[:, None]
+    p0 = a + step * (j / k)
+    p1 = np.where(j + 1 == k, pb[edge], a + step * ((j + 1) / k))
+    grow = np.where(k > 1, 1e-9 * (1.0 + np.abs(a) + length[edge, None]), 0.0)
+    lo = np.floor((np.minimum(p0, p1) - grow) / width).astype(np.int64)
+    return edge, lo, np.floor((np.maximum(p0, p1) + grow) / width).astype(np.int64) - lo + 1
+
+
 def find_planarity_violation(
     positions: np.ndarray, edges: np.ndarray
 ) -> tuple[int, int] | None:
@@ -824,26 +839,26 @@ def find_planarity_violation(
     Returns the smallest pair (e1, e2), e1 < e2, of edge indices whose
     open segments cross or overlap (_cross_interior), or None if the
     embedding is planar. Edges sharing a vertex are allowed to touch
-    there. Only edges whose bounding boxes share a unit cell are
-    compared, which two edges meeting at a point always do. The pairs
-    are tested about _PAIR_CHUNK at a time, so the memory taken stays
-    bounded even on a dense non-planar edge set.
+    there. Only edges with pieces (_piece_boxes) whose boxes share a cell
+    are compared, which two edges meeting at a point always have. A box
+    meets at most nine cells, and the pairs are tested about _PAIR_CHUNK
+    at a time, so memory follows the edge count, not the edges' lengths.
     """
     m = len(edges)
     if m < 2:
         return None
-    pa, pb = positions[edges[:, 0]], positions[edges[:, 1]]
-    lo = np.floor(np.minimum(pa, pb)).astype(np.int64)
-    span = np.floor(np.maximum(pa, pb)).astype(np.int64) - lo + 1
-    # One (cell, edge) entry per unit cell of each edge's bounding box,
-    # grouped by cell with the edges ascending in each group.
+    edge, lo, span = _piece_boxes(positions, edges)
+    # One (cell, edge) entry per cell of each piece's box, grouped by
+    # cell with the edges ascending in each group, each edge once.
     count = span[:, 0] * span[:, 1]
-    edge = np.repeat(np.arange(m), count)
-    k = np.arange(len(edge)) - np.repeat(np.cumsum(count) - count, count)
-    cx, cy = lo[edge, 0] + k // span[edge, 1], lo[edge, 1] + k % span[edge, 1]
+    piece = np.repeat(np.arange(len(edge)), count)
+    k = np.arange(len(piece)) - np.repeat(np.cumsum(count) - count, count)
+    cx, cy = lo[piece, 0] + k // span[piece, 1], lo[piece, 1] + k % span[piece, 1]
     cell = (cx - cx.min()) * (cy.max() - cy.min() + 1) + (cy - cy.min())
     order = np.argsort(cell, kind="stable")
-    edge, cell = edge[order], cell[order]
+    edge, cell = edge[piece[order]], cell[order]
+    once = np.concatenate(([True], (cell[1:] != cell[:-1]) | (edge[1:] != edge[:-1])))
+    edge, cell = edge[once], cell[once]
     # Each entry pairs with the later, higher-id entries of its cell; a
     # chunk is a run of entries whose pairs number about _PAIR_CHUNK.
     later = np.searchsorted(cell, cell, side="right") - np.arange(len(cell)) - 1
@@ -902,8 +917,6 @@ def parse_world_text(text: str) -> tuple[np.ndarray, np.ndarray]:
     node_rows.sort()
     if [i for i, _, _ in node_rows] != list(range(len(node_rows))):
         raise ValueError("worldv1 node ids must be 0..n-1")
-    positions = np.array([[x, y] for _, x, y in node_rows], dtype=float).reshape(
-        len(node_rows), 2
-    )
+    positions = np.array([[x, y] for _, x, y in node_rows], dtype=float).reshape(-1, 2)
     edges = np.array(edge_rows, dtype=np.int64).reshape(len(edge_rows), 2)
     return positions, _checked(len(positions), edges)

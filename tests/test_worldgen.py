@@ -3,9 +3,12 @@ tests/oracles.py, and its two wiring engines against each other."""
 
 import hashlib
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import XS, YS, degenerate_worlds, lexsort_adjacency, make_world
-from gricsim import worldgen
+from gricsim import cli, worldgen
 from gricsim.geometry import Segment, Vec2
 from gricsim.harness import Algorithm, ExperimentConfig, build_trial_world, run_trial
 from gricsim.worldgen import (
@@ -337,6 +340,74 @@ class TestPlanarityCheck:
         edges = np.array([[4, 5], [0, 1], [6, 7], [2, 3]], dtype=np.int64)
         assert find_planarity_violation(positions, edges) == (0, 2)
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_long_edges_among_short_ones_match_brute_force(self, seed):
+        # Deployed links, planar and not, plus long edges cut into pieces:
+        # a diagonal, a shallow and a steep edge, and an edge along y = 5
+        # that a short edge overlaps. Put first, a long edge makes the
+        # smallest pair its crossing with the first link crossing it, so
+        # shuffled links try many of its crossings.
+        w = deploy(2.0, SMALL, make_obstacle("stripe"), seed)
+        ends = [[0.1, 9.9], [9.9, 0.2], [0.05, 0.3], [9.95, 2.9], [3.3, 0.1], [5.1, 9.8],
+                [0.25, 5.0], [9.5, 5.0], [4.0, 5.0], [4.75, 5.0]]
+        positions = np.vstack([w.positions, ends])
+        longs = np.arange(w.n, len(positions)).reshape(-1, 2)
+        links = w.gabriel_edges()
+        rng = np.random.default_rng(seed)
+        cases = [np.vstack([links, longs]), np.vstack([w.edges, longs]), longs[::-1]]
+        for long in longs[:-1]:
+            cases += [np.vstack([[long], rng.permutation(links)]) for _ in range(4)]
+        found = []
+        for edges in cases:
+            e1, e2 = np.triu_indices(len(edges), 1)
+            hit = np.flatnonzero(worldgen._cross_interior(positions, edges, e1, e2))
+            want = (int(e1[hit[0]]), int(e2[hit[0]])) if len(hit) else None
+            assert find_planarity_violation(positions, edges) == want
+            found.append(want)
+        assert found[0][0] < len(links) <= found[0][1] and found[2] == (0, 1), found
+        assert all(pair[0] == 0 for pair in found[3:]), found
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(worldgen, "_PAIR_CHUNK", 7)
+            assert [find_planarity_violation(positions, e) for e in cases] == found
+
+    def test_every_crossing_of_a_cut_edge_is_found(self):
+        # A 26-unit edge, cut into 27 pieces, and 200 links 0.02 long
+        # across it at every 1/200 of its length. Each link in turn comes
+        # right after it, so the smallest pair is (0, 1) only if that
+        # link's box shares a cell with one of the edge's pieces.
+        a, b = np.array([0.1, 0.4]), np.array([20.1, 17.4])
+        mids = a + np.outer((np.arange(200) + 0.5) / 200, b - a)
+        normal = np.array([a[1] - b[1], b[0] - a[0]]) / math.dist(a, b) * 0.01
+        positions = np.vstack([[a, b], mids - normal, mids + normal])
+        links = np.column_stack([np.arange(2, 202), np.arange(202, 402)])
+        for i in range(200):
+            edges = np.vstack([[[0, 1]], np.roll(links, -i, axis=0)])
+            assert find_planarity_violation(positions, edges) == (0, 1), i
+
+    def test_long_diagonals_take_memory_by_edge_count(self):
+        # Two crossing diagonals of a 10**7-unit square: unit cells over
+        # their boxes would number 10**14. Peak RSS grows by less than
+        # 8 MiB in a fresh process.
+        probe = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from gricsim.worldgen import find_planarity_violation\n"
+            "s = 1e7\n"
+            "p = np.array([[0.0, 0.0], [s, s], [0.0, s], [s, 0.0]])\n"
+            "e = np.array([[0, 1], [2, 3]])\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "print(find_planarity_violation(p, e), peak() - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(worldgen.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        got, grown_kib = proc.stdout.rsplit(" ", 1)
+        assert got == "(0, 1)"
+        assert int(grown_kib) < 8 * 1024, grown_kib
+
     @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
     def test_matches_the_bucket_loop_on_worlds(self, obstacle):
         w = build_trial_world(3, 3.0, 0, obstacle)
@@ -358,13 +429,43 @@ class TestConnectivity:
 
     def test_two_components(self):
         assert not is_connected(make_world(self.SQUARE, [(0, 1), (2, 3)]))
-        # A deployed world searches its lists wired on demand.
+        # A deployed world searches the lists of its whole-graph links.
         assert not is_connected(deploy(0.5, SMALL, make_obstacle("none"), 1))
 
     def test_path_graph(self):
         assert is_connected(make_world(self.SQUARE, [(0, 1), (2, 1), (3, 2)]))
         w = deploy(6.0, Region(0, 3, 0, 3), make_obstacle("none"), 2)
-        assert is_connected(w) and w._edges is None
+        assert is_connected(w) and w._local is None
+
+    @pytest.mark.parametrize("obstacle", OBSTACLE_NAMES)
+    def test_matches_a_search_over_the_link_oracle(self, obstacle):
+        got, want = [], []
+        for seed, density in [(0, 1.0), (0, 3.0), (5, 4.0), (7, 8.0)]:
+            w = build_trial_world(seed, density, 0, obstacle)
+            got.append(is_connected(w))
+            lists = lexsort_adjacency(w.n, oracles.links(w.positions, w.obstacle.walls))
+            seen, stack = {0}, [0]
+            while stack:
+                for v in lists[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            want.append(len(seen) == w.n)
+        assert got == want
+        # d=1 and d=3 at seed 0 are disconnected on every obstacle, and
+        # d=8 at seed 7 is connected.
+        assert want[:2] == [False, False] and want[3], want
+
+    def test_graphcheck_wires_no_node_on_demand(self, monkeypatch, capsys):
+        worlds = []
+        build = cli.build_trial_world
+        monkeypatch.setattr(
+            cli, "build_trial_world", lambda *a: worlds.append(build(*a)) or worlds[0]
+        )
+        argv = ["graphcheck", "--obstacle", "concave2", "--density", "6", "--seed", "3"]
+        assert cli.main(argv) == 0
+        assert "connectivity: CONNECTED" in capsys.readouterr().out
+        assert len(worlds) == 1 and worlds[0]._local is None
 
 
 class TestInteriorDegree:
